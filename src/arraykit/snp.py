@@ -6,6 +6,11 @@ order, and row-major matrices with continuation lines for 3+ ports. Files
 carrying a v2 ``[Version]`` keyword are rejected. Y/Z/H/G parameter types are
 out of scope. Noise-parameter records trailing 2-port data are skipped with
 a warning.
+
+The parser converts data tokens to floats in chunks of ``_CHUNK_LINES`` lines
+rather than splitting the whole file at once: a whole-file token list costs
+far more memory than the text and the float array it becomes, and it would
+set the peak memory of reading a large multiport file.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ POLS = ("x", "y")
 _UNIT_SCALE = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _FORMATS = ("ri", "ma", "db")
 _SNP_EXT = re.compile(r"\.s(\d+)p$", re.IGNORECASE)
+_CHUNK_LINES = 20_000
 
 
 class TouchstoneError(ValueError):
@@ -86,9 +92,11 @@ class PortMap:
             if pol not in POLS:
                 raise NetworkError(f"polarization must be one of {POLS}, got {pol!r}")
             norm.append(((int(element[0]), int(element[1])), pol))
-        if len(set(norm)) != len(norm):
+        index = {key: port for port, key in enumerate(norm)}
+        if len(index) != len(norm):
             raise NetworkError("port map entries must be unique")
         object.__setattr__(self, "entries", tuple(norm))
+        object.__setattr__(self, "_index", index)
 
     @classmethod
     def lexicographic(cls, indices, pols=POLS) -> "PortMap":
@@ -102,8 +110,8 @@ class PortMap:
     def port_of(self, element: tuple[int, int], pol: str) -> int:
         key = ((int(element[0]), int(element[1])), str(pol).lower())
         try:
-            return self.entries.index(key)
-        except ValueError:
+            return self._index[key]
+        except KeyError:
             raise NetworkError(f"no port for element {element} pol {pol!r}") from None
 
     def element_of(self, port: int) -> tuple[tuple[int, int], str]:
@@ -151,12 +159,18 @@ def _parse_option_line(line: str) -> tuple[float, str, float]:
     return unit_scale, fmt, z_ref
 
 
-def _to_complex(fmt: str, a: float, b: float) -> complex:
-    if fmt == "ri":
-        return complex(a, b)
-    if fmt == "ma":
-        return a * cmath.exp(1j * math.radians(b))
-    return 10.0 ** (a / 20.0) * cmath.exp(1j * math.radians(b))
+def _floats(lines: list[str]) -> np.ndarray:
+    """Convert the whitespace-separated tokens of ``lines`` to one float64 array."""
+    tokens = " ".join(lines).split()
+    try:
+        return np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
+    except ValueError:
+        for tok in tokens:
+            try:
+                float(tok)
+            except ValueError:
+                raise TouchstoneError(f"non-numeric data token {tok!r}") from None
+        raise
 
 
 def parse_touchstone(text: str, port_count: int) -> NetworkData:
@@ -180,62 +194,68 @@ def parse_touchstone(text: str, port_count: int) -> NetworkData:
     if port_count < 1:
         raise TouchstoneError(f"port_count must be >= 1, got {port_count}")
     option = None
-    values: list[float] = []
+    chunks: list[np.ndarray] = []
+    pending: list[str] = []
     for raw in text.splitlines():
         line = raw.split("!", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("["):
-            raise TouchstoneError(f"Touchstone v2 keyword {line.split()[0]!r} is not supported (v1 only)")
-        if line.startswith("#"):
+        if line.startswith(("[", "#")):
+            _floats(pending)  # a bad token on an earlier line is reported first
+            if line.startswith("["):
+                raise TouchstoneError(f"Touchstone v2 keyword {line.split()[0]!r} is not supported (v1 only)")
             if option is not None:
                 raise TouchstoneError("multiple option lines")
             option = _parse_option_line(line)
             continue
         if option is None:
             raise TouchstoneError("data encountered before the '#' option line")
-        for tok in line.split():
-            try:
-                values.append(float(tok))
-            except ValueError:
-                raise TouchstoneError(f"non-numeric data token {tok!r}") from None
+        pending.append(line)
+        if len(pending) == _CHUNK_LINES:
+            chunks.append(_floats(pending))
+            pending = []
+    chunks.append(_floats(pending))
     if option is None:
         raise TouchstoneError("missing '#' option line")
     unit_scale, fmt, z_ref = option
+    values = np.concatenate(chunks)
+    del chunks
 
     p = port_count
     per_record = 1 + 2 * p * p
-    freqs: list[float] = []
-    mats: list[np.ndarray] = []
-    pos = 0
-    while pos < len(values):
-        f_raw = values[pos]
-        if p == 2 and freqs and f_raw < freqs[-1] / unit_scale:
-            # 2-port noise-parameter section: frequency restarts below S data
+    heads = values[::per_record]  # one frequency per started record
+    f_hz = heads * unit_scale
+    n_rec = values.size // per_record
+    if p == 2:
+        # 2-port noise-parameter section: frequency restarts below S data
+        restart = np.flatnonzero(heads[1:] < f_hz[:-1] / unit_scale)
+        if restart.size:
             warnings.warn("ignoring trailing noise-parameter data in 2-port file", stacklevel=2)
-            break
-        if pos + per_record > len(values):
-            raise TouchstoneError(
-                f"frequency record at {f_raw!r} has fewer than {2 * p * p} S values"
-            )
-        rec = values[pos + 1 : pos + per_record]
-        pos += per_record
-        s = np.empty((p, p), dtype=complex)
-        pairs = [(rec[2 * k], rec[2 * k + 1]) for k in range(p * p)]
-        if p == 2:
-            order = [(0, 0), (1, 0), (0, 1), (1, 1)]  # the v1 two-port quirk
-        else:
-            order = [(i, j) for i in range(p) for j in range(p)]
-        for (i, j), (a, b) in zip(order, pairs):
-            s[i, j] = _to_complex(fmt, a, b)
-        f_hz = f_raw * unit_scale
-        if freqs and f_hz <= freqs[-1]:
-            raise TouchstoneError(f"frequencies not strictly increasing at {f_hz} Hz")
-        freqs.append(f_hz)
-        mats.append(s)
-    if not freqs:
+            n_rec = int(restart[0]) + 1
+            heads = heads[:n_rec]
+    down = np.flatnonzero(np.diff(f_hz[:n_rec]) <= 0)
+    if down.size:
+        raise TouchstoneError(f"frequencies not strictly increasing at {float(f_hz[down[0] + 1])} Hz")
+    if n_rec < heads.size:
+        raise TouchstoneError(
+            f"frequency record at {float(heads[n_rec])!r} has fewer than {2 * p * p} S values"
+        )
+    if n_rec == 0:
         raise TouchstoneError("no frequency records found")
-    return NetworkData(np.array(freqs), np.array(mats), z_ref)
+    pairs = values[: n_rec * per_record].reshape(n_rec, per_record)[:, 1:].reshape(n_rec, p, p, 2)
+    a, b = pairs[..., 0], pairs[..., 1]
+    s = np.empty((n_rec, p, p), dtype=complex)
+    if fmt == "ri":
+        s.real, s.imag = a, b
+    else:
+        # non-finite results are left to NetworkData's check
+        with np.errstate(over="ignore", invalid="ignore"):
+            mag = a if fmt == "ma" else 10.0 ** (a / 20.0)
+            ang = np.radians(b)
+            s.real, s.imag = mag * np.cos(ang), mag * np.sin(ang)
+    if p == 2:
+        s = np.ascontiguousarray(s.transpose(0, 2, 1))  # the v1 two-port quirk: S11 S21 S12 S22
+    return NetworkData(f_hz[:n_rec], s, z_ref)
 
 
 def read_touchstone(path: str | Path) -> NetworkData:
@@ -259,31 +279,26 @@ def write_touchstone(net: NetworkData, fmt: str = "ri") -> str:
     if fmt not in _FORMATS:
         raise TouchstoneError(f"format must be one of {_FORMATS}, got {fmt!r}")
 
-    def pair(v: complex) -> str:
-        if fmt == "ri":
-            return f"{v.real:.12e} {v.imag:.12e}"
-        mag, ang = abs(v), math.degrees(cmath.phase(v))
-        if fmt == "ma":
-            return f"{mag:.12e} {ang:.12e}"
-        db = 20.0 * math.log10(mag) if mag > 0 else -1000.0
-        return f"{db:.12e} {ang:.12e}"
-
     p = net.port_count
-    lines = [f"! {p}-port S-parameter data", f"# Hz S {fmt.upper()} R {net.z_ref:.9g}"]
-    for f_hz, s in zip(net.frequencies, net.s):
-        if p == 1:
-            lines.append(f"{float(f_hz)!r} {pair(s[0, 0])}")
-        elif p == 2:
-            quirk = (s[0, 0], s[1, 0], s[0, 1], s[1, 1])
-            lines.append(f"{float(f_hz)!r} " + " ".join(pair(v) for v in quirk))
+    s = net.s.transpose(0, 2, 1) if p == 2 else net.s  # the v1 two-port quirk: S11 S21 S12 S22
+    vals = np.empty(s.shape + (2,))
+    if fmt == "ri":
+        vals[..., 0], vals[..., 1] = s.real, s.imag
+    else:
+        mag = np.abs(s)
+        if fmt == "ma":
+            vals[..., 0] = mag
         else:
-            for i in range(p):
-                row = [pair(s[i, j]) for j in range(p)]
-                for start in range(0, p, 4):
-                    chunk = " ".join(row[start : start + 4])
-                    prefix = f"{float(f_hz)!r} " if i == 0 and start == 0 else "  "
-                    lines.append(prefix + chunk)
-    return "\n".join(lines) + "\n"
+            with np.errstate(divide="ignore"):
+                vals[..., 0] = np.where(mag > 0, 20.0 * np.log10(mag), -1000.0)
+        vals[..., 1] = np.degrees(np.angle(s))
+    # one line for 1- and 2-port records, else each matrix row wrapped at four pairs
+    widths = [p * p] if p <= 2 else [min(4, p - start) for start in range(0, p, 4)] * p
+    record = "%r " + "\n  ".join(" ".join(["%.12e %.12e"] * w) for w in widths)
+    lines = [f"! {p}-port S-parameter data", f"# Hz S {fmt.upper()} R {net.z_ref:.9g}"]
+    lines += [record % (f_hz, *v.ravel().tolist()) for f_hz, v in zip(net.frequencies.tolist(), vals)]
+    lines.append("")  # the final newline, without a second copy of the whole text
+    return "\n".join(lines)
 
 
 # --- network algebra ---------------------------------------------------------

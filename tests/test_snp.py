@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arraykit import snp
+from arraykit import cli, snp
 
 DATA = Path(__file__).parent / "data"
 
@@ -17,6 +19,142 @@ def random_network(ports: int, nfreq: int = 4, seed: int = 0) -> snp.NetworkData
     s = 0.7 * (rng.standard_normal((nfreq, ports, ports)) + 1j * rng.standard_normal((nfreq, ports, ports)))
     f = np.linspace(1e9, 10e9, nfreq)
     return snp.NetworkData(f, s / max(1.0, np.abs(s).max()), 50.0)
+
+
+# --- reference implementations: the per-value loops the vectorised code replaced --
+
+
+def _reference_to_complex(fmt: str, a: float, b: float) -> complex:
+    if fmt == "ri":
+        return complex(a, b)
+    if fmt == "ma":
+        return a * cmath.exp(1j * math.radians(b))
+    return 10.0 ** (a / 20.0) * cmath.exp(1j * math.radians(b))
+
+
+def _reference_parse(text: str, port_count: int) -> snp.NetworkData:
+    if port_count < 1:
+        raise snp.TouchstoneError(f"port_count must be >= 1, got {port_count}")
+    option = None
+    values: list[float] = []
+    for raw in text.splitlines():
+        line = raw.split("!", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("["):
+            raise snp.TouchstoneError(f"Touchstone v2 keyword {line.split()[0]!r} is not supported (v1 only)")
+        if line.startswith("#"):
+            if option is not None:
+                raise snp.TouchstoneError("multiple option lines")
+            option = snp._parse_option_line(line)
+            continue
+        if option is None:
+            raise snp.TouchstoneError("data encountered before the '#' option line")
+        for tok in line.split():
+            try:
+                values.append(float(tok))
+            except ValueError:
+                raise snp.TouchstoneError(f"non-numeric data token {tok!r}") from None
+    if option is None:
+        raise snp.TouchstoneError("missing '#' option line")
+    unit_scale, fmt, z_ref = option
+
+    p = port_count
+    per_record = 1 + 2 * p * p
+    freqs: list[float] = []
+    mats: list[np.ndarray] = []
+    pos = 0
+    while pos < len(values):
+        f_raw = values[pos]
+        if p == 2 and freqs and f_raw < freqs[-1] / unit_scale:
+            warnings.warn("ignoring trailing noise-parameter data in 2-port file", stacklevel=2)
+            break
+        if pos + per_record > len(values):
+            raise snp.TouchstoneError(
+                f"frequency record at {f_raw!r} has fewer than {2 * p * p} S values"
+            )
+        rec = values[pos + 1 : pos + per_record]
+        pos += per_record
+        s = np.empty((p, p), dtype=complex)
+        pairs = [(rec[2 * k], rec[2 * k + 1]) for k in range(p * p)]
+        if p == 2:
+            order = [(0, 0), (1, 0), (0, 1), (1, 1)]
+        else:
+            order = [(i, j) for i in range(p) for j in range(p)]
+        for (i, j), (a, b) in zip(order, pairs):
+            s[i, j] = _reference_to_complex(fmt, a, b)
+        f_hz = f_raw * unit_scale
+        if freqs and f_hz <= freqs[-1]:
+            raise snp.TouchstoneError(f"frequencies not strictly increasing at {f_hz} Hz")
+        freqs.append(f_hz)
+        mats.append(s)
+    if not freqs:
+        raise snp.TouchstoneError("no frequency records found")
+    return snp.NetworkData(np.array(freqs), np.array(mats), z_ref)
+
+
+def _reference_write(net: snp.NetworkData, fmt: str = "ri") -> str:
+    fmt = fmt.lower()
+
+    def pair(v: complex) -> str:
+        if fmt == "ri":
+            return f"{v.real:.12e} {v.imag:.12e}"
+        mag, ang = abs(v), math.degrees(cmath.phase(v))
+        if fmt == "ma":
+            return f"{mag:.12e} {ang:.12e}"
+        db = 20.0 * math.log10(mag) if mag > 0 else -1000.0
+        return f"{db:.12e} {ang:.12e}"
+
+    p = net.port_count
+    lines = [f"! {p}-port S-parameter data", f"# Hz S {fmt.upper()} R {net.z_ref:.9g}"]
+    for f_hz, s in zip(net.frequencies, net.s):
+        if p == 1:
+            lines.append(f"{float(f_hz)!r} {pair(s[0, 0])}")
+        elif p == 2:
+            quirk = (s[0, 0], s[1, 0], s[0, 1], s[1, 1])
+            lines.append(f"{float(f_hz)!r} " + " ".join(pair(v) for v in quirk))
+        else:
+            for i in range(p):
+                row = [pair(s[i, j]) for j in range(p)]
+                for start in range(0, p, 4):
+                    chunk = " ".join(row[start : start + 4])
+                    prefix = f"{float(f_hz)!r} " if i == 0 and start == 0 else "  "
+                    lines.append(prefix + chunk)
+    return "\n".join(lines) + "\n"
+
+
+def oracle_network(ports: int, nfreq: int, seed: int) -> snp.NetworkData:
+    """Random network with exact zeros, pure reals/imaginaries and a few large entries."""
+    net = random_network(ports, nfreq, seed)
+    s = np.array(net.s)
+    flat = s.reshape(-1)
+    rng = np.random.default_rng(seed + 1)
+    picks = rng.choice(flat.size, size=min(flat.size, 12), replace=False)
+    for k, idx in enumerate(picks):
+        flat[idx] = [0.0, -0.0, 0.3, -0.7j, 1e-9 + 2e-9j, 0.999 - 0.01j][k % 6]
+    return snp.NetworkData(net.frequencies, s, net.z_ref)
+
+
+def assert_written_numbers_close(new: str, ref: str):
+    """Same layout, and every number within the fixed float64 write tolerance."""
+    new_lines, ref_lines = new.splitlines(), ref.splitlines()
+    assert new_lines[:2] == ref_lines[:2]
+    assert [len(l.split()) for l in new_lines] == [len(l.split()) for l in ref_lines]
+    assert [l[:2] for l in new_lines] == [l[:2] for l in ref_lines]
+    got = np.array(" ".join(new_lines[2:]).split(), dtype=float)
+    want = np.array(" ".join(ref_lines[2:]).split(), dtype=float)
+    err = np.abs(got - want)
+    small = np.abs(want) < 1e-1
+    assert np.all((err <= 1e-11 * np.abs(want)) | (small & (err <= 1e-12)))
+
+
+def assert_parsed_matches_reference(new: snp.NetworkData, ref: snp.NetworkData, fmt: str):
+    assert new.frequencies.tobytes() == ref.frequencies.tobytes()
+    assert new.z_ref == ref.z_ref
+    if fmt == "ri":
+        assert new.s.tobytes() == ref.s.tobytes()
+    else:
+        assert np.all(np.abs(new.s - ref.s) <= 1e-14 * np.abs(ref.s))
 
 
 # --- parsing -----------------------------------------------------------------
@@ -157,6 +295,118 @@ def test_round_trip_property(seed, ports, fmt):
     np.testing.assert_allclose(back.s, net.s, rtol=1e-9, atol=1e-30)
 
 
+# --- agreement with the reference loops ----------------------------------------
+
+
+@pytest.mark.parametrize("fmt", ["ri", "ma", "db"])
+@pytest.mark.parametrize("ports, nfreq", [(1, 7), (2, 7), (3, 5), (5, 4), (128, 6)])
+def test_write_and_parse_match_reference(ports, nfreq, fmt):
+    # 128 ports x 6 records is 24576 data lines: the parser's chunk boundary is crossed
+    net = oracle_network(ports, nfreq, seed=ports + len(fmt))
+    new, ref = snp.write_touchstone(net, fmt), _reference_write(net, fmt)
+    if fmt == "ri":
+        assert new == ref
+    else:
+        assert_written_numbers_close(new, ref)
+    assert_parsed_matches_reference(snp.parse_touchstone(ref, ports), _reference_parse(ref, ports), fmt)
+
+
+def rewrap(text: str, rng: random.Random, newline: str) -> str:
+    """The same header and tokens, with random values per line, comments, tabs and blank lines."""
+    lines = text.splitlines()
+    header = [line for line in lines if line.startswith(("!", "#"))]
+    tokens = " ".join(line for line in lines if not line.startswith(("!", "#"))).split()
+    out = list(header)
+    pos = 0
+    while pos < len(tokens):
+        if rng.random() < 0.2:
+            out.append(rng.choice(["! 1.0 2.0 # [Version] comment", "", " \t ", "!"]))
+        n = rng.randint(1, 9)
+        sep = lambda: rng.choice([" ", "\t", "   ", " \t "])
+        line = rng.choice(["", " ", "\t"]) + "".join(tok + sep() for tok in tokens[pos : pos + n])
+        if rng.random() < 0.3:
+            line += "! trailing 9.9e9 ! x"
+        out.append(line)
+        pos += n
+    return newline.join(out) + newline
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    ports=st.sampled_from([1, 2, 3, 5]),
+    fmt=st.sampled_from(["ri", "ma", "db"]),
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+def test_any_layout_parses_like_canonical(seed, ports, fmt, newline):
+    canonical = snp.write_touchstone(random_network(ports, nfreq=3, seed=seed), fmt)
+    want = snp.parse_touchstone(canonical, ports)
+    got = snp.parse_touchstone(rewrap(canonical, random.Random(seed), newline), ports)
+    assert got.frequencies.tobytes() == want.frequencies.tobytes()
+    assert got.s.tobytes() == want.s.tobytes()
+    assert got.z_ref == want.z_ref
+
+
+# --- error paths of the chunked parser -----------------------------------------
+
+
+def one_port_lines(nfreq: int) -> list[str]:
+    """A 1-port RI file, one record per line, as a list of lines."""
+    return ["# GHz S RI R 50"] + [f"{1 + 0.001 * k!r} 0.25 -0.5" for k in range(nfreq)]
+
+
+def _bad_token_after_first_chunk():
+    lines = one_port_lines(snp._CHUNK_LINES + 5000)
+    lines[snp._CHUNK_LINES + 1234] = "21.234 0.25 0.5x"
+    return lines, 1, "non-numeric data token '0.5x'"
+
+
+def _bad_token_before_second_option_line():
+    lines = one_port_lines(10)
+    lines[3] = "1.002 bogus 0.0"
+    return lines + ["# MHz S RI R 50"], 1, "non-numeric data token 'bogus'"
+
+
+def _records_not_filled():
+    text = snp.write_touchstone(random_network(128, nfreq=6, seed=4), "ri")
+    return text.splitlines()[:-1], 128, "frequency record at 10000000000.0 has fewer than 32768 S values"
+
+
+def _not_increasing():
+    lines = one_port_lines(snp._CHUNK_LINES + 5000)
+    lines[snp._CHUNK_LINES + 101] = lines[snp._CHUNK_LINES + 100]
+    f_hz = float(lines[snp._CHUNK_LINES + 100].split()[0]) * 1e9
+    return lines, 1, f"frequencies not strictly increasing at {f_hz} Hz"
+
+
+@pytest.mark.parametrize(
+    "make", [_bad_token_after_first_chunk, _bad_token_before_second_option_line, _records_not_filled, _not_increasing]
+)
+def test_parse_errors_match_reference_and_exit_4(make, tmp_path, capsys):
+    lines, ports, message = make()
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(snp.TouchstoneError) as new:
+        snp.parse_touchstone(text, ports)
+    with pytest.raises(snp.TouchstoneError) as ref:
+        _reference_parse(text, ports)
+    assert str(new.value) == str(ref.value) == message
+    src = tmp_path / f"bad.s{ports}p"
+    src.write_text(text)
+    assert cli.main(["convert", str(src), str(tmp_path / f"out.s{ports}p")]) == 4
+    assert message in capsys.readouterr().err
+
+
+def test_noise_section_after_first_chunk_matches_reference():
+    net = random_network(2, nfreq=snp._CHUNK_LINES + 500, seed=8)
+    text = snp.write_touchstone(net, "ma") + "! noise parameters\n1.5 2.3 0.5 10.0 0.2\n2.5 2.4 0.6 11.0 0.3\n"
+    with pytest.warns(UserWarning, match="noise"):
+        got = snp.parse_touchstone(text, 2)
+    with pytest.warns(UserWarning, match="noise"):
+        want = _reference_parse(text, 2)
+    assert_parsed_matches_reference(got, want, "ma")
+    assert got.frequencies.size == net.frequencies.size
+
+
 # --- NetworkData validation ---------------------------------------------------
 
 
@@ -236,6 +486,17 @@ def test_port_map_lexicographic():
     )
     assert pm.port_of((1, 0), "y") == 3
     assert pm.element_of(0) == ((0, 0), "x")
+
+
+def test_port_map_lookup_matches_entry_order():
+    pm = snp.PortMap((((2, 1), "Y"), ((0, 0), "x"), ((np.int64(2), 1), "x"), ((0, 0), "y")))
+    assert [pm.port_of(e, p) for e, p in pm.entries] == list(range(len(pm)))
+    assert pm.port_of((np.int32(2), 1), "X") == 2
+    with pytest.raises(snp.NetworkError, match="no port for element"):
+        pm.port_of((1, 1), "x")
+    same = snp.PortMap(pm.entries)
+    assert same == pm and hash(same) == hash(pm)
+    assert repr(pm) == f"PortMap(entries={pm.entries!r})"
 
 
 def test_port_map_rejects_duplicates_and_bad_pol():
