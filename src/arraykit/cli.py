@@ -7,7 +7,8 @@ conversion.
 
 Exit codes: 0 success, 2 configuration error, 3 transform-domain error,
 4 data or port mismatch, 1 anything else. Identical configuration produces
-byte-identical outputs, including under ``--threads``.
+byte-identical outputs. ``--threads`` is accepted by every command and has
+no effect.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import hashlib
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -71,7 +71,15 @@ def _parse_frequencies(block, where: str) -> np.ndarray:
     raise ConfigError(f"{where}: expected an object or a non-empty list")
 
 
-def _sweep_scans(cfg: dict) -> list[str]:
+def _scan_label(label, pol: str, where: str) -> tuple[str, float, float]:
+    try:
+        return metrics.parse_scan_label(label, pol)
+    except metrics.MetricError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _sweep_scans(cfg: dict, pol: str) -> list[str]:
+    """Scan labels of the sweep block, each checked by :func:`metrics.parse_scan_label`."""
     block = cfg.get("sweep", {})
     if not isinstance(block, dict):
         raise ConfigError("sweep: expected an object")
@@ -79,11 +87,19 @@ def _sweep_scans(cfg: dict) -> list[str]:
         scans = block["scans"]
         if not isinstance(scans, list) or not all(isinstance(s, str) for s in scans):
             raise ConfigError("sweep.scans: expected a list of labels")
+        for i, label in enumerate(scans):
+            _scan_label(label, pol, f"sweep.scans[{i}]")
         return scans
     if "theta_deg" in block or "phi_deg" in block:
         thetas = block.get("theta_deg", [0.0])
         phis = block.get("phi_deg", [0.0])
-        return [f"T{float(t):g}P{float(p):g}" for t in thetas for p in phis]
+        try:
+            scans = [f"T{float(t):g}P{float(p):g}" for t in thetas for p in phis]
+        except (TypeError, ValueError):
+            raise ConfigError("sweep.theta_deg/phi_deg: expected lists of numbers") from None
+        for label in scans:
+            _scan_label(label, pol, "sweep.theta_deg/phi_deg")
+        return scans
     return ["broadside", "E60", "H60", "D60"]
 
 
@@ -173,25 +189,6 @@ def cmd_lattice(args) -> int:
     return 0
 
 
-def _transform_coupling(grids, method: str, threads: int):
-    """Per-pair transform, chunked over frequencies; assembly order is fixed."""
-    def one(pair_grid):
-        pair, g = pair_grid
-        if threads > 1 and g.frequencies.size > 1:
-            idx = np.array_split(np.arange(g.frequencies.size), threads)
-            out = np.empty_like(g.grid)
-            def work(chunk):
-                sub = spectral.ActiveGammaGrid(g.frequencies[chunk], g.grid[chunk], g.pol_pair)
-                return chunk, spectral.gamma_to_coupling(sub, method=method).coeffs
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                for chunk, coeffs in pool.map(work, [c for c in idx if c.size]):
-                    out[chunk] = coeffs
-            return pair, spectral.CouplingSet(g.frequencies, out, g.pol_pair)
-        return pair, spectral.gamma_to_coupling(g, method=method)
-
-    return dict(one(item) for item in grids.items())
-
-
 def cmd_transform(args) -> int:
     cfg = _load_config(args.config)
     basis, n_scan, shape = _require_lattice(cfg)
@@ -217,10 +214,9 @@ def cmd_transform(args) -> int:
     grids = {pair: synthmodel.sample_grid(model, grid, freqs, pair) for pair in spectral.POL_PAIRS}
 
     method = "direct" if args.oracle else "fft"
-    sets = _transform_coupling(grids, method, max(1, args.threads))
+    sets = {pair: spectral.gamma_to_coupling(g, method) for pair, g in grids.items()}
     if args.oracle:
-        fast = _transform_coupling(grids, "fft", max(1, args.threads))
-        delta = max(np.abs(sets[p].coeffs - fast[p].coeffs).max() for p in sets)
+        delta = max(np.abs(sets[p].coeffs - spectral.gamma_to_coupling(g).coeffs).max() for p, g in grids.items())
         print(f"oracle check: max |direct - fft| = {delta:.3e}")
 
     out = _out_dir(args)
@@ -250,7 +246,7 @@ def cmd_metrics(args) -> int:
     basis, n_scan, shape = _require_lattice(cfg, need_aperture=True)
     aperture = lattice.enumerate_aperture(shape)
     taper, pol = _excitation_block(cfg)
-    scans = _sweep_scans(cfg)
+    scans = _sweep_scans(cfg, pol)
     mblock = cfg.get("metrics", {})
     if not isinstance(mblock, dict):
         raise ConfigError("metrics: expected an object")
@@ -339,19 +335,19 @@ def cmd_pattern(args) -> int:
         step = float(block.get("theta_step_deg", 1.0))
     except (TypeError, ValueError):
         raise ConfigError("pattern.theta_step_deg: expected a number") from None
-    scan_label = str(block.get("scan", "broadside"))
     if step <= 0:
         raise ConfigError("pattern.theta_step_deg: must be positive")
+    _, theta0, phi0 = _scan_label(str(block.get("scan", "broadside")), pol, "pattern.scan")
 
     pos = lattice.aperture_positions(basis, aperture)
     area = lattice.unit_cell_area(basis)
     theta = np.arange(-90.0, 90.0 + step / 2, step)
-    _, theta0, phi0 = metrics.parse_scan_label(scan_label, pol)
-    amps = excitation.taper_amplitudes(taper, pos - lattice.centroid(pos))
+    port_map = snp.PortMap.lexicographic(aperture, pols=(pol,))  # port i is aperture element i
+    weights = excitation.weight_function(basis, aperture, port_map, taper, pol)(
+        excitation.scan_wavevectors(theta0, phi0, freqs)
+    )
     pats = []
-    for f in freqs:
-        kt0 = excitation.scan_wavevector(excitation.ScanSpec(theta0, phi0, float(f)))
-        weights = amps * np.exp(-1j * (pos @ kt0))
+    for f, w in zip(freqs, weights):
         for cut in cuts:
             if str(cut).lower() in ("e", "h", "d"):
                 phi = excitation.plane_phi(cut, pol)
@@ -360,9 +356,7 @@ def cmd_pattern(args) -> int:
                     phi = float(cut)
                 except (TypeError, ValueError):
                     raise ConfigError(f"pattern.cuts: expected E|H|D or an azimuth in degrees, got {cut!r}") from None
-            pats.append(
-                metrics.array_factor_pattern(pos, weights, float(f), theta, phi, area, label=str(cut))
-            )
+            pats.append(metrics.array_factor_pattern(pos, w, float(f), theta, phi, area, label=str(cut)))
     out = _out_dir(args)
     path = out / "pattern.csv"
     _write_lines(path, metrics.pattern_table_rows(pats), _config_hash(cfg))
@@ -387,9 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="JSON configuration file")
     shared.add_argument("--out", help="output directory (default: current)")
-    shared.add_argument("--oracle", action="store_true", help="use the direct double-sum transform path")
-    shared.add_argument("--threads", type=int, default=1, help="worker threads for per-frequency work")
-    shared.add_argument("--seed", type=int, default=None, help="override the seeded-random model seed")
+    shared.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
 
     parser = argparse.ArgumentParser(prog="arraykit", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"arraykit {__version__}")
@@ -398,6 +390,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("lattice", parents=[shared], help="report lattice constants and grating-lobe onsets")
     tr = sub.add_parser("transform", parents=[shared], help="sample the model and write coupling coefficients")
     tr.add_argument("--gamma", action="store_true", help="also write the sampled gamma grids")
+    tr.add_argument("--oracle", action="store_true", help="use the direct double-sum transform path")
+    tr.add_argument("--seed", type=int, default=None, help="override the seeded-random model seed")
     tr.add_argument("--touchstone", action="store_true", help="assemble and write the finite-array Touchstone file")
     me = sub.add_parser("metrics", parents=[shared], help="VSWR/coupling/gain sweeps from a Touchstone file")
     me.add_argument("--snp", help="input Touchstone file (default: metrics.snp from config)")

@@ -93,9 +93,15 @@ def taper_amplitudes(taper: TaperSpec, positions: np.ndarray) -> np.ndarray:
 
 def scan_wavevector(scan: ScanSpec) -> np.ndarray:
     """Transverse wavevector k_t = (2*pi*f/c) * sin(theta) * (cos(phi), sin(phi))."""
-    k0 = 2 * math.pi * scan.frequency / C0
-    st = math.sin(math.radians(scan.theta_deg))
-    return k0 * st * np.array([math.cos(math.radians(scan.phi_deg)), math.sin(math.radians(scan.phi_deg))])
+    return scan_wavevectors(scan.theta_deg, scan.phi_deg, scan.frequency)
+
+
+def scan_wavevectors(theta_deg: float, phi_deg: float, frequencies) -> np.ndarray:
+    """:func:`scan_wavevector` for one direction at each frequency: (..., 2) rad/m."""
+    k0 = 2 * math.pi * np.asarray(frequencies, dtype=float) / C0
+    st = math.sin(math.radians(theta_deg))
+    phi = math.radians(phi_deg)
+    return (k0 * st)[..., None] * np.array([math.cos(phi), math.sin(phi)])
 
 
 def plane_phi(plane: str, pol: str) -> float:
@@ -110,6 +116,34 @@ def plane_phi(plane: str, pol: str) -> float:
     return _PLANE_PHI[key]
 
 
+def weight_function(basis: LatticeBasis, aperture, port_map: PortMap, taper: TaperSpec, pol: str):
+    """Port weights of the aperture as a function of the scan wavevector.
+
+    Positions, taper amplitudes and pol-port indices are computed once. The
+    returned function maps k_t of shape (2,) or (F, 2) to weights of shape
+    (P,) or (F, P): ``taper(R_i - centroid) * exp(-1j * k_t . R_i)`` on the
+    pol ports and 0 on the ports of the opposite polarization. Every
+    aperture element must have a port of the selected polarization.
+    """
+    pol = str(pol).lower()
+    indices = list(aperture)
+    if not indices:
+        raise ExcitationError("empty aperture")
+    pos = aperture_positions(basis, indices)
+    amps = taper_amplitudes(taper, pos - centroid(pos))
+    ports = [port_map.port_of(idx, pol) for idx in indices]
+    n_ports = len(port_map)
+
+    def weights(k_t) -> np.ndarray:
+        k = np.asarray(k_t, dtype=float)
+        out = np.zeros(k.shape[:-1] + (n_ports,), dtype=complex)
+        # one matrix-vector product per k_t: rounds like the single-scan case
+        out[..., ports] = amps * np.exp(-1j * (pos @ k[..., None])[..., 0])
+        return out
+
+    return weights
+
+
 def build_plan(
     basis: LatticeBasis,
     aperture,
@@ -118,28 +152,5 @@ def build_plan(
     scan: ScanSpec,
     pol: str,
 ) -> ExcitationPlan:
-    """Weights ``taper(R_i - centroid) * exp(-1j * k_t . R_i)`` on pol ports.
-
-    Ports of the opposite polarization get weight 0. Every aperture element
-    must have a port of the selected polarization in ``port_map``.
-    """
-    pol = str(pol).lower()
-    indices = list(aperture)
-    if not indices:
-        raise ExcitationError("empty aperture")
-    pos = aperture_positions(basis, indices)
-    amps = taper_amplitudes(taper, pos - centroid(pos))
-    kt = scan_wavevector(scan)
-    phases = np.exp(-1j * (pos @ kt))
-    weights = np.zeros(len(port_map), dtype=complex)
-    for i, idx in enumerate(indices):
-        weights[port_map.port_of(idx, pol)] = amps[i] * phases[i]
-    return ExcitationPlan(weights)
-
-
-def plan_csv_rows(plan: ExcitationPlan) -> list[str]:
-    """Rows "port,re,im" (header included)."""
-    rows = ["port,re,im"]
-    for p, w in enumerate(plan.weights):
-        rows.append(f"{p},{w.real:.12e},{w.imag:.12e}")
-    return rows
+    """The :func:`weight_function` weights at one scan direction and frequency."""
+    return ExcitationPlan(weight_function(basis, aperture, port_map, taper, pol)(scan_wavevector(scan)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import C0
+from .constants import C0, DEFAULT_N_SCAN
 
 SQUARE = "square"
 TRIANGULAR = "triangular"
@@ -285,51 +285,22 @@ def full_period_reciprocal(basis: LatticeBasis) -> np.ndarray:
     return 2 * math.pi * np.linalg.inv(basis.cell_matrix)
 
 
-def grating_lobe_onset(
-    basis: LatticeBasis,
-    scan_theta: float,
-    *,
-    phi_step_deg: float = 0.1,
-    rel_tol: float = 1e-7,
-) -> float:
+def grating_lobe_onset(basis: LatticeBasis, scan_theta: float) -> float:
     """Lowest frequency (Hz) at which a grating lobe enters visible space.
 
-    A lobe exists when some nonzero reciprocal vector G (integer combination
-    of the full-period primitives) satisfies ``|k_t - G| <= k0`` with
-    ``|k_t| = k0*sin(theta)``; the azimuth of k_t is swept over a fixed
-    phi grid and the worst case taken. The onset frequency is bracketed by
-    the aligned-azimuth closed form and refined by bisection.
+    A lobe of a nonzero reciprocal vector G (integer combination of the
+    full-period primitives) is visible when ``|k_t - G| <= k0`` with
+    ``|k_t| = k0*sin(theta)``. Over all scan azimuths
+    ``|k_t - G| >= |G| - k0*sin(theta)``, with equality when k_t is parallel
+    to G, so the worst case is the closed form
+    ``f = c*|G_min| / (2*pi*(1 + sin(theta)))`` for the shortest G.
     """
     if not 0.0 <= scan_theta <= 90.0:
         raise LatticeError(f"scan_theta must be in [0, 90] degrees, got {scan_theta}")
-    brows = full_period_reciprocal(basis)
     ij = [(i, j) for i in range(-4, 5) for j in range(-4, 5) if (i, j) != (0, 0)]
-    g = np.array(ij, dtype=float) @ brows  # (nG, 2)
-    sin_t = math.sin(math.radians(scan_theta))
-
-    phi = np.radians(np.arange(0.0, 360.0, phi_step_deg))
-    units = np.column_stack([np.cos(phi), np.sin(phi)])  # (nphi, 2)
-
-    def lobe_visible(f: float) -> bool:
-        k0 = 2 * math.pi * f / C0
-        kt = (k0 * sin_t) * units
-        d2 = ((kt[:, None, :] - g[None, :, :]) ** 2).sum(axis=2)
-        return bool((d2 <= k0 * k0).any())
-
+    g = np.array(ij, dtype=float) @ full_period_reciprocal(basis)  # (nG, 2)
     g_min = float(np.sqrt((g**2).sum(axis=1)).min())
-    f_aligned = C0 * g_min / (2 * math.pi * (1 + sin_t))
-    lo, hi = 0.5 * f_aligned, 1.5 * f_aligned
-    while lobe_visible(lo):
-        lo *= 0.5
-    while not lobe_visible(hi):
-        hi *= 2.0
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if lobe_visible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return C0 * g_min / (2 * math.pi * (1 + math.sin(math.radians(scan_theta))))
 
 
 # --- JSON configuration ------------------------------------------------------
@@ -384,7 +355,7 @@ def lattice_from_config(d: dict, where: str = "lattice") -> tuple[LatticeBasis, 
         lambda_h = float(d["lambda_h_mm"]) * 1e-3
     except (TypeError, ValueError):
         raise LatticeError(f"{where}.lambda_h_mm: expected a number") from None
-    n_scan = d.get("n_scan", 24)
+    n_scan = d.get("n_scan", DEFAULT_N_SCAN)
     if not isinstance(n_scan, int) or isinstance(n_scan, bool) or n_scan < 2 or n_scan % 2:
         raise LatticeError(f"{where}.n_scan: expected an even integer >= 2, got {n_scan!r}")
     basis = make_basis(kind, lambda_h)

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .constants import C0, DB_FLOOR, VSWR_CAP
-from .excitation import ExcitationPlan, ScanSpec, TaperSpec, build_plan, plane_phi
-from .lattice import LatticeBasis, aperture_positions, centermost_index
-from .snp import NetworkData, PortMap
+# build_plan is not called here; it stays importable as metrics.build_plan, the name perfbench traces
+from .excitation import ExcitationPlan, TaperSpec, build_plan, plane_phi, scan_wavevectors, weight_function  # noqa: F401
+from .lattice import LatticeBasis, centermost_index
+from .snp import NetworkData, PortMap, _table_rows
 
 METRICS = ("vswr", "coupling", "gain")
 
@@ -67,12 +69,13 @@ def db20(x) -> np.ndarray:
     return _floored_log10(x, 20.0)
 
 
-def _excite(net: NetworkData, weights: np.ndarray) -> np.ndarray:
-    """Outgoing waves b = S a for a single plan or per-frequency weights."""
-    w = np.asarray(weights, dtype=complex)
-    if w.ndim == 1:
-        return net.s @ w
-    return np.einsum("fpq,fq->fp", net.s, w)
+def _outgoing(net: NetworkData, weights: np.ndarray, ports) -> np.ndarray:
+    """Outgoing waves ``b_p = sum_q S_pq a_q`` at the listed ports only: (F, len(ports)).
+
+    ``weights`` is one plan (P,) or per-frequency weights (F, P).
+    """
+    w = np.broadcast_to(np.asarray(weights, dtype=complex), (net.frequencies.size, net.port_count))
+    return np.einsum("fpq,fq->fp", net.s[:, ports, :], w)
 
 
 def active_reflection(net: NetworkData, plan: ExcitationPlan, port: int) -> np.ndarray:
@@ -84,7 +87,7 @@ def active_reflection(net: NetworkData, plan: ExcitationPlan, port: int) -> np.n
     a_p = plan.weights[port]
     if a_p == 0:
         raise MetricError(f"active reflection undefined: zero plan weight at port {port}")
-    return _excite(net, plan.weights)[:, port] / a_p
+    return _outgoing(net, plan.weights, [port])[:, 0] / a_p
 
 
 def vswr(gamma) -> np.ndarray:
@@ -114,8 +117,7 @@ def orthogonal_coupling(
     a_co = plan.weights[p_co]
     if a_co == 0:
         raise MetricError(f"zero plan weight at the co-located {excited_pol}-pol port")
-    b = _excite(net, plan.weights)[:, p_obs]
-    return db20(np.abs(b) / abs(a_co))
+    return db20(np.abs(_outgoing(net, plan.weights, [p_obs])[:, 0]) / abs(a_co))
 
 
 def normalized_gain(gamma, efficiency: float = 1.0) -> np.ndarray:
@@ -186,12 +188,20 @@ def array_factor_pattern(
 # --- scan sweeps ---------------------------------------------------------------
 
 
+def _angle(text: str, label) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise MetricError(f"cannot parse scan label {label!r}") from None
+
+
 def parse_scan_label(label: str, pol: str) -> tuple[str, float, float]:
     """Turn a scan label into (label, theta_deg, phi_deg).
 
     "broadside" means theta 0; "E60"/"H30"/"D45" combine a principal plane
     letter with the scan angle in degrees; "T<theta>P<phi>" gives both
-    angles explicitly.
+    angles explicitly. Raises :class:`MetricError` for a label that does not
+    parse, a theta outside [0, 90] or a non-finite phi.
     """
     text = str(label).strip()
     low = text.lower()
@@ -199,10 +209,14 @@ def parse_scan_label(label: str, pol: str) -> tuple[str, float, float]:
         return "broadside", 0.0, 0.0
     if low.startswith("t") and "p" in low:
         t_part, p_part = low[1:].split("p", 1)
-        return text, float(t_part), float(p_part)
-    if low[:1] in ("e", "h", "d") and low[1:]:
-        return text, float(low[1:]), plane_phi(low[0], pol)
-    raise MetricError(f"cannot parse scan label {label!r}")
+        theta, phi = _angle(t_part, label), _angle(p_part, label)
+    elif low[:1] in ("e", "h", "d") and low[1:]:
+        theta, phi = _angle(low[1:], label), plane_phi(low[0], pol)
+    else:
+        raise MetricError(f"cannot parse scan label {label!r}")
+    if not (0.0 <= theta <= 90.0 and math.isfinite(phi)):
+        raise MetricError(f"scan label {label!r}: theta must lie in [0, 90] degrees and phi must be finite")
+    return text, theta, phi
 
 
 def sweep(
@@ -220,9 +234,9 @@ def sweep(
     """Evaluate one metric over frequency for each labeled scan.
 
     ``scans`` is a list of labels understood by :func:`parse_scan_label`.
-    Plans are rebuilt per frequency (the linear scan phase is frequency
-    dependent); the probed port is the centermost element unless given.
-    An empty scan list yields an empty result.
+    Each scan's (F, P) weights come from one batched call (the linear scan
+    phase is frequency dependent); the probed port is the centermost
+    element unless given. An empty scan list yields an empty result.
     """
     if metric not in METRICS:
         raise MetricError(f"metric must be one of {METRICS}, got {metric!r}")
@@ -231,27 +245,23 @@ def sweep(
         element = centermost_index(basis, aperture)
     pol = str(pol).lower()
     port = port_map.port_of(element, pol)
+    read = [port]
+    if metric == "coupling":
+        read.append(port_map.port_of(element, "y" if pol == "x" else "x"))
+    weights_at = weight_function(basis, aperture, port_map, taper, pol)
 
     out: list[MetricSweep] = []
     for label in scans:
         name, theta, phi = parse_scan_label(label, pol)
-        weights = np.empty((net.frequencies.size, len(port_map)), dtype=complex)
-        for i, f in enumerate(net.frequencies):
-            try:
-                plan = build_plan(basis, aperture, port_map, taper, ScanSpec(theta, phi, float(f)), pol)
-            except ValueError as exc:
-                raise MetricError(f"scan {name!r} at {f:.6g} Hz: {exc}") from exc
-            weights[i] = plan.weights
-        b = _excite(net, weights)
-        gamma = b[:, port] / weights[:, port]
+        weights = weights_at(scan_wavevectors(theta, phi, net.frequencies))
+        b = _outgoing(net, weights, read)
+        gamma = b[:, 0] / weights[:, port]
         if metric == "vswr":
             values = np.asarray(vswr(gamma))
         elif metric == "gain":
             values = db10(normalized_gain(gamma, efficiency))
         else:
-            other = "y" if pol == "x" else "x"
-            p_obs = port_map.port_of(element, other)
-            values = db20(np.abs(b[:, p_obs]) / np.abs(weights[:, port]))
+            values = db20(np.abs(b[:, 1]) / np.abs(weights[:, port]))
         out.append(MetricSweep(metric, name, theta, net.frequencies, values, gamma))
     return out
 
@@ -259,38 +269,34 @@ def sweep(
 # --- CSV tables -----------------------------------------------------------------
 
 
+def _sweep_rows(value_header: str, value_template: str, sweeps: list[MetricSweep], values) -> list[str]:
+    """Rows "freq_hz,plane,theta_deg,<value_header>"; ``values(sw)`` gives the value columns."""
+    blocks = (
+        (sw.frequencies.tolist(), repeat(sw.label), repeat(sw.theta_deg), *(v.tolist() for v in values(sw)))
+        for sw in sweeps
+    )
+    return _table_rows("freq_hz,plane,theta_deg," + value_header, "%.9e,%s,%g," + value_template, blocks)
+
+
 def vswr_table_rows(sweeps: list[MetricSweep]) -> list[str]:
     """Rows "freq_hz,plane,theta_deg,vswr,gamma_re,gamma_im" (header included)."""
-    rows = ["freq_hz,plane,theta_deg,vswr,gamma_re,gamma_im"]
-    for sw in sweeps:
-        for f, v, g in zip(sw.frequencies, sw.values, sw.gamma):
-            capped = min(float(v), VSWR_CAP)
-            rows.append(f"{f:.9e},{sw.label},{sw.theta_deg:g},{capped:.9e},{g.real:.12e},{g.imag:.12e}")
-    return rows
+    return _sweep_rows(
+        "vswr,gamma_re,gamma_im", "%.9e,%.12e,%.12e", sweeps,
+        lambda sw: (np.minimum(sw.values, VSWR_CAP), sw.gamma.real, sw.gamma.imag),
+    )
 
 
 def coupling_table_rows(sweeps: list[MetricSweep]) -> list[str]:
     """Rows "freq_hz,plane,theta_deg,coupling_db" (header included)."""
-    rows = ["freq_hz,plane,theta_deg,coupling_db"]
-    for sw in sweeps:
-        for f, v in zip(sw.frequencies, sw.values):
-            rows.append(f"{f:.9e},{sw.label},{sw.theta_deg:g},{v:.9e}")
-    return rows
+    return _sweep_rows("coupling_db", "%.9e", sweeps, lambda sw: (sw.values,))
 
 
 def gain_table_rows(sweeps: list[MetricSweep]) -> list[str]:
     """Rows "freq_hz,plane,theta_deg,gain_db" (header included)."""
-    rows = ["freq_hz,plane,theta_deg,gain_db"]
-    for sw in sweeps:
-        for f, v in zip(sw.frequencies, sw.values):
-            rows.append(f"{f:.9e},{sw.label},{sw.theta_deg:g},{v:.9e}")
-    return rows
+    return _sweep_rows("gain_db", "%.9e", sweeps, lambda sw: (sw.values,))
 
 
 def pattern_table_rows(patterns: list[Pattern]) -> list[str]:
     """Rows "freq_hz,plane,theta_deg,gain_dbi" (header included)."""
-    rows = ["freq_hz,plane,theta_deg,gain_dbi"]
-    for pat in patterns:
-        for t, g in zip(pat.theta_deg, pat.gain_dbi):
-            rows.append(f"{pat.frequency:.9e},{pat.label},{t:g},{g:.9e}")
-    return rows
+    blocks = ((repeat(p.frequency), repeat(p.label), p.theta_deg.tolist(), p.gain_dbi.tolist()) for p in patterns)
+    return _table_rows("freq_hz,plane,theta_deg,gain_dbi", "%.9e,%s,%g,%.9e", blocks)

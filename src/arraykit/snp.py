@@ -15,16 +15,12 @@ set the peak memory of reading a large multiport file.
 
 from __future__ import annotations
 
-import cmath
-import math
 import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .constants import DB_FLOOR
 
 POLS = ("x", "y")
 
@@ -353,14 +349,18 @@ def reorder_ports(net: NetworkData, port_map: PortMap) -> tuple[NetworkData, Por
     return permute_ports(net, order), PortMap(tuple(port_map.entries[i] for i in order))
 
 
-def sparameter_csv_rows(net: NetworkData) -> list[str]:
-    """Rows of the |S| export: header then freq_hz,port_i,port_j,mag_db,phase_deg."""
-    rows = ["freq_hz,port_i,port_j,mag_db,phase_deg"]
-    for f_hz, s in zip(net.frequencies, net.s):
-        for i in range(net.port_count):
-            for j in range(net.port_count):
-                mag = abs(s[i, j])
-                db = max(20.0 * math.log10(mag), DB_FLOOR) if mag > 0 else DB_FLOOR
-                ang = math.degrees(cmath.phase(s[i, j]))
-                rows.append(f"{f_hz:.9e},{i},{j},{db:.9e},{ang:.9e}")
+# --- CSV rows ----------------------------------------------------------------
+
+
+def _table_rows(header: str, template: str, blocks) -> list[str]:
+    """``header`` then one ``template % row`` line per row.
+
+    Each block is a tuple of equal-length columns (lists, or
+    ``itertools.repeat`` for a constant column) holding one frequency or one
+    sweep, so no more than a block's values are ever turned into Python
+    objects at once.
+    """
+    rows = [header]
+    for columns in blocks:
+        rows += map(template.__mod__, zip(*columns))
     return rows

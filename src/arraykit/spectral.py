@@ -18,12 +18,13 @@ to the signed integer ``i - N/2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping
 
 import numpy as np
 
 from .lattice import LatticeBasis, ReciprocalBasis, aperture_positions
-from .snp import NetworkData, PortMap
+from .snp import NetworkData, PortMap, _table_rows
 
 POL_PAIRS = ("xx", "xy", "yx", "yy")
 
@@ -294,25 +295,20 @@ def assemble_finite_smatrix(
 # --- CSV serialization --------------------------------------------------------
 
 
+def _grid_blocks(frequencies: np.ndarray, grids: np.ndarray):
+    """Per-frequency columns (freq, i1 - N/2, i2 - N/2, re, im) of an (F, N, N) array."""
+    n = grids.shape[1]
+    idx = np.arange(n) - n // 2
+    first, second = np.repeat(idx, n).tolist(), np.tile(idx, n).tolist()
+    for f_hz, mat in zip(frequencies.tolist(), grids):
+        yield repeat(f_hz), first, second, mat.real.ravel().tolist(), mat.imag.ravel().tolist()
+
+
 def gamma_csv_rows(g: ActiveGammaGrid) -> list[str]:
     """Rows "freq_hz,m1,m2,re,im" (header included)."""
-    h = g.n // 2
-    rows = ["freq_hz,m1,m2,re,im"]
-    for f_hz, mat in zip(g.frequencies, g.grid):
-        for i1 in range(g.n):
-            for i2 in range(g.n):
-                v = mat[i1, i2]
-                rows.append(f"{f_hz:.9e},{i1 - h},{i2 - h},{v.real:.12e},{v.imag:.12e}")
-    return rows
+    return _table_rows("freq_hz,m1,m2,re,im", "%.9e,%d,%d,%.12e,%.12e", _grid_blocks(g.frequencies, g.grid))
 
 
 def coupling_csv_rows(c: CouplingSet) -> list[str]:
     """Rows "freq_hz,n1,n2,re,im" (header included)."""
-    h = c.n // 2
-    rows = ["freq_hz,n1,n2,re,im"]
-    for f_hz, mat in zip(c.frequencies, c.coeffs):
-        for i1 in range(c.n):
-            for i2 in range(c.n):
-                v = mat[i1, i2]
-                rows.append(f"{f_hz:.9e},{i1 - h},{i2 - h},{v.real:.12e},{v.imag:.12e}")
-    return rows
+    return _table_rows("freq_hz,n1,n2,re,im", "%.9e,%d,%d,%.12e,%.12e", _grid_blocks(c.frequencies, c.coeffs))

@@ -102,9 +102,13 @@ class SeededRandomModel:
     """Deterministic band-limited smooth random field.
 
     A small sum of complex plane-wave terms in (k_t, f); ``smoothness``
-    bounds the number of oscillations across a reciprocal period, ``level``
-    bounds ``sum |amplitudes|`` so the response stays passive. Identical
-    specs produce bit-identical samples.
+    bounds the number of oscillations across a reciprocal period. With
+    ``x = cross_pol_level``, the co-pol amplitudes sum to ``level / (1 + x)``
+    in magnitude and the cross-pol ones to ``level * x / (1 + x)``, so
+    ``|gamma_co| + |gamma_cross| <= level`` everywhere. That bounds the
+    spectral norm of every 2x2 block Gamma(k_t) by ``level``, and with it the
+    norm of any finite-array S assembled from these samples: the response
+    is passive. Identical specs produce bit-identical samples.
     """
 
     seed: int
@@ -129,9 +133,8 @@ class SeededRandomModel:
         rng = np.random.default_rng([int(self.seed), _PAIR_STREAM[pol_pair]])
         n = self.smoothness
         amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        amps *= self.level / np.abs(amps).sum()
-        if pol_pair in ("xy", "yx"):
-            amps *= self.cross_pol_level
+        share = self.cross_pol_level if pol_pair in ("xy", "yx") else 1.0
+        amps *= self.level * share / ((1.0 + self.cross_pol_level) * np.abs(amps).sum())
         # spatial scales of order smoothness periods across a reciprocal cell
         u = rng.uniform(-1.0, 1.0, size=(n, 2)) * (math.pi * n / self.k_ref)
         v = rng.uniform(0.0, float(n), size=n)

@@ -238,3 +238,41 @@ def test_outputs_carry_version_and_config_hash(tmp_path):
     head = (out / "coupling_xx.csv").read_text().splitlines()[:2]
     assert head[0].startswith("# arraykit 0.")
     assert head[1].startswith("# config_sha256=") and len(head[1].split("=")[1]) == 16
+
+
+@pytest.mark.parametrize("command", ["metrics", "lattice", "pattern"])
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--oracle"]])
+def test_transform_only_flags_rejected_elsewhere(tmp_path, command, flag):
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as err:
+        cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o"), *flag])
+    assert err.value.code == 2
+
+
+def test_threads_accepted_by_every_command(tmp_path):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    for argv in (["lattice"], ["transform", "--touchstone"], ["metrics"], ["pattern"]):
+        assert cli.main([*argv, "--config", str(cfg), "--out", str(out), "--threads", "4"]) == 0
+
+
+@pytest.mark.parametrize("label", ["E95", "Q7", "T30P"])
+def test_metrics_bad_scan_label_exit_2(tmp_path, capsys, label):
+    cfg = write_config(tmp_path, sweep={"scans": ["broadside", label]})
+    # rejected at config read, before the Touchstone file is looked for
+    assert cli.main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "empty")]) == 2
+    assert "sweep.scans[1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theta,phi", [([0, 95], [0]), ([30], ["x"]), ([30], [float("nan")])])
+def test_metrics_bad_theta_phi_sweep_exit_2(tmp_path, capsys, theta, phi):
+    cfg = write_config(tmp_path, sweep={"theta_deg": theta, "phi_deg": phi})
+    assert cli.main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "empty")]) == 2
+    assert "sweep.theta_deg/phi_deg" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["E95", "Q7", "T30P"])
+def test_pattern_bad_scan_label_exit_2(tmp_path, capsys, label):
+    cfg = write_config(tmp_path, pattern={"freq_ghz": [9.0], "scan": label})
+    assert cli.main(["pattern", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "pattern.scan" in capsys.readouterr().err

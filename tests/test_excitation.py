@@ -159,10 +159,40 @@ def test_build_plan_needs_port_for_every_element():
         )
 
 
-def test_plan_csv_rows():
-    plan = exc.ExcitationPlan(np.array([1 + 0j, 0.5 - 0.25j]))
-    rows = exc.plan_csv_rows(plan)
-    assert rows[0] == "port,re,im"
-    port, re, im = rows[2].split(",")
-    assert port == "1"
-    assert float(re) == 0.5 and float(im) == -0.25
+
+def reference_plan_weights(basis, aperture, port_map, taper, scan, pol):
+    """The per-port loop that built a plan's weights before the batched weight function."""
+    pos = lat.aperture_positions(basis, aperture)
+    amps = exc.taper_amplitudes(taper, pos - lat.centroid(pos))
+    phases = np.exp(-1j * (pos @ exc.scan_wavevector(scan)))
+    weights = np.zeros(len(port_map), dtype=complex)
+    for i, idx in enumerate(aperture):
+        weights[port_map.port_of(idx, pol)] = amps[i] * phases[i]
+    return weights
+
+
+@pytest.mark.parametrize(
+    "kind,shape", [("square", lat.RectangleAperture(0, 3, 0, 4)), ("triangular", lat.HexagonAperture(2))]
+)
+@pytest.mark.parametrize("pol", ["x", "y"])
+def test_batched_weights_match_per_frequency_loop(kind, shape, pol):
+    basis, aperture, pm = plan_setup(kind, shape)
+    taper = exc.TaperSpec("gaussian", 17 * MM)
+    freqs = np.linspace(3e9, 20e9, 37)
+    weights_at = exc.weight_function(basis, aperture, pm, taper, pol)
+    for theta, phi in ((0.0, 0.0), (60.0, 0.0), (37.3, 12.9), (59.9, 89.1), (90.0, 200.0)):
+        batched = weights_at(exc.scan_wavevectors(theta, phi, freqs))
+        loop = np.array([
+            reference_plan_weights(basis, aperture, pm, taper, exc.ScanSpec(theta, phi, float(f)), pol) for f in freqs
+        ])
+        assert batched.shape == (freqs.size, len(pm))
+        assert np.abs(batched - loop).max() <= 1e-14
+        one = exc.build_plan(basis, aperture, pm, taper, exc.ScanSpec(theta, phi, float(freqs[5])), pol)
+        assert np.abs(one.weights - loop[5]).max() <= 1e-14
+
+
+def test_scan_wavevectors_match_single_scans():
+    freqs = np.array([3e9, 7.7e9, 20e9])
+    stack = exc.scan_wavevectors(41.0, 123.0, freqs)
+    for f, k in zip(freqs, stack):
+        assert np.array_equal(k, exc.scan_wavevector(exc.ScanSpec(41.0, 123.0, float(f))))

@@ -214,6 +214,47 @@ def test_grating_onset_monotone_in_theta():
         assert lo <= hi * (1 + 3e-4)
 
 
+def reference_onset(basis, scan_theta, phi_step_deg=0.1, rel_tol=1e-7):
+    """The brute-force onset search the closed form replaced: bisection over a phi grid."""
+    ij = [(i, j) for i in range(-4, 5) for j in range(-4, 5) if (i, j) != (0, 0)]
+    g = np.array(ij, dtype=float) @ lat.full_period_reciprocal(basis)
+    sin_t = math.sin(math.radians(scan_theta))
+    phi = np.radians(np.arange(0.0, 360.0, phi_step_deg))
+    units = np.column_stack([np.cos(phi), np.sin(phi)])
+
+    def lobe_visible(f):
+        k0 = 2 * math.pi * f / 3.0e8
+        d2 = (((k0 * sin_t) * units[:, None, :] - g[None, :, :]) ** 2).sum(axis=2)
+        return bool((d2 <= k0 * k0).any())
+
+    g_min = float(np.sqrt((g**2).sum(axis=1)).min())
+    f_aligned = 3.0e8 * g_min / (2 * math.pi * (1 + sin_t))
+    lo, hi = 0.5 * f_aligned, 1.5 * f_aligned
+    while lobe_visible(lo):
+        lo *= 0.5
+    while not lobe_visible(hi):
+        hi *= 2.0
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if lobe_visible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("kind", lat.LATTICE_KINDS)
+def test_grating_onset_closed_form_matches_search(kind):
+    # the onset scales as 1/lambda_h in both forms, so one cell size covers all
+    b = lat.make_basis(kind, 15.789 * MM)
+    for theta in (0.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0):
+        closed = lat.grating_lobe_onset(b, theta)
+        searched = reference_onset(b, theta)
+        assert closed == pytest.approx(searched, rel=1e-7)
+        # the lattice report prints GHz to 3 decimals; both must print alike
+        assert f"{closed / 1e9:.3f}" == f"{searched / 1e9:.3f}"
+
+
 def test_grating_onset_rejects_bad_theta():
     b = lat.make_basis("square", 15 * MM)
     with pytest.raises(lat.LatticeError):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from arraykit import excitation as exc
 from arraykit import lattice as lat
 from arraykit import metrics, spectral, synthmodel
 from arraykit.excitation import ExcitationPlan, ScanSpec, TaperSpec, build_plan
@@ -365,3 +366,107 @@ def test_table_rows_schemas():
     rows = metrics.pattern_table_rows([pat])
     assert rows[0] == "freq_hz,plane,theta_deg,gain_dbi"
     assert len(rows) == 4
+
+
+# --- reference oracles: the per-frequency sweep loop and the f-string row loops ---
+
+
+def reference_sweep(net, pm, basis, aperture, taper, scans, metric, pol="x", efficiency=1.0):
+    """(label, theta, values, gamma) per scan from per-frequency plans and the full S @ a."""
+    element = lat.centermost_index(basis, aperture)
+    port = pm.port_of(element, pol)
+    other = pm.port_of(element, "y" if pol == "x" else "x") if len(pm.pols) == 2 else None
+    pos = lat.aperture_positions(basis, aperture)
+    amps = exc.taper_amplitudes(taper, pos - lat.centroid(pos))
+    out = []
+    for label in scans:
+        name, theta, phi = metrics.parse_scan_label(label, pol)
+        weights = np.zeros((net.frequencies.size, len(pm)), complex)
+        for i, f in enumerate(net.frequencies):
+            phases = np.exp(-1j * (pos @ exc.scan_wavevector(ScanSpec(theta, phi, float(f)))))
+            for e, idx in enumerate(aperture):
+                weights[i, pm.port_of(idx, pol)] = amps[e] * phases[e]
+        b = np.einsum("fpq,fq->fp", net.s, weights)
+        gamma = b[:, port] / weights[:, port]
+        if metric == "vswr":
+            values = np.asarray(metrics.vswr(gamma))
+        elif metric == "gain":
+            values = metrics.db10(metrics.normalized_gain(gamma, efficiency))
+        else:
+            values = metrics.db20(np.abs(b[:, other]) / np.abs(weights[:, port]))
+        out.append((name, theta, values, gamma))
+    return out
+
+
+@pytest.mark.parametrize("metric", metrics.METRICS)
+def test_sweep_matches_per_frequency_loop(metric):
+    basis, aperture, pm, net = assembled_demo("triangular", nfreq=9)
+    taper = TaperSpec("gaussian", 15 * MM)
+    scans = ["broadside", "E60", "H30", "D45", "T37.3P12.9", "T59.9P89.1"]
+    got = metrics.sweep(net, pm, basis, aperture, taper, scans, metric, efficiency=0.9)
+    want = reference_sweep(net, pm, basis, aperture, taper, scans, metric, efficiency=0.9)
+    for sw, (name, theta, values, gamma) in zip(got, want, strict=True):
+        assert (sw.label, sw.theta_deg) == (name, theta)
+        np.testing.assert_allclose(sw.gamma, gamma, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(sw.values, values, rtol=1e-12, atol=0)
+
+
+def reference_table_rows(header, sweeps, columns):
+    rows = [header]
+    for sw in sweeps:
+        for i, f in enumerate(sw.frequencies):
+            rows.append(f"{f:.9e},{sw.label},{sw.theta_deg:g}," + columns(sw, i))
+    return rows
+
+
+def test_table_rows_match_fstring_loops():
+    basis, aperture, pm, net = assembled_demo(nfreq=5)
+    scans = ["broadside", "E60", "T7.25P-30", "D0.001"]
+    sweeps = {m: metrics.sweep(net, pm, basis, aperture, TaperSpec("uniform"), scans, m) for m in metrics.METRICS}
+    # exercise the cap, the dB floor and signed zeros as well
+    capped = metrics.MetricSweep("vswr", "cap", 1e-7, np.array([1e9, 2e9]), np.array([100.0, np.nan]),
+                                 np.array([1.5 - 0.0j, -0.0 + 1e-300j]))
+    floor = metrics.MetricSweep("gain", "floor", 90.0, np.array([1e9, 2e9]), np.array([-200.0, -0.0]))
+
+    def vswr_cols(sw, i):
+        g = sw.gamma[i]
+        return f"{min(float(sw.values[i]), 100.0):.9e},{g.real:.12e},{g.imag:.12e}"
+
+    def value_col(sw, i):
+        return f"{sw.values[i]:.9e}"
+
+    vs = sweeps["vswr"] + [capped]
+    assert metrics.vswr_table_rows(vs) == reference_table_rows(
+        "freq_hz,plane,theta_deg,vswr,gamma_re,gamma_im", vs, vswr_cols
+    )
+    gn = sweeps["gain"] + [floor]
+    assert metrics.gain_table_rows(gn) == reference_table_rows("freq_hz,plane,theta_deg,gain_db", gn, value_col)
+    cp = sweeps["coupling"]
+    assert metrics.coupling_table_rows(cp) == reference_table_rows(
+        "freq_hz,plane,theta_deg,coupling_db", cp, value_col
+    )
+
+    pos = lat.aperture_positions(basis, aperture)
+    pats = [
+        metrics.array_factor_pattern(pos, np.ones(len(aperture)), f, np.arange(-90.0, 90.1, 7.5), phi,
+                                     lat.unit_cell_area(basis), label=label)
+        for f, phi, label in ((4e9, 0.0, "E"), (18e9, 33.3, "33.3"))
+    ]
+    want = ["freq_hz,plane,theta_deg,gain_dbi"]
+    for pat in pats:
+        for t, g in zip(pat.theta_deg, pat.gain_dbi):
+            want.append(f"{pat.frequency:.9e},{pat.label},{t:g},{g:.9e}")
+    assert metrics.pattern_table_rows(pats) == want
+    assert metrics.vswr_table_rows([]) == ["freq_hz,plane,theta_deg,vswr,gamma_re,gamma_im"]
+
+
+@pytest.mark.parametrize("label", ["E95", "Q7", "T30P", "T-5P0", "Tp0", "H", "T30Pinf", "E60x"])
+def test_parse_scan_label_rejects_bad_labels(label):
+    with pytest.raises(metrics.MetricError, match="scan label"):
+        metrics.parse_scan_label(label, "x")
+
+
+def test_sweep_rejects_out_of_range_label():
+    basis, aperture, pm, net = assembled_demo(nfreq=2)
+    with pytest.raises(metrics.MetricError, match="E95"):
+        metrics.sweep(net, pm, basis, aperture, TaperSpec("uniform"), ["E95"], "vswr")

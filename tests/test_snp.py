@@ -533,13 +533,3 @@ def test_permute_rejects_non_permutation():
     with pytest.raises(snp.NetworkError):
         snp.permute_ports(net, [0, 0, 1])
 
-
-def test_csv_rows_schema():
-    net = random_network(2, nfreq=1, seed=9)
-    rows = snp.sparameter_csv_rows(net)
-    assert rows[0] == "freq_hz,port_i,port_j,mag_db,phase_deg"
-    assert len(rows) == 1 + 4
-    f, i, j, db, ph = rows[1].split(",")
-    assert float(f) == net.frequencies[0]
-    assert (int(i), int(j)) == (0, 0)
-    assert float(db) == pytest.approx(20 * math.log10(abs(net.s[0, 0, 0])))

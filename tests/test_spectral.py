@@ -252,3 +252,26 @@ def test_csv_rows_shapes_and_headers():
     f, m1, m2, re, im = grows[1].split(",")
     assert (int(m1), int(m2)) == (-2, -2)
     assert complex(float(re), float(im)) == pytest.approx(g.grid[0, 0, 0], rel=1e-10)
+
+
+def reference_grid_rows(header, freqs, grids):
+    """The per-row f-string loop the shared row formatter replaced."""
+    n = grids.shape[1]
+    h = n // 2
+    rows = [header]
+    for f_hz, mat in zip(freqs, grids):
+        for i1 in range(n):
+            for i2 in range(n):
+                v = mat[i1, i2]
+                rows.append(f"{f_hz:.9e},{i1 - h},{i2 - h},{v.real:.12e},{v.imag:.12e}")
+    return rows
+
+
+def test_csv_rows_match_fstring_loop():
+    g = random_gamma(n=6, nfreq=3, seed=3)
+    grid = g.grid.copy()
+    grid[0, 0, :4] = [0.0, -0.0 - 0.0j, 1e-300 - 1e300j, 123456789.0]
+    g = spectral.ActiveGammaGrid(np.array([3e9, 7.123456789012e9, 2e10]), grid, "xy")
+    c = spectral.gamma_to_coupling(g)
+    assert spectral.gamma_csv_rows(g) == reference_grid_rows("freq_hz,m1,m2,re,im", g.frequencies, g.grid)
+    assert spectral.coupling_csv_rows(c) == reference_grid_rows("freq_hz,n1,n2,re,im", c.frequencies, c.coeffs)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arraykit import lattice as lat
 from arraykit import spectral, synthmodel
@@ -172,3 +174,39 @@ def test_model_from_config_errors_name_fields():
         synthmodel.model_from_config({"kind": "constant"})
     with pytest.raises(synthmodel.ModelError, match="model.seed"):
         synthmodel.model_from_config({"kind": "seeded_random"})
+
+
+def max_block_norm(model, grid, freqs):
+    """max over frequency and scan sample of the 2x2 block norm ||Gamma(m)||_2."""
+    g = {pair: synthmodel.sample_grid(model, grid, freqs, pair).grid for pair in spectral.POL_PAIRS}
+    blocks = np.stack([np.stack([g["xx"], g["xy"]], -1), np.stack([g["yx"], g["yy"]], -1)], -2)
+    return float(np.linalg.norm(blocks, ord=2, axis=(-2, -1)).max())
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    smoothness=st.integers(1, 5),
+    level=st.floats(0.05, 1.0),
+    cross=st.floats(0.0, 3.0),
+)
+def test_seeded_random_block_norm_bounded_by_level(seed, smoothness, level, cross):
+    basis, grid = demo_grid("triangular", n=8)
+    model = synthmodel.SeededRandomModel(seed, smoothness, 419.0, BAND, level=level, cross_pol_level=cross)
+    freqs = np.array([3e9, 11e9, 20e9])
+    assert max_block_norm(model, grid, freqs) <= level * (1 + 1e-12)
+    sets = {
+        pair: spectral.gamma_to_coupling(synthmodel.sample_grid(model, grid, freqs, pair))
+        for pair in spectral.POL_PAIRS
+    }
+    aperture = lat.enumerate_aperture(lat.HexagonAperture(1))
+    net = spectral.assemble_finite_smatrix(sets, aperture)
+    assert float(np.linalg.norm(net.s, ord=2, axis=(-2, -1)).max()) <= level * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 5, 99])
+def test_seeded_random_config_defaults_passive(seed):
+    # defaults: level 0.8, cross_pol_level 1.0; these seeds reached 1.36-1.51
+    _, grid = demo_grid("triangular", n=24)
+    model = synthmodel.model_from_config({"kind": "seeded_random", "seed": seed})
+    assert max_block_norm(model, grid, np.linspace(3e9, 20e9, 18)) <= 0.8 * (1 + 1e-12)
