@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, excitation, lattice, metrics, snp, spectral, synthmodel
+from .constants import PATTERN_SAMPLE_CAP
 
 
 class ConfigError(ValueError):
@@ -60,11 +61,18 @@ def _parse_frequencies(block, where: str) -> np.ndarray:
             points = int(block["points"])
         except (KeyError, TypeError, ValueError):
             raise ConfigError(f"{where}: expected {{start, stop, points}}") from None
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ConfigError(f"{where}: start and stop must be finite")
         if points < 1 or stop < start or start <= 0:
             raise ConfigError(f"{where}: need 0 < start <= stop and points >= 1")
         return np.linspace(start * 1e9, stop * 1e9, points)
     if isinstance(block, (list, tuple)) and block:
-        vals = np.array([1e9 * float(v) for v in block])
+        try:
+            vals = np.array([1e9 * float(v) for v in block])
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where}: expected a list of numbers") from None
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError(f"{where}: frequencies must be finite")
         if np.any(vals <= 0) or np.any(np.diff(vals) <= 0):
             raise ConfigError(f"{where}: frequencies must be positive and increasing")
         return vals
@@ -76,6 +84,13 @@ def _scan_label(label, pol: str, where: str) -> tuple[str, float, float]:
         return metrics.parse_scan_label(label, pol)
     except metrics.MetricError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+
+
+def _angle_text(value) -> str:
+    """``%g`` text of an angle when it parses back to the same float, else the exact repr."""
+    angle = float(value)
+    short = f"{angle:g}"
+    return short if float(short) == angle else repr(angle)
 
 
 def _sweep_scans(cfg: dict, pol: str) -> list[str]:
@@ -94,7 +109,7 @@ def _sweep_scans(cfg: dict, pol: str) -> list[str]:
         thetas = block.get("theta_deg", [0.0])
         phis = block.get("phi_deg", [0.0])
         try:
-            scans = [f"T{float(t):g}P{float(p):g}" for t in thetas for p in phis]
+            scans = [f"T{_angle_text(t)}P{_angle_text(p)}" for t in thetas for p in phis]
         except (TypeError, ValueError):
             raise ConfigError("sweep.theta_deg/phi_deg: expected lists of numbers") from None
         for label in scans:
@@ -319,6 +334,19 @@ def _gnuplot_stub(tables: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cut_phi(cut, pol: str, where: str) -> float:
+    """Azimuth (degrees) of a pattern cut: a principal plane E|H|D or a finite angle."""
+    if str(cut).lower() in ("e", "h", "d"):
+        return excitation.plane_phi(cut, pol)
+    try:
+        phi = float(cut)
+    except (TypeError, ValueError):
+        phi = math.nan
+    if not math.isfinite(phi):
+        raise ConfigError(f"{where}: expected E|H|D or a finite azimuth in degrees, got {cut!r}")
+    return phi
+
+
 def cmd_pattern(args) -> int:
     cfg = _load_config(args.config)
     basis, n_scan, shape = _require_lattice(cfg, need_aperture=True)
@@ -331,12 +359,20 @@ def cmd_pattern(args) -> int:
     cuts = block.get("cuts", ["E", "H", "D"])
     if not isinstance(cuts, list) or not cuts:
         raise ConfigError("pattern.cuts: expected a non-empty list")
+    cut_phis = [_cut_phi(cut, pol, f"pattern.cuts[{i}]") for i, cut in enumerate(cuts)]
     try:
         step = float(block.get("theta_step_deg", 1.0))
     except (TypeError, ValueError):
         raise ConfigError("pattern.theta_step_deg: expected a number") from None
-    if step <= 0:
-        raise ConfigError("pattern.theta_step_deg: must be positive")
+    if not (step > 0 and math.isfinite(step)):
+        raise ConfigError("pattern.theta_step_deg: must be positive and finite")
+    # theta samples x elements; a float, so a step near 0 gives inf instead of overflowing an int
+    samples = len(aperture) * (180.0 + step / 2) / step
+    if samples > PATTERN_SAMPLE_CAP:
+        raise ConfigError(
+            f"pattern.theta_step_deg: {step:g} degrees gives about {samples:.3g} theta samples x "
+            f"aperture elements per cut, above the limit of {PATTERN_SAMPLE_CAP}"
+        )
     _, theta0, phi0 = _scan_label(str(block.get("scan", "broadside")), pol, "pattern.scan")
 
     pos = lattice.aperture_positions(basis, aperture)
@@ -346,17 +382,11 @@ def cmd_pattern(args) -> int:
     weights = excitation.weight_function(basis, aperture, port_map, taper, pol)(
         excitation.scan_wavevectors(theta0, phi0, freqs)
     )
-    pats = []
-    for f, w in zip(freqs, weights):
-        for cut in cuts:
-            if str(cut).lower() in ("e", "h", "d"):
-                phi = excitation.plane_phi(cut, pol)
-            else:
-                try:
-                    phi = float(cut)
-                except (TypeError, ValueError):
-                    raise ConfigError(f"pattern.cuts: expected E|H|D or an azimuth in degrees, got {cut!r}") from None
-            pats.append(metrics.array_factor_pattern(pos, w, float(f), theta, phi, area, label=str(cut)))
+    pats = [
+        metrics.array_factor_pattern(pos, w, float(f), theta, phi, area, label=str(cut))
+        for f, w in zip(freqs, weights)
+        for cut, phi in zip(cuts, cut_phis)
+    ]
     out = _out_dir(args)
     path = out / "pattern.csv"
     _write_lines(path, metrics.pattern_table_rows(pats), _config_hash(cfg))

@@ -16,3 +16,10 @@ VSWR_CAP = 100.0
 
 DEFAULT_N_SCAN = 24
 """Default scan-space sampling density per lattice dimension."""
+
+PATTERN_SAMPLE_CAP = 4_000_000
+"""Most theta samples x aperture elements one pattern cut may evaluate.
+
+The array factor forms a (theta, element) phase matrix per cut, so this
+bounds its memory (~100 MB of temporaries) before anything is allocated.
+"""

@@ -135,12 +135,6 @@ def unit_cell_area(basis: LatticeBasis) -> float:
     return abs(float(basis.a1[0] * basis.a2[1] - basis.a1[1] * basis.a2[0]))
 
 
-def element_position(basis: LatticeBasis, idx: tuple[int, int]) -> np.ndarray:
-    """Position n1*a1 + n2*a2 of element ``idx = (n1, n2)`` in meters."""
-    n1, n2 = idx
-    return n1 * basis.a1 + n2 * basis.a2
-
-
 def aperture_positions(basis: LatticeBasis, indices) -> np.ndarray:
     """Stack element positions into an (n, 2) array, preserving order."""
     idx = np.asarray(list(indices), dtype=float)
@@ -280,27 +274,21 @@ def centermost_index(basis: LatticeBasis, indices) -> tuple[int, int]:
 # --- grating lobes -----------------------------------------------------------
 
 
-def full_period_reciprocal(basis: LatticeBasis) -> np.ndarray:
-    """Rows b1, b2 of the standard reciprocal primitive vectors (b_i . a_j = 2*pi*delta_ij)."""
-    return 2 * math.pi * np.linalg.inv(basis.cell_matrix)
-
-
 def grating_lobe_onset(basis: LatticeBasis, scan_theta: float) -> float:
     """Lowest frequency (Hz) at which a grating lobe enters visible space.
 
-    A lobe of a nonzero reciprocal vector G (integer combination of the
-    full-period primitives) is visible when ``|k_t - G| <= k0`` with
-    ``|k_t| = k0*sin(theta)``. Over all scan azimuths
-    ``|k_t - G| >= |G| - k0*sin(theta)``, with equality when k_t is parallel
-    to G, so the worst case is the closed form
-    ``f = c*|G_min| / (2*pi*(1 + sin(theta)))`` for the shortest G.
+    A lobe of a nonzero reciprocal vector G is visible when
+    ``|k_t - G| <= k0`` with ``|k_t| = k0*sin(theta)``. Over all scan
+    azimuths ``|k_t - G| >= |G| - k0*sin(theta)``, with equality when k_t is
+    parallel to G, so the worst case is ``f = c*|G_min| / (2*pi*(1 + sin(theta)))``
+    for the shortest G. Both canonical bases, which :class:`LatticeBasis`
+    enforces, have ``|G_min| = 4*pi/lambda_h`` (square edge lambda_h/2,
+    triangular edge lambda_h/sqrt(3) at 60 degrees), so
+    ``f = 2*c / (lambda_h*(1 + sin(theta)))``.
     """
     if not 0.0 <= scan_theta <= 90.0:
         raise LatticeError(f"scan_theta must be in [0, 90] degrees, got {scan_theta}")
-    ij = [(i, j) for i in range(-4, 5) for j in range(-4, 5) if (i, j) != (0, 0)]
-    g = np.array(ij, dtype=float) @ full_period_reciprocal(basis)  # (nG, 2)
-    g_min = float(np.sqrt((g**2).sum(axis=1)).min())
-    return C0 * g_min / (2 * math.pi * (1 + math.sin(math.radians(scan_theta))))
+    return 2 * C0 / (basis.lambda_h * (1 + math.sin(math.radians(scan_theta))))
 
 
 # --- JSON configuration ------------------------------------------------------
@@ -328,16 +316,6 @@ def shape_from_config(d: dict, where: str = "aperture") -> ApertureShape:
     raise LatticeError(f"{where}.shape: expected rectangle|hexagon|triangle|explicit, got {kind!r}")
 
 
-def shape_to_config(shape: ApertureShape) -> dict:
-    if isinstance(shape, RectangleAperture):
-        return {"shape": "rectangle", "n1": [shape.n1_min, shape.n1_max], "n2": [shape.n2_min, shape.n2_max]}
-    if isinstance(shape, HexagonAperture):
-        return {"shape": "hexagon", "rings": shape.rings}
-    if isinstance(shape, TriangleAperture):
-        return {"shape": "triangle", "rows": shape.rows}
-    return {"shape": "explicit", "indices": [list(i) for i in shape.indices]}
-
-
 def lattice_from_config(d: dict, where: str = "lattice") -> tuple[LatticeBasis, int, ApertureShape | None]:
     """Parse {"kind", "lambda_h_mm", "n_scan", "aperture"} into lattice objects.
 
@@ -363,10 +341,3 @@ def lattice_from_config(d: dict, where: str = "lattice") -> tuple[LatticeBasis, 
     if "aperture" in d and d["aperture"] is not None:
         shape = shape_from_config(d["aperture"], where=f"{where}.aperture")
     return basis, n_scan, shape
-
-
-def lattice_to_config(basis: LatticeBasis, n_scan: int, shape: ApertureShape | None = None) -> dict:
-    d = {"kind": basis.kind, "lambda_h_mm": basis.lambda_h * 1e3, "n_scan": n_scan}
-    if shape is not None:
-        d["aperture"] = shape_to_config(shape)
-    return d

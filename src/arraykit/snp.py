@@ -110,14 +110,6 @@ class PortMap:
         except KeyError:
             raise NetworkError(f"no port for element {element} pol {pol!r}") from None
 
-    def element_of(self, port: int) -> tuple[tuple[int, int], str]:
-        return self.entries[port]
-
-    def without_port(self, port: int) -> "PortMap":
-        if not 0 <= port < len(self.entries):
-            raise NetworkError(f"port {port} out of range")
-        return PortMap(self.entries[:port] + self.entries[port + 1:])
-
     @property
     def pols(self) -> tuple[str, ...]:
         return tuple(sorted({p for _, p in self.entries}))
@@ -328,25 +320,6 @@ def terminate_port(net: NetworkData, k: int, gamma_load: complex) -> NetworkData
         s_new = s + (g * s[:, :, k][:, :, None] * s[:, k, :][:, None, :]) / den[:, None, None]
     keep = [i for i in range(p) if i != k]
     return NetworkData(net.frequencies, s_new[np.ix_(range(len(net.frequencies)), keep, keep)], net.z_ref)
-
-
-def permute_ports(net: NetworkData, order) -> NetworkData:
-    """Reorder ports so that new port i is old port order[i]."""
-    order = list(order)
-    if sorted(order) != list(range(net.port_count)):
-        raise NetworkError(f"order must be a permutation of 0..{net.port_count - 1}, got {order}")
-    s = net.s[:, order, :][:, :, order]
-    return NetworkData(net.frequencies, s, net.z_ref)
-
-
-def reorder_ports(net: NetworkData, port_map: PortMap) -> tuple[NetworkData, PortMap]:
-    """Permute ports into the canonical lexicographic (pol, n1, n2) order."""
-    if len(port_map) != net.port_count:
-        raise NetworkError(
-            f"port map covers {len(port_map)} ports but network has {net.port_count}"
-        )
-    order = sorted(range(net.port_count), key=lambda i: (port_map.entries[i][1], port_map.entries[i][0]))
-    return permute_ports(net, order), PortMap(tuple(port_map.entries[i] for i in order))
 
 
 # --- CSV rows ----------------------------------------------------------------

@@ -173,31 +173,27 @@ def gamma_to_coupling(g: ActiveGammaGrid, method: str = "fft") -> CouplingSet:
 
 
 def coupling_to_gamma(c: CouplingSet, k_t, basis: LatticeBasis) -> np.ndarray:
-    """Active reflection at an arbitrary transverse wavevector, per frequency.
+    """Active reflection at arbitrary transverse wavevectors, per frequency.
 
     Evaluates ``sum_n c(n1, n2) * exp(-1j * k_t . (n1*a1 + n2*a2))``; valid
-    anywhere in k-space, not only on grid points.
+    anywhere in k-space, not only on grid points. ``k_t`` has shape
+    ``(..., 2)``; the result has shape ``(F, ...)``.
     """
     k_t = np.asarray(k_t, dtype=float)
     n = c.n
     idx = np.arange(-(n // 2), n // 2, dtype=float)
-    # element positions for every (n1, n2): (N, N, 2)
+    # element positions for every (n1, n2), flattened to (N^2, 2)
     pos = idx[:, None, None] * basis.a1[None, None, :] + idx[None, :, None] * basis.a2[None, None, :]
-    phase = np.exp(-1j * (pos @ k_t))
-    return np.einsum("fij,ij->f", c.coeffs, phase)
+    phase = np.exp(-1j * (pos.reshape(n * n, 2) @ k_t.reshape(-1, 2).T))  # (N^2, K)
+    out = c.coeffs.reshape(c.frequencies.size, n * n) @ phase
+    return out.reshape(c.frequencies.shape + k_t.shape[:-1])
 
 
 def reconstruct_gamma_grid(c: CouplingSet, grid: ScanGrid, basis: LatticeBasis) -> ActiveGammaGrid:
     """Evaluate the forward sum on every scan-grid point (round-trip check)."""
     if grid.n != c.n:
         raise GridShapeError(f"scan grid N={grid.n} does not match coupling N={c.n}")
-    n = c.n
-    idx = np.arange(-(n // 2), n // 2, dtype=float)
-    pos = idx[:, None, None] * basis.a1[None, None, :] + idx[None, :, None] * basis.a2[None, None, :]
-    # phase[(m1,m2),(n1,n2)] = exp(-1j * k_m . R_n)
-    phase = np.exp(-1j * np.tensordot(grid.points, pos, axes=([2], [2])))
-    out = np.einsum("fkl,ijkl->fij", c.coeffs, phase)
-    return ActiveGammaGrid(c.frequencies, out, c.pol_pair)
+    return ActiveGammaGrid(c.frequencies, coupling_to_gamma(c, grid.points, basis), c.pol_pair)
 
 
 def parseval_mismatch(g: ActiveGammaGrid, c: CouplingSet) -> float:

@@ -144,55 +144,60 @@ class SeededRandomModel:
 ModelSpec = ConstantModel | ScanPolyModel | SeededRandomModel
 
 
-def _require_in_band(model: ModelSpec, f: float):
+def _require_in_band(model: ModelSpec, freqs: np.ndarray):
     lo, hi = model.band
-    if not (lo <= f <= hi):
+    bad = ~((lo <= freqs) & (freqs <= hi))
+    if np.any(bad):
+        f = freqs.flat[np.argmax(bad)]
         raise ModelError(f"frequency {f:.6g} Hz outside model band [{lo:.6g}, {hi:.6g}]")
 
 
-def eval_gamma(model: ModelSpec, pol_pair: str, k_t, f: float):
+def eval_gamma(model: ModelSpec, pol_pair: str, k_t, f):
     """Model response at transverse wavevector(s) k_t and frequency f.
 
     ``k_t`` may be a single (2,) vector or any (..., 2) stack; the result
-    matches the leading shape.
+    matches the leading shape. ``f`` is one frequency or a 1-D array of F
+    frequencies, which puts a leading F axis on the result.
     """
     pair = str(pol_pair).lower()
     if pair not in POL_PAIRS:
         raise ModelError(f"pol_pair must be one of {POL_PAIRS}, got {pol_pair!r}")
-    _require_in_band(model, f)
+    freqs = np.asarray(f, dtype=float)
+    if freqs.ndim > 1:
+        raise ModelError(f"frequencies must be a scalar or a 1-D array, got shape {freqs.shape}")
+    _require_in_band(model, freqs)
     kt = np.asarray(k_t, dtype=float)
     scalar = kt.ndim == 1
     kt = np.atleast_2d(kt)
+    # frequency axis first, broadcast over the k_t stack
+    fk = freqs.reshape(freqs.shape + (1,) * (kt.ndim - 1))
 
     if isinstance(model, ConstantModel):
         val = model.gamma0 if pair in ("xx", "yy") else 0.0
-        out = np.full(kt.shape[:-1], val, dtype=complex)
+        out = np.full(freqs.shape + kt.shape[:-1], val, dtype=complex)
     elif isinstance(model, ScanPolyModel):
         if pair in ("xx", "yy"):
             q = (kt**2).sum(axis=-1) / model.k_ref**2
-            out = model.alpha_at(f) + model.beta_at(f) * q
+            out = model.alpha_at(fk) + model.beta_at(fk) * q
         else:
             q = kt[..., 0] * kt[..., 1] / model.k_ref**2
-            out = model.cross_pol_level * q * model.beta_at(f)
+            out = model.cross_pol_level * q * model.beta_at(fk)
         out = np.asarray(out, dtype=complex)
     elif isinstance(model, SeededRandomModel):
         amps, u, v = model._terms(pair)
         lo, hi = model.band
-        tau = (f - lo) / (hi - lo)
-        phases = np.tensordot(kt, u.T, axes=([-1], [0])) + 2 * math.pi * v * tau
+        tau = (fk - lo) / (hi - lo)
+        phases = np.tensordot(kt, u.T, axes=([-1], [0])) + 2 * math.pi * v * tau[..., None]
         out = (amps * np.exp(1j * phases)).sum(axis=-1)
     else:
         raise ModelError(f"unknown model type {type(model).__name__}")
-    return out[0] if scalar and out.ndim else out
+    return out[..., 0][()] if scalar else out
 
 
 def sample_grid(model: ModelSpec, grid: ScanGrid, frequencies, pol_pair: str) -> ActiveGammaGrid:
-    """Fill every scan-grid point (visible or not) at each frequency."""
+    """Fill every scan-grid point (visible or not) at each frequency, in one model evaluation."""
     freqs = np.asarray(frequencies, dtype=float)
-    out = np.empty((freqs.size, grid.n, grid.n), dtype=complex)
-    for i, f in enumerate(freqs):
-        out[i] = eval_gamma(model, pol_pair, grid.points, float(f))
-    return ActiveGammaGrid(freqs, out, pol_pair)
+    return ActiveGammaGrid(freqs, eval_gamma(model, pol_pair, grid.points, freqs), pol_pair)
 
 
 def demo_model(band: tuple[float, float] = (3e9, 20e9), cross_pol_level: float = 0.5) -> ScanPolyModel:

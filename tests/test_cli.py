@@ -1,10 +1,15 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from arraykit import cli, snp
+from arraykit import cli, metrics, snp
+from arraykit.constants import PATTERN_SAMPLE_CAP
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -164,6 +169,65 @@ def test_metrics_theta_phi_sweep_form_and_gnuplot(tmp_path):
     assert "plot 'vswr.csv'" in (out / "plots.gp").read_text()
 
 
+def test_metrics_theta_phi_sweep_keeps_full_precision(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        sweep={"theta_deg": [33.333333333, 12.3], "phi_deg": [0.123456789],
+               "freq_ghz": {"start": 3, "stop": 20, "points": 2}},
+    )
+    out = tmp_path / "out"
+    assert cli.main(["transform", "--config", str(cfg), "--out", str(out), "--touchstone"]) == 0
+    assert cli.main(["metrics", "--config", str(cfg), "--out", str(out)]) == 0
+    planes = [r.split(",")[1] for r in read_data_lines(out / "vswr.csv")[1:]]
+    assert planes == ["T33.333333333P0.123456789"] * 2 + ["T12.3P0.123456789"] * 2
+    assert metrics.parse_scan_label(planes[0], "x")[1:] == (33.333333333, 0.123456789)
+
+
+@pytest.mark.parametrize(
+    "block,field",
+    [
+        ({"sweep": {"freq_ghz": ["a", 4]}}, "sweep.freq_ghz"),
+        ({"sweep": {"freq_ghz": [4, float("nan")]}}, "sweep.freq_ghz"),
+        ({"sweep": {"freq_ghz": {"start": 3, "stop": float("nan"), "points": 4}}}, "sweep.freq_ghz"),
+        ({"pattern": {"freq_ghz": ["x"]}}, "pattern.freq_ghz"),
+        ({"pattern": {"freq_ghz": [float("nan")]}}, "pattern.freq_ghz"),
+    ],
+)
+def test_bad_frequency_list_exit_2(tmp_path, capsys, block, field):
+    cfg = write_config(tmp_path, **block)
+    command = "pattern" if "pattern" in block else "transform"
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cuts,bad", [(["nan"], 0), (["E", "Q"], 1), (["H", "inf"], 1), (["D", None], 1)])
+def test_pattern_bad_cut_exit_2(tmp_path, capsys, cuts, bad):
+    cfg = write_config(tmp_path, pattern={"freq_ghz": [9.0], "cuts": cuts})
+    out = tmp_path / "o"
+    assert cli.main(["pattern", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"pattern.cuts[{bad}]" in capsys.readouterr().err
+    assert not (out / "pattern.csv").exists()
+
+
+def test_pattern_work_bounded_before_allocating(tmp_path):
+    # the address-space limit makes any attempt at the ~1.4 TB theta grid fail
+    # at once instead of allocating, so this test never allocates it
+    cfg = write_config(tmp_path, pattern={"freq_ghz": [9.0], "theta_step_deg": 1e-9})
+    limit = 2 * 1024**3
+    proc = subprocess.run(
+        [sys.executable, "-m", "arraykit.cli", "pattern", "--config", str(cfg), "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "pattern.theta_step_deg" in proc.stderr and str(PATTERN_SAMPLE_CAP) in proc.stderr
+    # the benchmark's densest pattern (0.05 degree step, 19-element hexagon) stays far below the cap
+    assert 3601 * 19 * 50 < PATTERN_SAMPLE_CAP
+
+
 def test_pattern_csv(tmp_path):
     cfg = write_config(tmp_path, pattern={"freq_ghz": [9.0], "cuts": ["E", "D"], "theta_step_deg": 5.0})
     out = tmp_path / "out"
@@ -264,7 +328,9 @@ def test_metrics_bad_scan_label_exit_2(tmp_path, capsys, label):
     assert "sweep.scans[1]" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("theta,phi", [([0, 95], [0]), ([30], ["x"]), ([30], [float("nan")])])
+@pytest.mark.parametrize(
+    "theta,phi", [([0, 95], [0]), ([30], ["x"]), ([30], [float("nan")]), ([90.0000001], [0])]
+)
 def test_metrics_bad_theta_phi_sweep_exit_2(tmp_path, capsys, theta, phi):
     cfg = write_config(tmp_path, sweep={"theta_deg": theta, "phi_deg": phi})
     assert cli.main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "empty")]) == 2

@@ -123,7 +123,7 @@ def test_scan_phase_linear_in_position():
         (lhs - rhs) % (2 * math.pi)
     ) == pytest.approx(2 * math.pi, abs=1e-10)
     assert phase((1, 0)) == pytest.approx(
-        math.remainder(-float(lat.element_position(basis, (1, 0)) @ kt), 2 * math.pi), abs=1e-12
+        math.remainder(-float(lat.aperture_positions(basis, [(1, 0)])[0] @ kt), 2 * math.pi), abs=1e-12
     )
 
 

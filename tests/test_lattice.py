@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -78,11 +77,13 @@ def test_area_ratio_is_scale_free(lam):
 def test_element_position_examples():
     sq = lat.make_basis("square", 15 * MM)
     tr = lat.make_basis("triangular", 15 * MM)
-    np.testing.assert_array_equal(lat.element_position(sq, (0, 0)), [0.0, 0.0])
-    np.testing.assert_allclose(lat.element_position(sq, (1, 0)), [7.5 * MM, 0.0], rtol=1e-15)
+    origin, right = lat.aperture_positions(sq, [(0, 0), (1, 0)])
+    np.testing.assert_array_equal(origin, [0.0, 0.0])
+    np.testing.assert_allclose(right, [7.5 * MM, 0.0], rtol=1e-15)
     np.testing.assert_allclose(
-        lat.element_position(tr, (1, 1)) * 1e3, [3.88228, 14.48888], atol=1e-5
+        lat.aperture_positions(tr, [(1, 1)])[0] * 1e3, [3.88228, 14.48888], atol=1e-5
     )
+    assert lat.aperture_positions(tr, []).shape == (0, 2)
 
 
 @given(
@@ -93,9 +94,8 @@ def test_element_position_examples():
 )
 def test_element_position_is_linear(n1, n2, m1, m2):
     b = lat.make_basis("triangular", 15 * MM)
-    lhs = lat.element_position(b, (n1 + m1, n2 + m2))
-    rhs = lat.element_position(b, (n1, n2)) + lat.element_position(b, (m1, m2))
-    np.testing.assert_allclose(lhs, rhs, atol=1e-16, rtol=1e-12)
+    lhs, p, q = lat.aperture_positions(b, [(n1 + m1, n2 + m2), (n1, n2), (m1, m2)])
+    np.testing.assert_allclose(lhs, p + q, atol=1e-16, rtol=1e-12)
 
 
 def test_reciprocal_square_closed_form():
@@ -161,8 +161,8 @@ def test_hexagon_ring_one_is_nearest_neighbors():
     idx = lat.enumerate_aperture(lat.HexagonAperture(1))
     ring = [i for i in idx if i != (0, 0)]
     edge = np.linalg.norm(tr.a1)
-    for i in ring:
-        assert np.linalg.norm(lat.element_position(tr, i)) == pytest.approx(edge, rel=1e-12)
+    for r in np.linalg.norm(lat.aperture_positions(tr, ring), axis=1):
+        assert r == pytest.approx(edge, rel=1e-12)
 
 
 def test_enumerate_triangle():
@@ -214,10 +214,15 @@ def test_grating_onset_monotone_in_theta():
         assert lo <= hi * (1 + 3e-4)
 
 
+def reciprocal_vectors(basis):
+    """Nonzero full-period reciprocal vectors G = i*b1 + j*b2, |i|, |j| <= 4 (b_i . a_j = 2*pi*delta_ij)."""
+    ij = [(i, j) for i in range(-4, 5) for j in range(-4, 5) if (i, j) != (0, 0)]
+    return np.array(ij, dtype=float) @ (2 * math.pi * np.linalg.inv(basis.cell_matrix))
+
+
 def reference_onset(basis, scan_theta, phi_step_deg=0.1, rel_tol=1e-7):
     """The brute-force onset search the closed form replaced: bisection over a phi grid."""
-    ij = [(i, j) for i in range(-4, 5) for j in range(-4, 5) if (i, j) != (0, 0)]
-    g = np.array(ij, dtype=float) @ lat.full_period_reciprocal(basis)
+    g = reciprocal_vectors(basis)
     sin_t = math.sin(math.radians(scan_theta))
     phi = np.radians(np.arange(0.0, 360.0, phi_step_deg))
     units = np.column_stack([np.cos(phi), np.sin(phi)])
@@ -255,6 +260,19 @@ def test_grating_onset_closed_form_matches_search(kind):
         assert f"{closed / 1e9:.3f}" == f"{searched / 1e9:.3f}"
 
 
+@pytest.mark.parametrize("kind", lat.LATTICE_KINDS)
+def test_grating_onset_lambda_h_form_matches_g_search(kind):
+    # |G_min| = 4*pi/lambda_h on both canonical lattices
+    for lambda_h_mm in (3.33, 7.5, 10.0, 15.0, 15.789, 27.27, 49.99):
+        b = lat.make_basis(kind, lambda_h_mm * MM)
+        g_min = float(np.sqrt((reciprocal_vectors(b) ** 2).sum(axis=1)).min())
+        for theta in (0.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0):
+            searched = 3.0e8 * g_min / (2 * math.pi * (1 + math.sin(math.radians(theta))))
+            closed = lat.grating_lobe_onset(b, theta)
+            assert closed == pytest.approx(searched, rel=1e-12)
+            assert f"{closed / 1e9:.3f}" == f"{searched / 1e9:.3f}"
+
+
 def test_grating_onset_rejects_bad_theta():
     b = lat.make_basis("square", 15 * MM)
     with pytest.raises(lat.LatticeError):
@@ -272,14 +290,8 @@ def test_config_round_trip():
     }
     basis, n_scan, shape = lat.lattice_from_config(cfg)
     assert basis.kind == "triangular" and n_scan == 24
+    assert basis.lambda_h == pytest.approx(15 * MM, rel=1e-15)
     assert isinstance(shape, lat.HexagonAperture) and shape.rings == 2
-    back = lat.lattice_to_config(basis, n_scan, shape)
-    assert json.loads(json.dumps(back)) == {
-        "kind": "triangular",
-        "lambda_h_mm": 15.0,
-        "n_scan": 24,
-        "aperture": {"shape": "hexagon", "rings": 2},
-    }
 
 
 def test_config_errors_name_field_paths():

@@ -473,7 +473,7 @@ def test_terminate_bad_port_index():
         snp.terminate_port(net, 5, 0.0)
 
 
-# --- port maps and reordering --------------------------------------------------
+# --- port maps -----------------------------------------------------------------
 
 
 def test_port_map_lexicographic():
@@ -485,7 +485,6 @@ def test_port_map_lexicographic():
         ((1, 0), "y"),
     )
     assert pm.port_of((1, 0), "y") == 3
-    assert pm.element_of(0) == ((0, 0), "x")
 
 
 def test_port_map_lookup_matches_entry_order():
@@ -504,32 +503,3 @@ def test_port_map_rejects_duplicates_and_bad_pol():
         snp.PortMap((((0, 0), "x"), ((0, 0), "x")))
     with pytest.raises(snp.NetworkError):
         snp.PortMap((((0, 0), "v"),))
-
-
-def test_port_map_without_port():
-    pm = snp.PortMap.lexicographic([(0, 0)], pols=("x", "y"))
-    assert pm.without_port(0).entries == (((0, 0), "y"),)
-
-
-def test_reorder_identity_and_involution():
-    net = random_network(2, seed=5)
-    pm = snp.PortMap((((0, 0), "x"), ((1, 0), "x")))
-    out, pm2 = snp.reorder_ports(net, pm)
-    np.testing.assert_array_equal(out.s, net.s)
-    assert pm2 == pm
-
-    swapped = snp.PortMap((((1, 0), "x"), ((0, 0), "x")))
-    out1, pm1 = snp.reorder_ports(net, swapped)
-    assert pm1.entries[0] == ((0, 0), "x")
-    np.testing.assert_array_equal(out1.s[:, 0, 0], net.s[:, 1, 1])
-    np.testing.assert_array_equal(out1.s[:, 0, 1], net.s[:, 1, 0])
-    # applying the same swap again restores the original matrix
-    back = snp.permute_ports(out1, [1, 0])
-    np.testing.assert_array_equal(back.s, net.s)
-
-
-def test_permute_rejects_non_permutation():
-    net = random_network(3)
-    with pytest.raises(snp.NetworkError):
-        snp.permute_ports(net, [0, 0, 1])
-

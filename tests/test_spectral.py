@@ -105,6 +105,38 @@ def test_round_trip_on_grid_points(kind, n):
     assert np.abs(back.grid - g.grid).max() < 1e-10
 
 
+def reference_reconstruct(c, grid, basis):
+    """The tensordot forward sum that reconstruct_gamma_grid replaced (reference oracle)."""
+    n = c.n
+    idx = np.arange(-(n // 2), n // 2, dtype=float)
+    pos = idx[:, None, None] * basis.a1[None, None, :] + idx[None, :, None] * basis.a2[None, None, :]
+    # phase[(m1,m2),(n1,n2)] = exp(-1j * k_m . R_n)
+    phase = np.exp(-1j * np.tensordot(grid.points, pos, axes=([2], [2])))
+    return np.einsum("fkl,ijkl->fij", c.coeffs, phase)
+
+
+@pytest.mark.parametrize("kind", ["square", "triangular"])
+@pytest.mark.parametrize("n", [2, 8, 24])
+def test_reconstruct_matches_tensordot_reference(kind, n):
+    basis, recip, grid = scan_setup(kind, n)
+    c = spectral.gamma_to_coupling(random_gamma(n=n, nfreq=16, seed=n + 1))
+    back = spectral.reconstruct_gamma_grid(c, grid, basis)
+    assert back.grid.shape == (16, n, n)
+    assert np.abs(back.grid - reference_reconstruct(c, grid, basis)).max() < 1e-13
+
+
+def test_coupling_to_gamma_batched_shape():
+    basis, _, _ = scan_setup("triangular", 8)
+    c = spectral.gamma_to_coupling(random_gamma(n=8, nfreq=3, seed=4))
+    kts = np.random.default_rng(1).uniform(-400.0, 400.0, (2, 5, 2))
+    got = spectral.coupling_to_gamma(c, kts, basis)
+    assert got.shape == (3, 2, 5)
+    for i in range(2):
+        for j in range(5):
+            one = spectral.coupling_to_gamma(c, kts[i, j], basis)
+            np.testing.assert_allclose(got[:, i, j], one, rtol=0, atol=1e-14)
+
+
 def test_coupling_to_gamma_single_term():
     basis, _, _ = scan_setup("square", 8)
     coeffs = np.zeros((1, 8, 8), complex)

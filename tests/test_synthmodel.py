@@ -115,6 +115,70 @@ def test_sample_grid_constant_uniform():
     assert np.all(g.grid == 0.3 - 0.1j)
 
 
+def reference_sample_grid(model, grid, frequencies, pol_pair):
+    """The per-frequency loop that sample_grid replaced (reference oracle)."""
+    freqs = np.asarray(frequencies, dtype=float)
+    out = np.empty((freqs.size, grid.n, grid.n), dtype=complex)
+    for i, f in enumerate(freqs):
+        out[i] = synthmodel.eval_gamma(model, pol_pair, grid.points, float(f))
+    return spectral.ActiveGammaGrid(freqs, out, pol_pair)
+
+
+@pytest.mark.parametrize("kind", lat.LATTICE_KINDS)
+@pytest.mark.parametrize(
+    "model",
+    [
+        synthmodel.demo_model(),
+        synthmodel.ScanPolyModel(((3e9, 0.3 - 0.2j),), ((3e9, 0.1 + 0.05j),), 419.0, BAND, 0.7),
+        synthmodel.SeededRandomModel(seed=42, smoothness=4, k_ref=419.0, band=BAND, level=0.8),
+        synthmodel.ConstantModel(0.25 - 0.1j, BAND),
+    ],
+    ids=["demo", "scan_poly_one_knot", "seeded_random", "constant"],
+)
+def test_sample_grid_bit_identical_to_frequency_loop(kind, model):
+    _, grid = demo_grid(kind, n=24)
+    freqs = np.linspace(3e9, 20e9, 171)
+    for pair in spectral.POL_PAIRS:
+        got = synthmodel.sample_grid(model, grid, freqs, pair)
+        want = reference_sample_grid(model, grid, freqs, pair)
+        assert got.grid.tobytes() == want.grid.tobytes()  # bit for bit, signed zeros included
+        np.testing.assert_array_equal(got.frequencies, want.frequencies)
+
+
+def test_eval_gamma_frequency_axis_leads():
+    m = synthmodel.SeededRandomModel(seed=3, smoothness=2, k_ref=419.0, band=BAND)
+    freqs = np.array([4e9, 9e9, 15e9])
+    kt = [120.0, -35.0]
+    got = synthmodel.eval_gamma(m, "xy", kt, freqs)
+    assert got.shape == (3,)
+    for f, g in zip(freqs, got):
+        assert g == synthmodel.eval_gamma(m, "xy", kt, float(f))
+    stack = np.zeros((2, 5, 2))
+    assert synthmodel.eval_gamma(m, "xx", stack, freqs).shape == (3, 2, 5)
+    assert synthmodel.eval_gamma(m, "xx", stack, 5e9).shape == (2, 5)
+    with pytest.raises(synthmodel.ModelError, match="1-D"):
+        synthmodel.eval_gamma(m, "xx", kt, freqs[None, :])
+
+
+def test_sample_grid_draws_terms_once_and_names_first_bad_frequency(monkeypatch):
+    _, grid = demo_grid()
+    m = synthmodel.SeededRandomModel(seed=7, smoothness=3, k_ref=419.0, band=BAND)
+    calls = []
+    terms = synthmodel.SeededRandomModel._terms
+
+    def counted(self, pair):
+        calls.append(pair)
+        return terms(self, pair)
+
+    monkeypatch.setattr(synthmodel.SeededRandomModel, "_terms", counted)
+    synthmodel.sample_grid(m, grid, np.linspace(3e9, 20e9, 171), "xy")
+    assert calls == ["xy"]
+    with pytest.raises(synthmodel.ModelError, match=r"frequency 2\.1e\+10 Hz outside model band"):
+        synthmodel.sample_grid(m, grid, [5e9, 21e9, 25e9], "xx")
+    with pytest.raises(synthmodel.ModelError, match=r"frequency 2e\+09 Hz outside model band"):
+        synthmodel.sample_grid(m, grid, [2e9, 21e9], "xx")
+
+
 def test_scan_poly_real_profiles_give_real_copol_coupling_on_square():
     # real alpha/beta make the co-pol square-lattice grid conjugate-symmetric
     # (orthogonal k1, k2 keep the -N/2 edge row self-paired), so coupling is
