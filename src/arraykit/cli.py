@@ -24,7 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, excitation, lattice, metrics, snp, spectral, synthmodel
-from .constants import PATTERN_SAMPLE_CAP
+from .constants import PATTERN_SAMPLE_CAP, TRANSFORM_VALUE_CAP
+from .lattice import config_float, config_int
+
+
+DEFAULT_FREQ_GHZ = {"start": 3, "stop": 20, "points": 171}
 
 
 class ConfigError(ValueError):
@@ -54,29 +58,42 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical).hexdigest()[:16]
 
 
-def _parse_frequencies(block, where: str) -> np.ndarray:
+def _parse_frequencies(block, where: str, values_per_point: int = 0) -> np.ndarray:
+    """Frequencies (Hz) of a ``{start, stop, points}`` block or a GHz list.
+
+    With ``values_per_point``, a sweep whose point count times it exceeds
+    ``TRANSFORM_VALUE_CAP`` is rejected before the frequency array is built.
+    """
     if isinstance(block, dict):
-        try:
-            start, stop = float(block["start"]), float(block["stop"])
-            points = int(block["points"])
-        except (KeyError, TypeError, ValueError):
-            raise ConfigError(f"{where}: expected {{start, stop, points}}") from None
+        if not {"start", "stop", "points"} <= block.keys():
+            raise ConfigError(f"{where}: expected {{start, stop, points}}")
+        start, stop = (config_float(block[k], f"{where}.{k}", ConfigError) for k in ("start", "stop"))
+        points = config_int(block["points"], f"{where}.points", ConfigError)
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ConfigError(f"{where}: start and stop must be finite")
         if points < 1 or stop < start or start <= 0:
             raise ConfigError(f"{where}: need 0 < start <= stop and points >= 1")
+        _check_transform_work(points, values_per_point, where)
         return np.linspace(start * 1e9, stop * 1e9, points)
     if isinstance(block, (list, tuple)) and block:
-        try:
-            vals = np.array([1e9 * float(v) for v in block])
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: expected a list of numbers") from None
+        _check_transform_work(len(block), values_per_point, where)
+        vals = np.array([1e9 * config_float(v, where, ConfigError) for v in block])
         if not np.all(np.isfinite(vals)):
             raise ConfigError(f"{where}: frequencies must be finite")
         if np.any(vals <= 0) or np.any(np.diff(vals) <= 0):
             raise ConfigError(f"{where}: frequencies must be positive and increasing")
         return vals
     raise ConfigError(f"{where}: expected an object or a non-empty list")
+
+
+def _check_transform_work(points: int, values_per_point: int, where: str) -> None:
+    total = points * values_per_point
+    if total > TRANSFORM_VALUE_CAP:
+        raise ConfigError(
+            f"{where}: {points} frequencies x {values_per_point} grid values and S entries each "
+            f"(set by lattice.n_scan and the aperture) is {total:.3g} complex values, "
+            f"above the limit of {TRANSFORM_VALUE_CAP:.0e}"
+        )
 
 
 def _scan_label(label, pol: str, where: str) -> tuple[str, float, float]:
@@ -88,7 +105,7 @@ def _scan_label(label, pol: str, where: str) -> tuple[str, float, float]:
 
 def _angle_text(value) -> str:
     """``%g`` text of an angle when it parses back to the same float, else the exact repr."""
-    angle = float(value)
+    angle = config_float(value, "sweep.theta_deg/phi_deg", ConfigError)
     short = f"{angle:g}"
     return short if float(short) == angle else repr(angle)
 
@@ -118,11 +135,10 @@ def _sweep_scans(cfg: dict, pol: str) -> list[str]:
     return ["broadside", "E60", "H60", "D60"]
 
 
-def _sweep_frequencies(cfg: dict) -> np.ndarray:
+def _sweep_frequencies(cfg: dict, values_per_point: int) -> np.ndarray:
     block = cfg.get("sweep", {})
-    if isinstance(block, dict) and "freq_ghz" in block:
-        return _parse_frequencies(block["freq_ghz"], "sweep.freq_ghz")
-    return np.linspace(3e9, 20e9, 171)
+    freq_ghz = block["freq_ghz"] if isinstance(block, dict) and "freq_ghz" in block else DEFAULT_FREQ_GHZ
+    return _parse_frequencies(freq_ghz, "sweep.freq_ghz", values_per_point)
 
 
 def _excitation_block(cfg: dict) -> tuple[excitation.TaperSpec, str]:
@@ -140,7 +156,7 @@ def _excitation_block(cfg: dict) -> tuple[excitation.TaperSpec, str]:
         taper = excitation.TaperSpec("uniform")
     elif kind == "gaussian":
         try:
-            taper = excitation.TaperSpec("gaussian", float(tb.get("w0_mm", 17.0)) * 1e-3)
+            taper = excitation.TaperSpec("gaussian", config_float(tb.get("w0_mm", 17.0), "w0_mm", ConfigError) * 1e-3)
         except (TypeError, ValueError, excitation.ExcitationError) as exc:
             raise ConfigError(f"excitation.taper: {exc}") from None
     else:
@@ -212,7 +228,10 @@ def cmd_transform(args) -> int:
     model = synthmodel.model_from_config(cfg["model"])
     if args.seed is not None and isinstance(model, synthmodel.SeededRandomModel):
         model = replace(model, seed=args.seed)
-    freqs = _sweep_frequencies(cfg)
+    aperture = lattice.enumerate_aperture(shape) if shape is not None else None
+    # bound the 4 sampled grids and, with --touchstone, the dense S before anything is allocated
+    ports = 2 * len(aperture) if args.touchstone and aperture is not None else 0
+    freqs = _sweep_frequencies(cfg, 4 * n_scan**2 + ports**2)
     lo, hi = model.band
     if freqs[0] < lo or freqs[-1] > hi:
         raise ConfigError(
@@ -220,7 +239,6 @@ def cmd_transform(args) -> int:
             f"outside model band [{lo / 1e9:g}, {hi / 1e9:g}] GHz"
         )
 
-    aperture = lattice.enumerate_aperture(shape) if shape is not None else None
     if aperture is not None:
         spectral.check_aperture_fits(aperture, n_scan)
 
@@ -265,10 +283,7 @@ def cmd_metrics(args) -> int:
     mblock = cfg.get("metrics", {})
     if not isinstance(mblock, dict):
         raise ConfigError("metrics: expected an object")
-    try:
-        efficiency = float(mblock.get("efficiency", 1.0))
-    except (TypeError, ValueError):
-        raise ConfigError("metrics.efficiency: expected a number") from None
+    efficiency = config_float(mblock.get("efficiency", 1.0), "metrics.efficiency", ConfigError)
     if not 0.0 < efficiency <= 1.0:
         raise ConfigError(f"metrics.efficiency: expected a value in (0, 1], got {efficiency}")
 
@@ -296,21 +311,18 @@ def cmd_metrics(args) -> int:
 
     out = _out_dir(args)
     cfg_hash = _config_hash(cfg)
-    common = dict(net=net, port_map=pm, basis=basis, aperture=aperture, taper=taper, pol=pol)
-    vs = metrics.sweep(scans=scans, metric="vswr", **common)
-    _write_lines(out / "vswr.csv", metrics.vswr_table_rows(vs), cfg_hash)
-    print(f"wrote {out / 'vswr.csv'}")
-    gn = metrics.sweep(scans=scans, metric="gain", efficiency=efficiency, **common)
-    _write_lines(out / "gain.csv", metrics.gain_table_rows(gn), cfg_hash)
-    print(f"wrote {out / 'gain.csv'}")
+    # one sweep feeds every table; net= and scans= stay keywords, which the stage tracer reads
+    sweeps = metrics.sweep(net=net, port_map=pm, basis=basis, aperture=aperture, taper=taper, scans=scans, pol=pol)
+    tables = {"vswr.csv": metrics.vswr_table_rows(sweeps), "gain.csv": metrics.gain_table_rows(sweeps, efficiency)}
     if dual:
-        cp = metrics.sweep(scans=scans, metric="coupling", **common)
-        _write_lines(out / "coupling.csv", metrics.coupling_table_rows(cp), cfg_hash)
-        print(f"wrote {out / 'coupling.csv'}")
-    else:
+        tables["coupling.csv"] = metrics.coupling_table_rows(sweeps)
+    for name, rows in tables.items():
+        _write_lines(out / name, rows, cfg_hash)
+        print(f"wrote {out / name}")
+    if not dual:
         print("single-polarization network: orthogonal coupling table skipped")
     if args.gnuplot:
-        stub = _gnuplot_stub(["vswr.csv", "gain.csv"] + (["coupling.csv"] if dual else []))
+        stub = _gnuplot_stub(list(tables))
         (out / "plots.gp").write_text(stub)
         print(f"wrote {out / 'plots.gp'}")
     return 0
@@ -339,8 +351,8 @@ def _cut_phi(cut, pol: str, where: str) -> float:
     if str(cut).lower() in ("e", "h", "d"):
         return excitation.plane_phi(cut, pol)
     try:
-        phi = float(cut)
-    except (TypeError, ValueError):
+        phi = config_float(cut, where, ConfigError)
+    except ConfigError:
         phi = math.nan
     if not math.isfinite(phi):
         raise ConfigError(f"{where}: expected E|H|D or a finite azimuth in degrees, got {cut!r}")
@@ -360,10 +372,7 @@ def cmd_pattern(args) -> int:
     if not isinstance(cuts, list) or not cuts:
         raise ConfigError("pattern.cuts: expected a non-empty list")
     cut_phis = [_cut_phi(cut, pol, f"pattern.cuts[{i}]") for i, cut in enumerate(cuts)]
-    try:
-        step = float(block.get("theta_step_deg", 1.0))
-    except (TypeError, ValueError):
-        raise ConfigError("pattern.theta_step_deg: expected a number") from None
+    step = config_float(block.get("theta_step_deg", 1.0), "pattern.theta_step_deg", ConfigError)
     if not (step > 0 and math.isfinite(step)):
         raise ConfigError("pattern.theta_step_deg: must be positive and finite")
     # theta samples x elements; a float, so a step near 0 gives inf instead of overflowing an int

@@ -23,3 +23,11 @@ PATTERN_SAMPLE_CAP = 4_000_000
 The array factor forms a (theta, element) phase matrix per cut, so this
 bounds its memory (~100 MB of temporaries) before anything is allocated.
 """
+
+TRANSFORM_VALUE_CAP = 100_000_000
+"""Most complex values one ``transform`` run may hold: F x 4*N^2 grid samples, plus F x P^2 S entries with ``--touchstone``.
+
+1e8 complex values is 1.6 GB per copy; the check runs before any grid is
+allocated. The rings-5 dense case (171 x (4*24^2 + 364^2), about 2.3e7) is
+a quarter of it.
+"""

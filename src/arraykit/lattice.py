@@ -294,6 +294,27 @@ def grating_lobe_onset(basis: LatticeBasis, scan_theta: float) -> float:
 # --- JSON configuration ------------------------------------------------------
 
 
+def config_int(value, where: str, error: type[ValueError] = LatticeError) -> int:
+    """An integer config field; a boolean or a non-integral number raises ``error`` naming ``where``."""
+    fraction = isinstance(value, float) and not value.is_integer()
+    if not (isinstance(value, bool) or fraction):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise error(f"{where}: expected an integer, got {value!r}")
+
+
+def config_float(value, where: str, error: type[ValueError] = LatticeError) -> float:
+    """A numeric config field; a boolean or a non-number raises ``error`` naming ``where``."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise error(f"{where}: expected a number, got {value!r}")
+
+
 def shape_from_config(d: dict, where: str = "aperture") -> ApertureShape:
     """Parse an aperture block like {"shape": "hexagon", "rings": 2}."""
     if not isinstance(d, dict):
@@ -302,17 +323,21 @@ def shape_from_config(d: dict, where: str = "aperture") -> ApertureShape:
     try:
         if kind == "rectangle":
             (a, b), (c, e) = d["n1"], d["n2"]
-            return RectangleAperture(int(a), int(b), int(c), int(e))
+            n1 = [config_int(v, f"{where}.n1") for v in (a, b)]
+            n2 = [config_int(v, f"{where}.n2") for v in (c, e)]
+            return RectangleAperture(*n1, *n2)
         if kind == "hexagon":
-            return HexagonAperture(int(d["rings"]))
+            return HexagonAperture(config_int(d["rings"], f"{where}.rings"))
         if kind == "triangle":
-            return TriangleAperture(int(d["rows"]))
+            return TriangleAperture(config_int(d["rows"], f"{where}.rows"))
         if kind == "explicit":
-            return ExplicitAperture(tuple((int(i), int(j)) for i, j in d["indices"]))
+            idx = f"{where}.indices"
+            return ExplicitAperture(tuple((config_int(i, idx), config_int(j, idx)) for i, j in d["indices"]))
     except KeyError as exc:
         raise LatticeError(f"{where}.{exc.args[0]}: required for shape {kind!r}") from None
     except (TypeError, ValueError) as exc:
-        raise LatticeError(f"{where}: {exc}") from None
+        msg = str(exc)  # config_int errors already name their field
+        raise LatticeError(msg if msg.startswith(where) else f"{where}: {msg}") from None
     raise LatticeError(f"{where}.shape: expected rectangle|hexagon|triangle|explicit, got {kind!r}")
 
 
@@ -329,10 +354,7 @@ def lattice_from_config(d: dict, where: str = "lattice") -> tuple[LatticeBasis, 
         raise LatticeError(f"{where}.kind: expected square|triangular, got {kind!r}")
     if "lambda_h_mm" not in d:
         raise LatticeError(f"{where}.lambda_h_mm: required")
-    try:
-        lambda_h = float(d["lambda_h_mm"]) * 1e-3
-    except (TypeError, ValueError):
-        raise LatticeError(f"{where}.lambda_h_mm: expected a number") from None
+    lambda_h = config_float(d["lambda_h_mm"], f"{where}.lambda_h_mm") * 1e-3
     n_scan = d.get("n_scan", DEFAULT_N_SCAN)
     if not isinstance(n_scan, int) or isinstance(n_scan, bool) or n_scan < 2 or n_scan % 2:
         raise LatticeError(f"{where}.n_scan: expected an even integer >= 2, got {n_scan!r}")

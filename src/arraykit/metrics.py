@@ -21,23 +21,24 @@ from .excitation import ExcitationPlan, TaperSpec, build_plan, plane_phi, scan_w
 from .lattice import LatticeBasis, centermost_index
 from .snp import NetworkData, PortMap, _table_rows
 
-METRICS = ("vswr", "coupling", "gain")
-
 
 class MetricError(ValueError):
     """Undefined metric request (zero excitation at the probed port, etc.)."""
 
 
 @dataclass(frozen=True)
-class MetricSweep:
-    """One metric vs frequency for one labeled scan direction."""
+class ScanSweep:
+    """Active reflection and cross-pol coupling vs frequency for one labeled scan.
 
-    metric: str
+    ``coupling`` is the linear ratio |b| at the probed element's opposite-pol
+    port over |a| at its probed port; None for a single-polarization network.
+    """
+
     label: str
     theta_deg: float
     frequencies: np.ndarray
-    values: np.ndarray
-    gamma: np.ndarray | None = None
+    gamma: np.ndarray
+    coupling: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -226,50 +227,41 @@ def sweep(
     aperture,
     taper: TaperSpec,
     scans,
-    metric: str,
     pol: str = "x",
     element: tuple[int, int] | None = None,
-    efficiency: float = 1.0,
-) -> list[MetricSweep]:
-    """Evaluate one metric over frequency for each labeled scan.
+) -> list[ScanSweep]:
+    """Evaluate every metric over frequency for each labeled scan in one pass.
 
     ``scans`` is a list of labels understood by :func:`parse_scan_label`.
     Each scan's (F, P) weights come from one batched call (the linear scan
-    phase is frequency dependent); the probed port is the centermost
-    element unless given. An empty scan list yields an empty result.
+    phase is frequency dependent), and the outgoing waves are formed once, at
+    the probed port and, for a dual-pol map, at its opposite-pol port. The
+    probed element is the centermost one unless given. An empty scan list
+    yields an empty result.
     """
-    if metric not in METRICS:
-        raise MetricError(f"metric must be one of {METRICS}, got {metric!r}")
     aperture = list(aperture)
     if element is None:
         element = centermost_index(basis, aperture)
     pol = str(pol).lower()
-    port = port_map.port_of(element, pol)
-    read = [port]
-    if metric == "coupling":
-        read.append(port_map.port_of(element, "y" if pol == "x" else "x"))
+    other = "y" if pol == "x" else "x"
+    read = [port_map.port_of(element, p) for p in (pol, other) if p in port_map.pols]
     weights_at = weight_function(basis, aperture, port_map, taper, pol)
 
-    out: list[MetricSweep] = []
+    out: list[ScanSweep] = []
     for label in scans:
         name, theta, phi = parse_scan_label(label, pol)
         weights = weights_at(scan_wavevectors(theta, phi, net.frequencies))
         b = _outgoing(net, weights, read)
-        gamma = b[:, 0] / weights[:, port]
-        if metric == "vswr":
-            values = np.asarray(vswr(gamma))
-        elif metric == "gain":
-            values = db10(normalized_gain(gamma, efficiency))
-        else:
-            values = db20(np.abs(b[:, 1]) / np.abs(weights[:, port]))
-        out.append(MetricSweep(metric, name, theta, net.frequencies, values, gamma))
+        a = weights[:, read[0]]
+        coupling = np.abs(b[:, 1]) / np.abs(a) if len(read) == 2 else None
+        out.append(ScanSweep(name, theta, net.frequencies, b[:, 0] / a, coupling))
     return out
 
 
 # --- CSV tables -----------------------------------------------------------------
 
 
-def _sweep_rows(value_header: str, value_template: str, sweeps: list[MetricSweep], values) -> list[str]:
+def _sweep_rows(value_header: str, value_template: str, sweeps: list[ScanSweep], values) -> list[str]:
     """Rows "freq_hz,plane,theta_deg,<value_header>"; ``values(sw)`` gives the value columns."""
     blocks = (
         (sw.frequencies.tolist(), repeat(sw.label), repeat(sw.theta_deg), *(v.tolist() for v in values(sw)))
@@ -278,22 +270,24 @@ def _sweep_rows(value_header: str, value_template: str, sweeps: list[MetricSweep
     return _table_rows("freq_hz,plane,theta_deg," + value_header, "%.9e,%s,%g," + value_template, blocks)
 
 
-def vswr_table_rows(sweeps: list[MetricSweep]) -> list[str]:
+def vswr_table_rows(sweeps: list[ScanSweep]) -> list[str]:
     """Rows "freq_hz,plane,theta_deg,vswr,gamma_re,gamma_im" (header included)."""
     return _sweep_rows(
         "vswr,gamma_re,gamma_im", "%.9e,%.12e,%.12e", sweeps,
-        lambda sw: (np.minimum(sw.values, VSWR_CAP), sw.gamma.real, sw.gamma.imag),
+        lambda sw: (np.minimum(vswr(sw.gamma), VSWR_CAP), sw.gamma.real, sw.gamma.imag),
     )
 
 
-def coupling_table_rows(sweeps: list[MetricSweep]) -> list[str]:
-    """Rows "freq_hz,plane,theta_deg,coupling_db" (header included)."""
-    return _sweep_rows("coupling_db", "%.9e", sweeps, lambda sw: (sw.values,))
+def gain_table_rows(sweeps: list[ScanSweep], efficiency: float = 1.0) -> list[str]:
+    """Rows "freq_hz,plane,theta_deg,gain_db" (header included): ``db10(normalized_gain)``."""
+    return _sweep_rows("gain_db", "%.9e", sweeps, lambda sw: (db10(normalized_gain(sw.gamma, efficiency)),))
 
 
-def gain_table_rows(sweeps: list[MetricSweep]) -> list[str]:
-    """Rows "freq_hz,plane,theta_deg,gain_db" (header included)."""
-    return _sweep_rows("gain_db", "%.9e", sweeps, lambda sw: (sw.values,))
+def coupling_table_rows(sweeps: list[ScanSweep]) -> list[str]:
+    """Rows "freq_hz,plane,theta_deg,coupling_db" (header included): ``db20(coupling)``."""
+    if any(sw.coupling is None for sw in sweeps):
+        raise MetricError("coupling table needs sweeps of a dual-polarization network")
+    return _sweep_rows("coupling_db", "%.9e", sweeps, lambda sw: (db20(sw.coupling),))
 
 
 def pattern_table_rows(patterns: list[Pattern]) -> list[str]:

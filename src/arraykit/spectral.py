@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .lattice import LatticeBasis, ReciprocalBasis, aperture_positions
+from .lattice import LatticeBasis, ReciprocalBasis
 from .snp import NetworkData, PortMap, _table_rows
 
 POL_PAIRS = ("xx", "xy", "yx", "yy")
@@ -270,21 +270,17 @@ def assemble_finite_smatrix(
         )
 
     check_aperture_fits(aperture, n)
-    n1 = np.array([e[0] for e, _ in port_map.entries])
-    n2 = np.array([e[1] for e, _ in port_map.entries])
-    pol = np.array([p for _, p in port_map.entries])
+    k = len(pols)
+    stack = np.stack([sets[a + b].coeffs for a in pols for b in pols], axis=1)  # (F, k^2, N, N)
+    n1, n2 = np.array([e for e, _ in port_map.entries]).T
+    code = np.array([pols.index(p) for _, p in port_map.entries])
     half = n // 2
-
-    p_total = len(port_map)
-    s = np.empty((freqs.size, p_total, p_total), dtype=complex)
-    for a in pols:
-        rows = np.nonzero(pol == a)[0]
-        for b in pols:
-            cols = np.nonzero(pol == b)[0]
-            d1 = n1[rows][:, None] - n1[cols][None, :]
-            d2 = n2[rows][:, None] - n2[cols][None, :]
-            block = sets[a + b].coeffs[:, d1 + half, d2 + half]
-            s[np.ix_(range(freqs.size), rows, cols)] = block
+    # one gather, S[f, p, q] = stack[f, k*code_p + code_q, n1_p - n1_q + N/2, n2_p - n2_q + N/2];
+    # take() on the flattened index keeps S C-contiguous
+    flat = np.ravel_multi_index(
+        (k * code[:, None] + code, n1[:, None] - n1 + half, n2[:, None] - n2 + half), stack.shape[1:]
+    )
+    s = np.take(stack.reshape(freqs.size, -1), flat, axis=1)
     return NetworkData(freqs, s, z_ref)
 
 

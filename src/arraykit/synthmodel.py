@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import config_float, config_int
 from .spectral import POL_PAIRS, ActiveGammaGrid, ScanGrid
 
 _PAIR_STREAM = {pair: i for i, pair in enumerate(POL_PAIRS)}
@@ -227,27 +228,36 @@ def model_from_config(d: dict, where: str = "model") -> ModelSpec:
     if not isinstance(d, dict):
         raise ModelError(f"{where}: expected an object")
     kind = d.get("kind")
+
+    def num(value, key: str) -> float:
+        return config_float(value, f"{where}.{key}", ModelError)
+
+    band_ghz = d.get("band_ghz", (3.0, 20.0))
+    if not isinstance(band_ghz, (list, tuple)) or len(band_ghz) != 2:
+        raise ModelError(f"{where}.band_ghz: expected two numbers [f_min, f_max], got {band_ghz!r}")
     try:
-        band = tuple(1e9 * float(x) for x in d.get("band_ghz", (3.0, 20.0)))
+        band = tuple(1e9 * num(x, "band_ghz") for x in band_ghz)
         if kind == "constant":
             re, im = d["gamma"]
-            return ConstantModel(complex(float(re), float(im)), band)
+            return ConstantModel(complex(num(re, "gamma"), num(im, "gamma")), band)
         if kind == "scan_poly":
-            alpha = tuple((1e9 * float(f), complex(float(re), float(im))) for f, re, im in d["alpha"])
-            beta = tuple((1e9 * float(f), complex(float(re), float(im))) for f, re, im in d["beta"])
-            k_ref = float(d.get("k_ref", 2 * math.pi * band[1] / 3.0e8))
-            return ScanPolyModel(alpha, beta, k_ref, band, float(d.get("cross_pol_level", 0.0)))
+            alpha, beta = (
+                tuple((1e9 * num(f, key), complex(num(re, key), num(im, key))) for f, re, im in d[key])
+                for key in ("alpha", "beta")
+            )
+            k_ref = num(d.get("k_ref", 2 * math.pi * band[1] / 3.0e8), "k_ref")
+            return ScanPolyModel(alpha, beta, k_ref, band, num(d.get("cross_pol_level", 0.0), "cross_pol_level"))
         if kind == "seeded_random":
             return SeededRandomModel(
-                seed=int(d["seed"]),
-                smoothness=int(d.get("smoothness", 3)),
-                k_ref=float(d.get("k_ref", 2 * math.pi * band[1] / 3.0e8)),
+                seed=config_int(d["seed"], f"{where}.seed", ModelError),
+                smoothness=config_int(d.get("smoothness", 3), f"{where}.smoothness", ModelError),
+                k_ref=num(d.get("k_ref", 2 * math.pi * band[1] / 3.0e8), "k_ref"),
                 band=band,
-                level=float(d.get("level", 0.8)),
-                cross_pol_level=float(d.get("cross_pol_level", 1.0)),
+                level=num(d.get("level", 0.8), "level"),
+                cross_pol_level=num(d.get("cross_pol_level", 1.0), "cross_pol_level"),
             )
         if kind == "demo":
-            return demo_model(band, float(d.get("cross_pol_level", 0.5)))
+            return demo_model(band, num(d.get("cross_pol_level", 0.5), "cross_pol_level"))
     except KeyError as exc:
         raise ModelError(f"{where}.{exc.args[0]}: required for kind {kind!r}") from None
     except (TypeError, ValueError) as exc:

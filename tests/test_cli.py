@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from arraykit import cli, metrics, snp
-from arraykit.constants import PATTERN_SAMPLE_CAP
+from arraykit.constants import PATTERN_SAMPLE_CAP, TRANSFORM_VALUE_CAP
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -226,6 +226,88 @@ def test_pattern_work_bounded_before_allocating(tmp_path):
     assert "pattern.theta_step_deg" in proc.stderr and str(PATTERN_SAMPLE_CAP) in proc.stderr
     # the benchmark's densest pattern (0.05 degree step, 19-element hexagon) stays far below the cap
     assert 3601 * 19 * 50 < PATTERN_SAMPLE_CAP
+
+
+def run_limited(argv, limit=2 * 1024**3):
+    """Run the CLI in a subprocess whose address space is capped, so a large allocation fails at once."""
+    return subprocess.run(
+        [sys.executable, "-m", "arraykit.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        timeout=60,
+    )
+
+
+HEX14_N60 = {"kind": "triangular", "lambda_h_mm": 15.0, "n_scan": 60, "aperture": {"shape": "hexagon", "rings": 14}}
+
+
+@pytest.mark.parametrize(
+    "overrides,flags",
+    [
+        # 2e9 frequencies x 4 grids of 24^2: the frequency array alone is 16 GB
+        ({"sweep": {"freq_ghz": {"start": 3, "stop": 20, "points": 2_000_000_000}}}, []),
+        # the default 171 frequencies x 4 grids of 20000^2
+        ({"lattice": {"kind": "square", "lambda_h_mm": 15.0, "n_scan": 20_000}, "sweep": {}}, []),
+        # 100 frequencies x 1262^2 S entries (2.5 GB) for 631 elements, though the grids are small
+        ({"lattice": HEX14_N60, "sweep": {"freq_ghz": {"start": 3, "stop": 20, "points": 100}}}, ["--touchstone"]),
+    ],
+)
+def test_transform_work_bounded_before_allocating(tmp_path, overrides, flags):
+    cfg = write_config(tmp_path, **overrides)
+    proc = run_limited(["transform", "--config", str(cfg), "--out", str(tmp_path / "o"), *flags])
+    assert proc.returncode == 2, proc.stderr
+    assert "sweep.freq_ghz" in proc.stderr and "lattice.n_scan" in proc.stderr
+    assert f"{TRANSFORM_VALUE_CAP:.0e}" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_transform_work_bound_admits_the_dense_benchmark():
+    # rings 5 (182 elements, 364 ports) at n_scan 24 and 171 frequencies, with --touchstone
+    assert 171 * (4 * 24**2 + 364**2) < TRANSFORM_VALUE_CAP / 4
+
+
+HEX2 = {"kind": "triangular", "lambda_h_mm": 15.0, "n_scan": 24, "aperture": {"shape": "hexagon", "rings": 2}}
+
+
+# each of these was read as a truncated integer, or a boolean as 1 / 0
+BAD_TRANSFORM_NUMBERS = [
+    ({"sweep": {"freq_ghz": {"start": 3, "stop": 20, "points": 2.9}}}, "sweep.freq_ghz.points"),
+    ({"sweep": {"freq_ghz": {"start": 3, "stop": 20, "points": True}}}, "sweep.freq_ghz.points"),
+    ({"sweep": {"freq_ghz": {"start": True, "stop": 20, "points": 4}}}, "sweep.freq_ghz.start"),
+    ({"sweep": {"freq_ghz": [3, False]}}, "sweep.freq_ghz"),
+    ({"lattice": {**HEX2, "aperture": {"shape": "hexagon", "rings": 2.7}}}, "lattice.aperture.rings"),
+    ({"lattice": {**HEX2, "aperture": {"shape": "hexagon", "rings": True}}}, "lattice.aperture.rings"),
+    ({"lattice": {**HEX2, "aperture": {"shape": "rectangle", "n1": [0, 2.5], "n2": [0, 2]}}}, "lattice.aperture.n1"),
+    ({"lattice": {**HEX2, "aperture": {"shape": "triangle", "rows": 3.5}}}, "lattice.aperture.rows"),
+    ({"lattice": {**HEX2, "aperture": {"shape": "explicit", "indices": [[0, 0], [1, 0.5]]}}},
+     "lattice.aperture.indices"),
+    ({"lattice": {**HEX2, "lambda_h_mm": True}}, "lattice.lambda_h_mm"),
+    ({"model": {"kind": "seeded_random", "seed": 1.5}}, "model.seed"),
+    ({"model": {"kind": "seeded_random", "seed": 1, "smoothness": True}}, "model.smoothness"),
+    ({"model": {"kind": "demo", "cross_pol_level": True}}, "model.cross_pol_level"),
+    ({"model": {"kind": "demo", "band_ghz": [3]}}, "model.band_ghz"),
+    ({"model": {"kind": "demo", "band_ghz": [3, 20, 1]}}, "model.band_ghz"),
+    ({"model": {"kind": "demo", "band_ghz": [3, True]}}, "model.band_ghz"),
+]
+BAD_METRICS_NUMBERS = [
+    ({"metrics": {"efficiency": True}}, "metrics.efficiency"),
+    ({"sweep": {"theta_deg": [True], "phi_deg": [0]}}, "sweep.theta_deg/phi_deg"),
+    ({"excitation": {"taper": {"kind": "gaussian", "w0_mm": True}}}, "excitation.taper: w0_mm"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,overrides,field",
+    [("transform", *case) for case in BAD_TRANSFORM_NUMBERS] + [("metrics", *case) for case in BAD_METRICS_NUMBERS],
+)
+def test_non_integral_or_boolean_config_numbers_exit_2(tmp_path, capsys, command, overrides, field):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pattern_csv(tmp_path):

@@ -278,7 +278,7 @@ def assembled_demo(kind="square", n=24, nfreq=6, cross=0.5, shape=None):
 
 def test_sweep_empty_scan_list():
     basis, aperture, pm, net = assembled_demo(nfreq=2)
-    out = metrics.sweep(net, pm, basis, aperture, TaperSpec("uniform"), [], "vswr")
+    out = metrics.sweep(net, pm, basis, aperture, TaperSpec("uniform"), [])
     assert out == []
 
 
@@ -286,10 +286,10 @@ def test_sweep_lengths_and_labels():
     basis, aperture, pm, net = assembled_demo(nfreq=3)
     out = metrics.sweep(
         net, pm, basis, aperture, TaperSpec("gaussian", 17 * MM),
-        ["broadside", "E60", "H60", "D60"], "vswr",
+        ["broadside", "E60", "H60", "D60"],
     )
     assert [sw.label for sw in out] == ["broadside", "E60", "H60", "D60"]
-    assert all(sw.values.shape == (3,) for sw in out)
+    assert all(sw.gamma.shape == sw.coupling.shape == (3,) for sw in out)
     assert out[1].theta_deg == 60.0
 
 
@@ -297,9 +297,9 @@ def test_sweep_vswr_worsens_with_scan():
     # demo model mismatch grows quadratically with |k_t|
     basis, aperture, pm, net = assembled_demo(nfreq=5)
     out = metrics.sweep(
-        net, pm, basis, aperture, TaperSpec("gaussian", 17 * MM), ["broadside", "E60"], "vswr"
+        net, pm, basis, aperture, TaperSpec("gaussian", 17 * MM), ["broadside", "E60"]
     )
-    broadside, e60 = out[0].values, out[1].values
+    broadside, e60 = metrics.vswr(out[0].gamma), metrics.vswr(out[1].gamma)
     assert np.all(e60 >= broadside - 1e-9)
     assert e60[-1] > broadside[-1]
 
@@ -310,9 +310,9 @@ def test_sweep_dplane_coupling_exceeds_broadside():
     # can mask the D-plane trend at the low band edge
     basis, aperture, pm, net = assembled_demo(nfreq=5, shape=lat.RectangleAperture(0, 10, 0, 10))
     out = metrics.sweep(
-        net, pm, basis, aperture, TaperSpec("gaussian", 17 * MM), ["broadside", "D60"], "coupling"
+        net, pm, basis, aperture, TaperSpec("gaussian", 17 * MM), ["broadside", "D60"]
     )
-    assert np.all(out[1].values > out[0].values)
+    assert np.all(out[1].coupling > out[0].coupling)
 
 
 def test_sweep_chain_constant_gamma():
@@ -329,11 +329,12 @@ def test_sweep_chain_constant_gamma():
     pm = PortMap.lexicographic(aperture)
     net = spectral.assemble_finite_smatrix(sets, aperture, pm)
     out = metrics.sweep(
-        net, pm, basis, aperture, TaperSpec("gaussian", 17 * MM), ["broadside", "D45"], "vswr"
+        net, pm, basis, aperture, TaperSpec("gaussian", 17 * MM), ["broadside", "D45"]
     )
     want = (1 + abs(gamma0)) / (1 - abs(gamma0))
     for sw in out:
-        np.testing.assert_allclose(sw.values, want, rtol=1e-10)
+        np.testing.assert_allclose(metrics.vswr(sw.gamma), want, rtol=1e-10)
+        np.testing.assert_allclose(sw.coupling, 0.0, atol=1e-12)
         np.testing.assert_allclose(sw.gamma, gamma0, atol=1e-12)
 
 
@@ -350,14 +351,12 @@ def test_parse_scan_label():
 
 def test_table_rows_schemas():
     basis, aperture, pm, net = assembled_demo(nfreq=2)
-    vs = metrics.sweep(net, pm, basis, aperture, TaperSpec("uniform"), ["broadside"], "vswr")
-    cp = metrics.sweep(net, pm, basis, aperture, TaperSpec("uniform"), ["broadside"], "coupling")
-    gn = metrics.sweep(net, pm, basis, aperture, TaperSpec("uniform"), ["broadside"], "gain")
-    assert metrics.vswr_table_rows(vs)[0] == "freq_hz,plane,theta_deg,vswr,gamma_re,gamma_im"
-    assert metrics.coupling_table_rows(cp)[0] == "freq_hz,plane,theta_deg,coupling_db"
-    assert metrics.gain_table_rows(gn)[0] == "freq_hz,plane,theta_deg,gain_db"
-    assert len(metrics.vswr_table_rows(vs)) == 3
-    row = metrics.vswr_table_rows(vs)[1].split(",")
+    sweeps = metrics.sweep(net, pm, basis, aperture, TaperSpec("uniform"), ["broadside"])
+    assert metrics.vswr_table_rows(sweeps)[0] == "freq_hz,plane,theta_deg,vswr,gamma_re,gamma_im"
+    assert metrics.coupling_table_rows(sweeps)[0] == "freq_hz,plane,theta_deg,coupling_db"
+    assert metrics.gain_table_rows(sweeps)[0] == "freq_hz,plane,theta_deg,gain_db"
+    assert len(metrics.vswr_table_rows(sweeps)) == 3
+    row = metrics.vswr_table_rows(sweeps)[1].split(",")
     assert row[1] == "broadside" and float(row[2]) == 0.0
     pat = metrics.array_factor_pattern(
         lat.aperture_positions(basis, aperture), np.ones(len(aperture)), 9e9,
@@ -371,8 +370,8 @@ def test_table_rows_schemas():
 # --- reference oracles: the per-frequency sweep loop and the f-string row loops ---
 
 
-def reference_sweep(net, pm, basis, aperture, taper, scans, metric, pol="x", efficiency=1.0):
-    """(label, theta, values, gamma) per scan from per-frequency plans and the full S @ a."""
+def reference_sweep(net, pm, basis, aperture, taper, scans, pol="x"):
+    """(label, theta, gamma, coupling) per scan from per-frequency plans and the full S @ a."""
     element = lat.centermost_index(basis, aperture)
     port = pm.port_of(element, pol)
     other = pm.port_of(element, "y" if pol == "x" else "x") if len(pm.pols) == 2 else None
@@ -388,27 +387,35 @@ def reference_sweep(net, pm, basis, aperture, taper, scans, metric, pol="x", eff
                 weights[i, pm.port_of(idx, pol)] = amps[e] * phases[e]
         b = np.einsum("fpq,fq->fp", net.s, weights)
         gamma = b[:, port] / weights[:, port]
-        if metric == "vswr":
-            values = np.asarray(metrics.vswr(gamma))
-        elif metric == "gain":
-            values = metrics.db10(metrics.normalized_gain(gamma, efficiency))
-        else:
-            values = metrics.db20(np.abs(b[:, other]) / np.abs(weights[:, port]))
-        out.append((name, theta, values, gamma))
+        coupling = None if other is None else np.abs(b[:, other]) / np.abs(weights[:, port])
+        out.append((name, theta, gamma, coupling))
     return out
 
 
-@pytest.mark.parametrize("metric", metrics.METRICS)
-def test_sweep_matches_per_frequency_loop(metric):
+def single_pol(net, pm, pol):
+    """The sub-network of one polarization's ports, with its own port map."""
+    ports = [i for i, (_, p) in enumerate(pm.entries) if p == pol]
+    sub = NetworkData(net.frequencies, net.s[:, ports][:, :, ports], net.z_ref)
+    return sub, PortMap(tuple(pm.entries[i] for i in ports))
+
+
+@pytest.mark.parametrize("pols", ["xy", "x", "y"])
+def test_sweep_matches_per_frequency_loop(pols):
     basis, aperture, pm, net = assembled_demo("triangular", nfreq=9)
+    if len(pols) == 1:
+        net, pm = single_pol(net, pm, pols)
+    pol = pols[-1]
     taper = TaperSpec("gaussian", 15 * MM)
     scans = ["broadside", "E60", "H30", "D45", "T37.3P12.9", "T59.9P89.1"]
-    got = metrics.sweep(net, pm, basis, aperture, taper, scans, metric, efficiency=0.9)
-    want = reference_sweep(net, pm, basis, aperture, taper, scans, metric, efficiency=0.9)
-    for sw, (name, theta, values, gamma) in zip(got, want, strict=True):
+    got = metrics.sweep(net, pm, basis, aperture, taper, scans, pol=pol)
+    want = reference_sweep(net, pm, basis, aperture, taper, scans, pol=pol)
+    for sw, (name, theta, gamma, coupling) in zip(got, want, strict=True):
         assert (sw.label, sw.theta_deg) == (name, theta)
         np.testing.assert_allclose(sw.gamma, gamma, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(sw.values, values, rtol=1e-12, atol=0)
+        if coupling is None:
+            assert sw.coupling is None
+        else:
+            np.testing.assert_allclose(sw.coupling, coupling, rtol=1e-12, atol=0)
 
 
 def reference_table_rows(header, sweeps, columns):
@@ -422,29 +429,44 @@ def reference_table_rows(header, sweeps, columns):
 def test_table_rows_match_fstring_loops():
     basis, aperture, pm, net = assembled_demo(nfreq=5)
     scans = ["broadside", "E60", "T7.25P-30", "D0.001"]
-    sweeps = {m: metrics.sweep(net, pm, basis, aperture, TaperSpec("uniform"), scans, m) for m in metrics.METRICS}
-    # exercise the cap, the dB floor and signed zeros as well
-    capped = metrics.MetricSweep("vswr", "cap", 1e-7, np.array([1e9, 2e9]), np.array([100.0, np.nan]),
-                                 np.array([1.5 - 0.0j, -0.0 + 1e-300j]))
-    floor = metrics.MetricSweep("gain", "floor", 90.0, np.array([1e9, 2e9]), np.array([-200.0, -0.0]))
+    sweeps = metrics.sweep(net, pm, basis, aperture, TaperSpec("uniform"), scans)
+    # exercise the VSWR cap and sentinel, the dB floor and signed zeros as well
+    sweeps.append(metrics.ScanSweep(
+        "cap", 1e-7, np.array([1e9, 2e9, 3e9]),
+        np.array([complex(1.5, -0.0), complex(-0.0, 1e-300), 0.995]), np.array([0.0, 1.0, 1e-300]),
+    ))
+    sweeps.append(metrics.ScanSweep("floor", 90.0, np.array([1e9, 2e9]), np.array([1.0, -1j]), np.array([1e-10, 2.0])))
 
     def vswr_cols(sw, i):
         g = sw.gamma[i]
-        return f"{min(float(sw.values[i]), 100.0):.9e},{g.real:.12e},{g.imag:.12e}"
+        return f"{min(metrics.vswr(g), 100.0):.9e},{g.real:.12e},{g.imag:.12e}"
 
-    def value_col(sw, i):
-        return f"{sw.values[i]:.9e}"
+    def gain_col(sw, i):
+        return f"{float(metrics.db10(metrics.normalized_gain(sw.gamma[i], 0.9))):.9e}"
 
-    vs = sweeps["vswr"] + [capped]
-    assert metrics.vswr_table_rows(vs) == reference_table_rows(
-        "freq_hz,plane,theta_deg,vswr,gamma_re,gamma_im", vs, vswr_cols
+    def coupling_col(sw, i):
+        return f"{float(metrics.db20(sw.coupling[i])):.9e}"
+
+    assert metrics.vswr_table_rows(sweeps) == reference_table_rows(
+        "freq_hz,plane,theta_deg,vswr,gamma_re,gamma_im", sweeps, vswr_cols
     )
-    gn = sweeps["gain"] + [floor]
-    assert metrics.gain_table_rows(gn) == reference_table_rows("freq_hz,plane,theta_deg,gain_db", gn, value_col)
-    cp = sweeps["coupling"]
-    assert metrics.coupling_table_rows(cp) == reference_table_rows(
-        "freq_hz,plane,theta_deg,coupling_db", cp, value_col
+    assert metrics.gain_table_rows(sweeps, 0.9) == reference_table_rows(
+        "freq_hz,plane,theta_deg,gain_db", sweeps, gain_col
     )
+    assert metrics.coupling_table_rows(sweeps) == reference_table_rows(
+        "freq_hz,plane,theta_deg,coupling_db", sweeps, coupling_col
+    )
+    vs = [row.split(",")[3:] for row in metrics.vswr_table_rows(sweeps)[-5:-2]]
+    assert vs == [
+        ["1.000000000e+02", "1.500000000000e+00", "-0.000000000000e+00"],
+        ["1.000000000e+00", "-0.000000000000e+00", "1.000000000000e-300"],
+        ["1.000000000e+02", "9.950000000000e-01", "0.000000000000e+00"],
+    ]
+    assert [row.split(",")[3] for row in metrics.gain_table_rows(sweeps)[-5:]] == [
+        "-2.000000000e+02", "0.000000000e+00", "-2.001087096e+01", "-2.000000000e+02", "-2.000000000e+02",
+    ]
+    assert metrics.coupling_table_rows(sweeps)[-5].endswith(",-2.000000000e+02")
+    assert metrics.coupling_table_rows(sweeps)[-3].endswith(",-2.000000000e+02")
 
     pos = lat.aperture_positions(basis, aperture)
     pats = [
@@ -460,6 +482,16 @@ def test_table_rows_match_fstring_loops():
     assert metrics.vswr_table_rows([]) == ["freq_hz,plane,theta_deg,vswr,gamma_re,gamma_im"]
 
 
+def test_single_pol_sweep_has_no_coupling_table():
+    basis, aperture, pm, net = assembled_demo(nfreq=2)
+    net, pm = single_pol(net, pm, "y")
+    sweeps = metrics.sweep(net, pm, basis, aperture, TaperSpec("uniform"), ["broadside"], pol="y")
+    assert sweeps[0].coupling is None
+    assert len(metrics.gain_table_rows(sweeps)) == 3
+    with pytest.raises(metrics.MetricError, match="dual-polarization"):
+        metrics.coupling_table_rows(sweeps)
+
+
 @pytest.mark.parametrize("label", ["E95", "Q7", "T30P", "T-5P0", "Tp0", "H", "T30Pinf", "E60x"])
 def test_parse_scan_label_rejects_bad_labels(label):
     with pytest.raises(metrics.MetricError, match="scan label"):
@@ -469,4 +501,4 @@ def test_parse_scan_label_rejects_bad_labels(label):
 def test_sweep_rejects_out_of_range_label():
     basis, aperture, pm, net = assembled_demo(nfreq=2)
     with pytest.raises(metrics.MetricError, match="E95"):
-        metrics.sweep(net, pm, basis, aperture, TaperSpec("uniform"), ["E95"], "vswr")
+        metrics.sweep(net, pm, basis, aperture, TaperSpec("uniform"), ["E95"])

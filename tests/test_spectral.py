@@ -270,6 +270,48 @@ def test_assembly_respects_custom_port_map():
     assert net.s[0, 0, 0] == pytest.approx(0.5, abs=1e-14)
 
 
+def reference_assembly(sets, port_map):
+    """The per-pol-pair block scatter the single gather replaced."""
+    pols = port_map.pols
+    n = next(iter(sets.values())).n
+    n1 = np.array([e[0] for e, _ in port_map.entries])
+    n2 = np.array([e[1] for e, _ in port_map.entries])
+    pol = np.array([p for _, p in port_map.entries])
+    half = n // 2
+    freqs = next(iter(sets.values())).frequencies
+    s = np.empty((freqs.size, len(port_map), len(port_map)), dtype=complex)
+    for a in pols:
+        rows = np.nonzero(pol == a)[0]
+        for b in pols:
+            cols = np.nonzero(pol == b)[0]
+            d1 = n1[rows][:, None] - n1[cols][None, :]
+            d2 = n2[rows][:, None] - n2[cols][None, :]
+            s[np.ix_(range(freqs.size), rows, cols)] = sets[a + b].coeffs[:, d1 + half, d2 + half]
+    return s
+
+
+@pytest.mark.parametrize("kind, shape", [
+    ("square", lat.RectangleAperture(0, 4, -2, 2)),
+    ("triangular", lat.HexagonAperture(2)),
+])
+@pytest.mark.parametrize("pairs", ["dual", "xx", "yy", "shuffled"])
+def test_assembly_matches_block_scatter_reference(kind, shape, pairs):
+    aperture = lat.enumerate_aperture(shape)
+    keys = spectral.POL_PAIRS if pairs in ("dual", "shuffled") else (pairs,)
+    sets = {
+        pair: spectral.gamma_to_coupling(random_gamma(n=12, nfreq=3, seed=20 + i, pair=pair))
+        for i, pair in enumerate(keys)
+    }
+    pols = ("x", "y") if len(keys) == 4 else (pairs[0],)
+    pm = PortMap.lexicographic(aperture, pols=pols)
+    if pairs == "shuffled":
+        order = np.random.default_rng(5).permutation(len(pm))
+        pm = PortMap(tuple(pm.entries[i] for i in order))
+    net = spectral.assemble_finite_smatrix(sets, aperture, pm)
+    assert net.s.flags["C_CONTIGUOUS"]
+    assert np.array_equal(net.s, reference_assembly(sets, pm))
+
+
 # --- CSV ----------------------------------------------------------------------
 
 

@@ -240,6 +240,13 @@ def test_model_from_config_errors_name_fields():
         synthmodel.model_from_config({"kind": "seeded_random"})
 
 
+@pytest.mark.parametrize("band", [[3], [3, 20, 1], [], "ab", 3])
+def test_model_band_must_hold_two_numbers(band):
+    for kind in ({"kind": "demo"}, {"kind": "seeded_random", "seed": 1}):
+        with pytest.raises(synthmodel.ModelError, match="model.band_ghz"):
+            synthmodel.model_from_config({**kind, "band_ghz": band})
+
+
 def max_block_norm(model, grid, freqs):
     """max over frequency and scan sample of the 2x2 block norm ||Gamma(m)||_2."""
     g = {pair: synthmodel.sample_grid(model, grid, freqs, pair).grid for pair in spectral.POL_PAIRS}
