@@ -29,6 +29,8 @@ from .lattice import config_float, config_int
 
 
 DEFAULT_FREQ_GHZ = {"start": 3, "stop": 20, "points": 171}
+# rows per write: one join per batch is faster than a write per row and holds only the batch's text
+_WRITE_BATCH_ROWS = 1024
 
 
 class ConfigError(ValueError):
@@ -58,11 +60,13 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical).hexdigest()[:16]
 
 
-def _parse_frequencies(block, where: str, values_per_point: int = 0) -> np.ndarray:
+def _parse_frequencies(block, where: str, values_per_point: int, set_by: str) -> np.ndarray:
     """Frequencies (Hz) of a ``{start, stop, points}`` block or a GHz list.
 
-    With ``values_per_point``, a sweep whose point count times it exceeds
-    ``TRANSFORM_VALUE_CAP`` is rejected before the frequency array is built.
+    ``values_per_point`` is what the command holds per frequency, as the
+    fields named in ``set_by`` determine; a sweep whose point count times it
+    exceeds ``TRANSFORM_VALUE_CAP`` is rejected before the frequency array is
+    built.
     """
     if isinstance(block, dict):
         if not {"start", "stop", "points"} <= block.keys():
@@ -73,10 +77,10 @@ def _parse_frequencies(block, where: str, values_per_point: int = 0) -> np.ndarr
             raise ConfigError(f"{where}: start and stop must be finite")
         if points < 1 or stop < start or start <= 0:
             raise ConfigError(f"{where}: need 0 < start <= stop and points >= 1")
-        _check_transform_work(points, values_per_point, where)
+        _check_work(points, values_per_point, set_by, where)
         return np.linspace(start * 1e9, stop * 1e9, points)
     if isinstance(block, (list, tuple)) and block:
-        _check_transform_work(len(block), values_per_point, where)
+        _check_work(len(block), values_per_point, set_by, where)
         vals = np.array([1e9 * config_float(v, where, ConfigError) for v in block])
         if not np.all(np.isfinite(vals)):
             raise ConfigError(f"{where}: frequencies must be finite")
@@ -86,13 +90,12 @@ def _parse_frequencies(block, where: str, values_per_point: int = 0) -> np.ndarr
     raise ConfigError(f"{where}: expected an object or a non-empty list")
 
 
-def _check_transform_work(points: int, values_per_point: int, where: str) -> None:
+def _check_work(points: int, values_per_point: int, set_by: str, where: str) -> None:
     total = points * values_per_point
     if total > TRANSFORM_VALUE_CAP:
         raise ConfigError(
-            f"{where}: {points} frequencies x {values_per_point} grid values and S entries each "
-            f"(set by lattice.n_scan and the aperture) is {total:.3g} complex values, "
-            f"above the limit of {TRANSFORM_VALUE_CAP:.0e}"
+            f"{where}: {points} frequencies x {values_per_point} values each (set by {set_by}) "
+            f"is {total:.3g} values, above the limit of {TRANSFORM_VALUE_CAP:.0e}"
         )
 
 
@@ -135,10 +138,10 @@ def _sweep_scans(cfg: dict, pol: str) -> list[str]:
     return ["broadside", "E60", "H60", "D60"]
 
 
-def _sweep_frequencies(cfg: dict, values_per_point: int) -> np.ndarray:
+def _sweep_frequencies(cfg: dict, values_per_point: int, set_by: str) -> np.ndarray:
     block = cfg.get("sweep", {})
     freq_ghz = block["freq_ghz"] if isinstance(block, dict) and "freq_ghz" in block else DEFAULT_FREQ_GHZ
-    return _parse_frequencies(freq_ghz, "sweep.freq_ghz", values_per_point)
+    return _parse_frequencies(freq_ghz, "sweep.freq_ghz", values_per_point, set_by)
 
 
 def _excitation_block(cfg: dict) -> tuple[excitation.TaperSpec, str]:
@@ -177,10 +180,20 @@ def _require_lattice(cfg: dict, need_aperture: bool = False):
 
 
 def _write_lines(path: Path, rows: list[str], cfg_hash: str) -> None:
-    header = [f"# arraykit {__version__}", f"# config_sha256={cfg_hash}"]
+    """The two header lines, then ``rows``, joined a batch of rows at a time, never as one whole text."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(header + rows) + "\n")
+        fh.write(f"# arraykit {__version__}\n# config_sha256={cfg_hash}\n")
+        for start in range(0, len(rows), _WRITE_BATCH_ROWS):
+            fh.write("\n".join(rows[start : start + _WRITE_BATCH_ROWS]) + "\n")
+
+
+def _write_touchstone(path: Path, net: snp.NetworkData, fmt: str) -> None:
+    """Write ``net`` record by record; a bad ``fmt`` fails before the file is opened."""
+    records = snp.touchstone_records(net, fmt)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines(records)
 
 
 def _out_dir(args) -> Path:
@@ -228,19 +241,19 @@ def cmd_transform(args) -> int:
     model = synthmodel.model_from_config(cfg["model"])
     if args.seed is not None and isinstance(model, synthmodel.SeededRandomModel):
         model = replace(model, seed=args.seed)
-    aperture = lattice.enumerate_aperture(shape) if shape is not None else None
+    aperture = None
+    if shape is not None:
+        spectral.check_aperture_fits(shape, n_scan)  # from the shape's parameters, before enumerating it
+        aperture = lattice.enumerate_aperture(shape)
     # bound the 4 sampled grids and, with --touchstone, the dense S before anything is allocated
     ports = 2 * len(aperture) if args.touchstone and aperture is not None else 0
-    freqs = _sweep_frequencies(cfg, 4 * n_scan**2 + ports**2)
+    freqs = _sweep_frequencies(cfg, 4 * n_scan**2 + ports**2, "lattice.n_scan and the aperture")
     lo, hi = model.band
     if freqs[0] < lo or freqs[-1] > hi:
         raise ConfigError(
             f"sweep.freq_ghz: range [{freqs[0] / 1e9:g}, {freqs[-1] / 1e9:g}] GHz "
             f"outside model band [{lo / 1e9:g}, {hi / 1e9:g}] GHz"
         )
-
-    if aperture is not None:
-        spectral.check_aperture_fits(aperture, n_scan)
 
     recip = lattice.reciprocal_basis(basis, n_scan)
     grid = spectral.build_scan_grid(recip)
@@ -269,7 +282,7 @@ def cmd_transform(args) -> int:
         pm = snp.PortMap.lexicographic(aperture)
         net = spectral.assemble_finite_smatrix(sets, aperture, pm)
         path = out / f"finite_array.s{net.port_count}p"
-        path.write_text(snp.write_touchstone(net, "ri"))
+        _write_touchstone(path, net, "ri")
         print(f"wrote {path} ({net.port_count} ports, {freqs.size} frequencies)")
     return 0
 
@@ -367,7 +380,6 @@ def cmd_pattern(args) -> int:
     block = cfg.get("pattern", {})
     if not isinstance(block, dict):
         raise ConfigError("pattern: expected an object")
-    freqs = _parse_frequencies(block.get("freq_ghz", [4.0, 9.0, 18.0]), "pattern.freq_ghz")
     cuts = block.get("cuts", ["E", "H", "D"])
     if not isinstance(cuts, list) or not cuts:
         raise ConfigError("pattern.cuts: expected a non-empty list")
@@ -382,11 +394,16 @@ def cmd_pattern(args) -> int:
             f"pattern.theta_step_deg: {step:g} degrees gives about {samples:.3g} theta samples x "
             f"aperture elements per cut, above the limit of {PATTERN_SAMPLE_CAP}"
         )
+    theta = np.arange(-90.0, 90.0 + step / 2, step)
+    # per frequency: one gain value per cut and theta sample, and one weight per element
+    freqs = _parse_frequencies(
+        block.get("freq_ghz", [4.0, 9.0, 18.0]), "pattern.freq_ghz", len(cuts) * theta.size + len(aperture),
+        "pattern.cuts, pattern.theta_step_deg and the aperture",
+    )
     _, theta0, phi0 = _scan_label(str(block.get("scan", "broadside")), pol, "pattern.scan")
 
     pos = lattice.aperture_positions(basis, aperture)
     area = lattice.unit_cell_area(basis)
-    theta = np.arange(-90.0, 90.0 + step / 2, step)
     port_map = snp.PortMap.lexicographic(aperture, pols=(pol,))  # port i is aperture element i
     weights = excitation.weight_function(basis, aperture, port_map, taper, pol)(
         excitation.scan_wavevectors(theta0, phi0, freqs)
@@ -405,10 +422,8 @@ def cmd_pattern(args) -> int:
 
 def cmd_convert(args) -> int:
     net = snp.read_touchstone(args.input)
-    text = snp.write_touchstone(net, args.format)
     out = Path(args.output)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text)
+    _write_touchstone(out, net, args.format)
     print(f"wrote {out} ({net.port_count} ports, {net.frequencies.size} frequencies, {args.format.upper()})")
     return 0
 

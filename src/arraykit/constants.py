@@ -25,9 +25,10 @@ bounds its memory (~100 MB of temporaries) before anything is allocated.
 """
 
 TRANSFORM_VALUE_CAP = 100_000_000
-"""Most complex values one ``transform`` run may hold: F x 4*N^2 grid samples, plus F x P^2 S entries with ``--touchstone``.
+"""Most values one run may hold across its frequencies, checked before any array is allocated.
 
-1e8 complex values is 1.6 GB per copy; the check runs before any grid is
-allocated. The rings-5 dense case (171 x (4*24^2 + 364^2), about 2.3e7) is
-a quarter of it.
+``transform`` holds F x 4*N^2 grid samples, plus F x P^2 S entries with
+``--touchstone``; ``pattern`` holds F x (cuts x theta samples + elements).
+1e8 complex values is 1.6 GB per copy. The rings-5 dense case
+(171 x (4*24^2 + 364^2), about 2.3e7) is a quarter of it.
 """

@@ -257,6 +257,25 @@ def enumerate_aperture(shape: ApertureShape) -> list[tuple[int, int]]:
     return sorted(out)
 
 
+def aperture_spread(aperture) -> tuple[int, int]:
+    """Index spread (max - min) along n1 and along n2.
+
+    ``aperture`` is an :data:`ApertureShape`, whose spread follows from its
+    parameters without enumerating it, or a list of element indices.
+    """
+    if isinstance(aperture, RectangleAperture):
+        return aperture.n1_max - aperture.n1_min, aperture.n2_max - aperture.n2_min
+    if isinstance(aperture, HexagonAperture):
+        return 2 * aperture.rings, 2 * aperture.rings
+    if isinstance(aperture, TriangleAperture):
+        return aperture.rows - 1, aperture.rows - 1
+    if isinstance(aperture, ExplicitAperture):
+        aperture = aperture.indices
+    n1 = [int(i) for i, _ in aperture]
+    n2 = [int(j) for _, j in aperture]
+    return max(n1) - min(n1), max(n2) - min(n2)
+
+
 def centroid(positions: np.ndarray) -> np.ndarray:
     """Mean of an (n, 2) position array."""
     return np.asarray(positions, dtype=float).mean(axis=0)

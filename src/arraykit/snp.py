@@ -7,10 +7,16 @@ carrying a v2 ``[Version]`` keyword are rejected. Y/Z/H/G parameter types are
 out of scope. Noise-parameter records trailing 2-port data are skipped with
 a warning.
 
-The parser converts data tokens to floats in chunks of ``_CHUNK_LINES`` lines
-rather than splitting the whole file at once: a whole-file token list costs
-far more memory than the text and the float array it becomes, and it would
-set the peak memory of reading a large multiport file.
+Touchstone I/O is streamed. :func:`parse_touchstone` takes the text or any
+iterable of its lines (:func:`read_touchstone` passes the open file), turns
+each chunk of ``_CHUNK_LINES`` lines into floats and those straight into the
+complex S matrices of the records the chunk completes, carrying only the
+unfinished record to the next chunk. Neither the whole text, its line list
+nor its float array ever exists; reading peaks at about twice S (the blocks
+and their concatenation) plus one chunk. :func:`touchstone_records` yields
+the header and then one formatted record at a time, so a caller writing the
+records to a file holds S plus one record; :func:`write_touchstone` joins
+them into one string.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -161,14 +168,30 @@ def _floats(lines: list[str]) -> np.ndarray:
         raise
 
 
-def parse_touchstone(text: str, port_count: int) -> NetworkData:
+def _s_block(pairs: np.ndarray, fmt: str) -> np.ndarray:
+    """Complex S entries from value pairs of shape (..., 2) in the RI/MA/DB format ``fmt``."""
+    a, b = pairs[..., 0], pairs[..., 1]
+    s = np.empty(a.shape, dtype=complex)
+    if fmt == "ri":
+        s.real, s.imag = a, b
+    else:
+        # non-finite results are left to NetworkData's check
+        with np.errstate(over="ignore", invalid="ignore"):
+            mag = a if fmt == "ma" else 10.0 ** (a / 20.0)
+            ang = np.radians(b)
+            s.real, s.imag = mag * np.cos(ang), mag * np.sin(ang)
+    return s
+
+
+def parse_touchstone(lines: str | Iterable[str], port_count: int) -> NetworkData:
     """Parse Touchstone v1 content into a :class:`NetworkData`.
 
     Parameters
     ----------
-    text : str
-        File content. The port count is not inferable from v1 content and
-        must be supplied (``.sNp`` naming convention).
+    lines : str or iterable of str
+        File content, or its lines (an open text file will do; line ends
+        and ``!`` comments are stripped). The port count is not inferable
+        from v1 content and must be supplied (``.sNp`` naming convention).
     port_count : int
         Number of ports P; each frequency record carries 2*P*P values.
 
@@ -181,10 +204,31 @@ def parse_touchstone(text: str, port_count: int) -> NetworkData:
     """
     if port_count < 1:
         raise TouchstoneError(f"port_count must be >= 1, got {port_count}")
+    if isinstance(lines, str):
+        lines = lines.splitlines()
+    p = port_count
+    per_record = 1 + 2 * p * p
     option = None
-    chunks: list[np.ndarray] = []
+    heads: list[np.ndarray] = []  # the frequency of every whole record
+    blocks: list[np.ndarray] = []  # the S matrices of every whole record
+    carry: list[np.ndarray] = []  # values of the unfinished record, joined once it is complete
     pending: list[str] = []
-    for raw in text.splitlines():
+
+    def take(values: np.ndarray) -> None:
+        """Append a chunk's values; turn every record they complete into S."""
+        nonlocal carry
+        carry.append(values)
+        if sum(map(len, carry)) < per_record:
+            return
+        values = np.concatenate(carry)
+        n = values.size // per_record
+        whole = values[: n * per_record].reshape(n, per_record)
+        heads.append(whole[:, 0].copy())
+        s = _s_block(whole[:, 1:].reshape(n, p, p, 2), option[1])
+        blocks.append(s.transpose(0, 2, 1) if p == 2 else s)  # the v1 two-port quirk: S11 S21 S12 S22
+        carry = [values[n * per_record :].copy()]
+
+    for raw in lines:
         line = raw.split("!", 1)[0].strip()
         if not line:
             continue
@@ -200,20 +244,16 @@ def parse_touchstone(text: str, port_count: int) -> NetworkData:
             raise TouchstoneError("data encountered before the '#' option line")
         pending.append(line)
         if len(pending) == _CHUNK_LINES:
-            chunks.append(_floats(pending))
+            take(_floats(pending))
             pending = []
-    chunks.append(_floats(pending))
+    take(_floats(pending))
     if option is None:
         raise TouchstoneError("missing '#' option line")
-    unit_scale, fmt, z_ref = option
-    values = np.concatenate(chunks)
-    del chunks
+    unit_scale, _, z_ref = option
+    n_rec = sum(len(h) for h in heads)
+    heads = np.concatenate(heads + [np.concatenate(carry)[:1]])  # one frequency per started record
 
-    p = port_count
-    per_record = 1 + 2 * p * p
-    heads = values[::per_record]  # one frequency per started record
     f_hz = heads * unit_scale
-    n_rec = values.size // per_record
     if p == 2:
         # 2-port noise-parameter section: frequency restarts below S data
         restart = np.flatnonzero(heads[1:] < f_hz[:-1] / unit_scale)
@@ -230,45 +270,23 @@ def parse_touchstone(text: str, port_count: int) -> NetworkData:
         )
     if n_rec == 0:
         raise TouchstoneError("no frequency records found")
-    pairs = values[: n_rec * per_record].reshape(n_rec, per_record)[:, 1:].reshape(n_rec, p, p, 2)
-    a, b = pairs[..., 0], pairs[..., 1]
-    s = np.empty((n_rec, p, p), dtype=complex)
-    if fmt == "ri":
-        s.real, s.imag = a, b
-    else:
-        # non-finite results are left to NetworkData's check
-        with np.errstate(over="ignore", invalid="ignore"):
-            mag = a if fmt == "ma" else 10.0 ** (a / 20.0)
-            ang = np.radians(b)
-            s.real, s.imag = mag * np.cos(ang), mag * np.sin(ang)
-    if p == 2:
-        s = np.ascontiguousarray(s.transpose(0, 2, 1))  # the v1 two-port quirk: S11 S21 S12 S22
-    return NetworkData(f_hz[:n_rec], s, z_ref)
+    s = np.concatenate(blocks)
+    del blocks
+    return NetworkData(f_hz[:n_rec], s[:n_rec], z_ref)
 
 
 def read_touchstone(path: str | Path) -> NetworkData:
-    """Read a ``.sNp`` file; the port count comes from the extension."""
+    """Read a ``.sNp`` file line by line; the port count comes from the extension."""
     path = Path(path)
     m = _SNP_EXT.search(path.name)
     if not m:
         raise TouchstoneError(f"cannot infer port count from file name {path.name!r} (expected .sNp)")
-    return parse_touchstone(path.read_text(), int(m.group(1)))
+    with open(path) as fh:
+        return parse_touchstone(fh, int(m.group(1)))
 
 
-def write_touchstone(net: NetworkData, fmt: str = "ri") -> str:
-    """Serialize to Touchstone v1 text.
-
-    Values are written with 13 significant digits so that a parse of the
-    output reproduces every S entry to better than 1e-9 relative in all
-    three formats; frequencies are written exactly (shortest round-trip
-    float representation). Rows wrap at four S values per line for 3+ ports.
-    """
-    fmt = fmt.lower()
-    if fmt not in _FORMATS:
-        raise TouchstoneError(f"format must be one of {_FORMATS}, got {fmt!r}")
-
-    p = net.port_count
-    s = net.s.transpose(0, 2, 1) if p == 2 else net.s  # the v1 two-port quirk: S11 S21 S12 S22
+def _value_columns(s: np.ndarray, fmt: str) -> np.ndarray:
+    """The two written columns of each S entry, shape ``s.shape + (2,)``."""
     vals = np.empty(s.shape + (2,))
     if fmt == "ri":
         vals[..., 0], vals[..., 1] = s.real, s.imag
@@ -280,13 +298,44 @@ def write_touchstone(net: NetworkData, fmt: str = "ri") -> str:
             with np.errstate(divide="ignore"):
                 vals[..., 0] = np.where(mag > 0, 20.0 * np.log10(mag), -1000.0)
         vals[..., 1] = np.degrees(np.angle(s))
+    return vals
+
+
+def touchstone_records(net: NetworkData, fmt: str = "ri") -> Iterator[str]:
+    """Touchstone v1 text as an iterator: the two header lines, then one record per item.
+
+    Values are written with 13 significant digits so that a parse of the
+    output reproduces every S entry to better than 1e-9 relative in all
+    three formats; frequencies are written exactly (shortest round-trip
+    float representation). Rows wrap at four S values per line for 3+ ports.
+    Every item ends with a newline. ``fmt`` is checked before the iterator
+    is returned; the value columns are then computed for at most
+    ``_CHUNK_LINES`` S entries (and at least one record) at a time.
+    """
+    fmt = fmt.lower()
+    if fmt not in _FORMATS:
+        raise TouchstoneError(f"format must be one of {_FORMATS}, got {fmt!r}")
+    p = net.port_count
     # one line for 1- and 2-port records, else each matrix row wrapped at four pairs
     widths = [p * p] if p <= 2 else [min(4, p - start) for start in range(0, p, 4)] * p
-    record = "%r " + "\n  ".join(" ".join(["%.12e %.12e"] * w) for w in widths)
-    lines = [f"! {p}-port S-parameter data", f"# Hz S {fmt.upper()} R {net.z_ref:.9g}"]
-    lines += [record % (f_hz, *v.ravel().tolist()) for f_hz, v in zip(net.frequencies.tolist(), vals)]
-    lines.append("")  # the final newline, without a second copy of the whole text
-    return "\n".join(lines)
+    record = "%r " + "\n  ".join(" ".join(["%.12e %.12e"] * w) for w in widths) + "\n"
+    s = net.s.transpose(0, 2, 1) if p == 2 else net.s  # the v1 two-port quirk: S11 S21 S12 S22
+    freqs = net.frequencies.tolist()
+    step = max(1, _CHUNK_LINES // (p * p))
+
+    def items() -> Iterator[str]:
+        yield f"! {p}-port S-parameter data\n# Hz S {fmt.upper()} R {net.z_ref:.9g}\n"
+        for start in range(0, len(freqs), step):
+            vals = _value_columns(s[start : start + step], fmt)
+            for f_hz, v in zip(freqs[start : start + step], vals):
+                yield record % (f_hz, *v.ravel().tolist())
+
+    return items()
+
+
+def write_touchstone(net: NetworkData, fmt: str = "ri") -> str:
+    """Serialize to Touchstone v1 text: the items of :func:`touchstone_records`, joined."""
+    return "".join(touchstone_records(net, fmt))
 
 
 # --- network algebra ---------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .lattice import LatticeBasis, ReciprocalBasis
+from .lattice import LatticeBasis, ReciprocalBasis, aperture_spread
 from .snp import NetworkData, PortMap, _table_rows
 
 POL_PAIRS = ("xx", "xy", "yx", "yy")
@@ -208,13 +208,11 @@ def check_aperture_fits(aperture, n_scan: int) -> None:
 
     Differences span +-spread per axis, so the spread must stay <= N/2 - 1;
     the inverse transform is periodic with period N and wrapped coupling
-    values would be aliases, not physics.
+    values would be aliases, not physics. ``aperture`` is an aperture shape
+    or a list of element indices (see :func:`lattice.aperture_spread`).
     """
-    n1 = [int(i) for i, _ in aperture]
-    n2 = [int(j) for _, j in aperture]
     half = n_scan // 2
-    spread1 = max(n1) - min(n1)
-    spread2 = max(n2) - min(n2)
+    spread1, spread2 = aperture_spread(aperture)
     if spread1 > half - 1 or spread2 > half - 1:
         raise ApertureGridError(
             f"aperture index spread ({spread1}, {spread2}) exceeds the coupling grid: "

@@ -268,6 +268,31 @@ def test_transform_work_bound_admits_the_dense_benchmark():
     assert 171 * (4 * 24**2 + 364**2) < TRANSFORM_VALUE_CAP / 4
 
 
+@pytest.mark.parametrize(
+    "aperture",
+    [
+        {"shape": "hexagon", "rings": 100_000},  # 3e10 elements if it were enumerated
+        {"shape": "rectangle", "n1": [0, 100_000], "n2": [0, 100_000]},
+        {"shape": "triangle", "rows": 100_000},
+    ],
+)
+def test_transform_oversized_aperture_exits_3_before_enumerating(tmp_path, aperture):
+    cfg = write_config(tmp_path, lattice={"kind": "triangular", "lambda_h_mm": 15.0, "n_scan": 24, "aperture": aperture})
+    proc = run_limited(["transform", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert proc.returncode == 3, proc.stderr
+    assert "aperture index spread (" in proc.stderr and "period 24" in proc.stderr
+
+
+def test_pattern_frequencies_bounded_before_allocating(tmp_path):
+    # 2e9 frequencies: the linspace alone would be 16 GB
+    cfg = write_config(tmp_path, pattern={"freq_ghz": {"start": 3, "stop": 20, "points": 2_000_000_000}})
+    proc = run_limited(["pattern", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert proc.returncode == 2, proc.stderr
+    assert "pattern.freq_ghz" in proc.stderr and "pattern.theta_step_deg" in proc.stderr
+    assert f"{TRANSFORM_VALUE_CAP:.0e}" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
 HEX2 = {"kind": "triangular", "lambda_h_mm": 15.0, "n_scan": 24, "aperture": {"shape": "hexagon", "rings": 2}}
 
 

@@ -170,6 +170,23 @@ def test_enumerate_triangle():
     assert lat.enumerate_aperture(lat.TriangleAperture(1)) == [(0, 0)]
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lat.RectangleAperture(0, 0, 0, 0),
+        lat.RectangleAperture(-3, 4, 2, 9),
+        lat.HexagonAperture(0),
+        lat.HexagonAperture(1),
+        lat.HexagonAperture(4),
+        lat.TriangleAperture(1),
+        lat.TriangleAperture(5),
+        lat.ExplicitAperture(((2, 0), (0, 1), (-1, 7))),
+    ],
+)
+def test_aperture_spread_from_parameters_matches_enumeration(shape):
+    assert lat.aperture_spread(shape) == lat.aperture_spread(lat.enumerate_aperture(shape))
+
+
 def test_explicit_aperture_sorted_and_unique():
     shp = lat.ExplicitAperture(((2, 0), (0, 1), (0, 0)))
     assert lat.enumerate_aperture(shp) == [(0, 0), (0, 1), (2, 0)]

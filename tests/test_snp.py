@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -392,6 +393,9 @@ def test_parse_errors_match_reference_and_exit_4(make, tmp_path, capsys):
     assert str(new.value) == str(ref.value) == message
     src = tmp_path / f"bad.s{ports}p"
     src.write_text(text)
+    with pytest.raises(snp.TouchstoneError) as from_file:
+        snp.read_touchstone(src)
+    assert str(from_file.value) == message
     assert cli.main(["convert", str(src), str(tmp_path / f"out.s{ports}p")]) == 4
     assert message in capsys.readouterr().err
 
@@ -405,6 +409,79 @@ def test_noise_section_after_first_chunk_matches_reference():
         want = _reference_parse(text, 2)
     assert_parsed_matches_reference(got, want, "ma")
     assert got.frequencies.size == net.frequencies.size
+
+
+def test_noise_section_read_from_file_matches_string(tmp_path):
+    net = random_network(2, nfreq=snp._CHUNK_LINES + 500, seed=9)
+    path = tmp_path / "noisy.s2p"
+    path.write_text(snp.write_touchstone(net, "db") + "! noise parameters\n1.5 2.3 0.5 10.0 0.2\n")
+    with pytest.warns(UserWarning, match="noise"):
+        from_file = snp.read_touchstone(path)
+    with pytest.warns(UserWarning, match="noise"):
+        from_text = snp.parse_touchstone(path.read_text(), 2)
+    assert from_file.frequencies.tobytes() == from_text.frequencies.tobytes()
+    assert from_file.s.tobytes() == from_text.s.tobytes()
+
+
+# --- streamed reading and writing ------------------------------------------------
+
+
+@pytest.mark.parametrize("fmt", ["ri", "ma", "db"])
+@pytest.mark.parametrize("ports", [1, 2, 3, 5, 128])
+def test_parse_from_open_file_equals_string(ports, fmt, tmp_path, monkeypatch):
+    text = snp.write_touchstone(oracle_network(ports, nfreq=4, seed=ports), fmt)
+    want = snp.parse_touchstone(text, ports)
+    path = tmp_path / f"net.s{ports}p"
+    path.write_text(text)
+    # 7-line chunks: records straddle chunks at every port count (a 128-port record spans 4096 lines)
+    monkeypatch.setattr(snp, "_CHUNK_LINES", 7)
+    for got in (snp.read_touchstone(path), snp.parse_touchstone(text, ports), snp.parse_touchstone(iter(text.splitlines()), ports)):
+        assert got.frequencies.tobytes() == want.frequencies.tobytes()
+        assert got.s.tobytes() == want.s.tobytes()
+        assert got.z_ref == want.z_ref
+
+
+@pytest.mark.parametrize("fmt", ["ri", "ma", "db"])
+@pytest.mark.parametrize("ports", [1, 2, 3, 38])
+def test_records_join_to_text_and_convert_writes_it(ports, fmt, tmp_path, monkeypatch):
+    net = oracle_network(ports, nfreq=5, seed=ports + 3)
+    text = snp.write_touchstone(net, fmt)
+    monkeypatch.setattr(snp, "_CHUNK_LINES", 3 * ports * ports)  # value columns for 3 records at a time
+    records = list(snp.touchstone_records(net, fmt))
+    assert "".join(records) == text
+    assert len(records) == 1 + 5 and all(r.endswith("\n") for r in records)
+    src, dst = tmp_path / f"in.s{ports}p", tmp_path / f"out.s{ports}p"
+    src.write_text(text)
+    assert cli.main(["convert", str(src), str(dst), "--format", fmt]) == 0
+    assert dst.read_bytes() == snp.write_touchstone(snp.read_touchstone(src), fmt).encode()
+
+
+def test_records_reject_a_bad_format_before_any_file_is_opened(tmp_path):
+    net = random_network(1)
+    with pytest.raises(snp.TouchstoneError, match="format"):
+        snp.touchstone_records(net, "xy")  # not a lazy error at the first item
+    path = tmp_path / "never.s1p"
+    with pytest.raises(snp.TouchstoneError, match="format"):
+        cli._write_touchstone(path, net, "xy")
+    assert not path.exists()
+
+
+def test_read_and_convert_peak_memory_is_bounded_by_s(tmp_path, monkeypatch):
+    ports, nfreq = 64, 40
+    net = random_network(ports, nfreq=nfreq, seed=5)
+    src, dst = tmp_path / f"in.s{ports}p", tmp_path / f"out.s{ports}p"
+    src.write_text(snp.write_touchstone(net, "ri"))  # 6.6 MB of text for 2.6 MB of S
+    monkeypatch.setattr(snp, "_CHUNK_LINES", 1000)
+    s_bytes = net.s.nbytes
+    # a chunk holds its lines, their joined text and tokens, and their floats: about 1 kB per 160-character line
+    chunk_bytes = 1000 * 1024
+    tracemalloc.start()
+    try:
+        assert cli.main(["convert", str(src), str(dst), "--format", "db"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * s_bytes + chunk_bytes, f"peak {peak / 1e6:.2f} MB for {s_bytes / 1e6:.2f} MB of S"
 
 
 # --- NetworkData validation ---------------------------------------------------
