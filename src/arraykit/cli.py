@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, excitation, lattice, metrics, snp, spectral, synthmodel
-from .constants import PATTERN_SAMPLE_CAP, TRANSFORM_VALUE_CAP
+from .constants import PATTERN_ROW_CAP, PATTERN_SAMPLE_CAP, TRANSFORM_VALUE_CAP
 from .lattice import config_float, config_int
 
 
@@ -60,13 +60,12 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical).hexdigest()[:16]
 
 
-def _parse_frequencies(block, where: str, values_per_point: int, set_by: str) -> np.ndarray:
+def _parse_frequencies(block, where: str, values_per_point: int, set_by: str, cap: int) -> np.ndarray:
     """Frequencies (Hz) of a ``{start, stop, points}`` block or a GHz list.
 
     ``values_per_point`` is what the command holds per frequency, as the
     fields named in ``set_by`` determine; a sweep whose point count times it
-    exceeds ``TRANSFORM_VALUE_CAP`` is rejected before the frequency array is
-    built.
+    exceeds ``cap`` is rejected before the frequency array is built.
     """
     if isinstance(block, dict):
         if not {"start", "stop", "points"} <= block.keys():
@@ -77,10 +76,10 @@ def _parse_frequencies(block, where: str, values_per_point: int, set_by: str) ->
             raise ConfigError(f"{where}: start and stop must be finite")
         if points < 1 or stop < start or start <= 0:
             raise ConfigError(f"{where}: need 0 < start <= stop and points >= 1")
-        _check_work(points, values_per_point, set_by, where)
+        _check_work(points, values_per_point, set_by, where, cap)
         return np.linspace(start * 1e9, stop * 1e9, points)
     if isinstance(block, (list, tuple)) and block:
-        _check_work(len(block), values_per_point, set_by, where)
+        _check_work(len(block), values_per_point, set_by, where, cap)
         vals = np.array([1e9 * config_float(v, where, ConfigError) for v in block])
         if not np.all(np.isfinite(vals)):
             raise ConfigError(f"{where}: frequencies must be finite")
@@ -90,12 +89,12 @@ def _parse_frequencies(block, where: str, values_per_point: int, set_by: str) ->
     raise ConfigError(f"{where}: expected an object or a non-empty list")
 
 
-def _check_work(points: int, values_per_point: int, set_by: str, where: str) -> None:
+def _check_work(points: int, values_per_point: int, set_by: str, where: str, cap: int) -> None:
     total = points * values_per_point
-    if total > TRANSFORM_VALUE_CAP:
+    if total > cap:
         raise ConfigError(
             f"{where}: {points} frequencies x {values_per_point} values each (set by {set_by}) "
-            f"is {total:.3g} values, above the limit of {TRANSFORM_VALUE_CAP:.0e}"
+            f"is {total:.3g} values, above the limit of {cap:.0e}"
         )
 
 
@@ -141,7 +140,7 @@ def _sweep_scans(cfg: dict, pol: str) -> list[str]:
 def _sweep_frequencies(cfg: dict, values_per_point: int, set_by: str) -> np.ndarray:
     block = cfg.get("sweep", {})
     freq_ghz = block["freq_ghz"] if isinstance(block, dict) and "freq_ghz" in block else DEFAULT_FREQ_GHZ
-    return _parse_frequencies(freq_ghz, "sweep.freq_ghz", values_per_point, set_by)
+    return _parse_frequencies(freq_ghz, "sweep.freq_ghz", values_per_point, set_by, TRANSFORM_VALUE_CAP)
 
 
 def _excitation_block(cfg: dict) -> tuple[excitation.TaperSpec, str]:
@@ -241,12 +240,8 @@ def cmd_transform(args) -> int:
     model = synthmodel.model_from_config(cfg["model"])
     if args.seed is not None and isinstance(model, synthmodel.SeededRandomModel):
         model = replace(model, seed=args.seed)
-    aperture = None
-    if shape is not None:
-        spectral.check_aperture_fits(shape, n_scan)  # from the shape's parameters, before enumerating it
-        aperture = lattice.enumerate_aperture(shape)
     # bound the 4 sampled grids and, with --touchstone, the dense S before anything is allocated
-    ports = 2 * len(aperture) if args.touchstone and aperture is not None else 0
+    ports = 2 * lattice.aperture_size(shape) if args.touchstone and shape is not None else 0
     freqs = _sweep_frequencies(cfg, 4 * n_scan**2 + ports**2, "lattice.n_scan and the aperture")
     lo, hi = model.band
     if freqs[0] < lo or freqs[-1] > hi:
@@ -254,6 +249,10 @@ def cmd_transform(args) -> int:
             f"sweep.freq_ghz: range [{freqs[0] / 1e9:g}, {freqs[-1] / 1e9:g}] GHz "
             f"outside model band [{lo / 1e9:g}, {hi / 1e9:g}] GHz"
         )
+    aperture = None
+    if shape is not None:
+        spectral.check_aperture_fits(shape, n_scan)  # from the shape's parameters, before enumerating it
+        aperture = lattice.enumerate_aperture(shape)
 
     recip = lattice.reciprocal_basis(basis, n_scan)
     grid = spectral.build_scan_grid(recip)
@@ -290,7 +289,7 @@ def cmd_transform(args) -> int:
 def cmd_metrics(args) -> int:
     cfg = _load_config(args.config)
     basis, n_scan, shape = _require_lattice(cfg, need_aperture=True)
-    aperture = lattice.enumerate_aperture(shape)
+    n_elem = lattice.aperture_size(shape)
     taper, pol = _excitation_block(cfg)
     scans = _sweep_scans(cfg, pol)
     mblock = cfg.get("metrics", {})
@@ -302,7 +301,7 @@ def cmd_metrics(args) -> int:
 
     snp_path = args.snp or mblock.get("snp")
     if snp_path is None:
-        guess = Path(args.out or ".") / f"finite_array.s{2 * len(aperture)}p"
+        guess = Path(args.out or ".") / f"finite_array.s{2 * n_elem}p"
         if not guess.is_file():
             raise ConfigError("metrics.snp (or --snp): path to a Touchstone file is required")
         snp_path = guess
@@ -310,17 +309,14 @@ def cmd_metrics(args) -> int:
         raise ConfigError(f"metrics.snp: file not found: {snp_path}")
     net = snp.read_touchstone(snp_path)
 
-    n_elem = len(aperture)
-    if net.port_count == 2 * n_elem:
-        pm = snp.PortMap.lexicographic(aperture)
-    elif net.port_count == n_elem:
-        pm = snp.PortMap.lexicographic(aperture, pols=(pol,))
-    else:
+    if net.port_count not in (n_elem, 2 * n_elem):
         raise snp.NetworkError(
             f"port count {net.port_count} matches neither {n_elem} (single-pol) nor "
             f"{2 * n_elem} (dual-pol) for the {n_elem}-element aperture"
         )
     dual = net.port_count == 2 * n_elem
+    aperture = lattice.enumerate_aperture(shape)  # no larger than the file's port count
+    pm = snp.PortMap.lexicographic(aperture) if dual else snp.PortMap.lexicographic(aperture, pols=(pol,))
 
     out = _out_dir(args)
     cfg_hash = _config_hash(cfg)
@@ -375,7 +371,7 @@ def _cut_phi(cut, pol: str, where: str) -> float:
 def cmd_pattern(args) -> int:
     cfg = _load_config(args.config)
     basis, n_scan, shape = _require_lattice(cfg, need_aperture=True)
-    aperture = lattice.enumerate_aperture(shape)
+    n_elem = lattice.aperture_size(shape)
     taper, pol = _excitation_block(cfg)
     block = cfg.get("pattern", {})
     if not isinstance(block, dict):
@@ -388,20 +384,21 @@ def cmd_pattern(args) -> int:
     if not (step > 0 and math.isfinite(step)):
         raise ConfigError("pattern.theta_step_deg: must be positive and finite")
     # theta samples x elements; a float, so a step near 0 gives inf instead of overflowing an int
-    samples = len(aperture) * (180.0 + step / 2) / step
+    samples = n_elem * (180.0 + step / 2) / step
     if samples > PATTERN_SAMPLE_CAP:
         raise ConfigError(
             f"pattern.theta_step_deg: {step:g} degrees gives about {samples:.3g} theta samples x "
             f"aperture elements per cut, above the limit of {PATTERN_SAMPLE_CAP}"
         )
     theta = np.arange(-90.0, 90.0 + step / 2, step)
-    # per frequency: one gain value per cut and theta sample, and one weight per element
+    # per frequency: one output row per cut and theta sample, and one weight per element
     freqs = _parse_frequencies(
-        block.get("freq_ghz", [4.0, 9.0, 18.0]), "pattern.freq_ghz", len(cuts) * theta.size + len(aperture),
-        "pattern.cuts, pattern.theta_step_deg and the aperture",
+        block.get("freq_ghz", [4.0, 9.0, 18.0]), "pattern.freq_ghz", len(cuts) * theta.size + n_elem,
+        "pattern.cuts, pattern.theta_step_deg and the aperture", PATTERN_ROW_CAP,
     )
     _, theta0, phi0 = _scan_label(str(block.get("scan", "broadside")), pol, "pattern.scan")
 
+    aperture = lattice.enumerate_aperture(shape)
     pos = lattice.aperture_positions(basis, aperture)
     area = lattice.unit_cell_area(basis)
     port_map = snp.PortMap.lexicographic(aperture, pols=(pol,))  # port i is aperture element i

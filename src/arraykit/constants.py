@@ -25,10 +25,18 @@ bounds its memory (~100 MB of temporaries) before anything is allocated.
 """
 
 TRANSFORM_VALUE_CAP = 100_000_000
-"""Most values one run may hold across its frequencies, checked before any array is allocated.
+"""Most complex values one ``transform`` run may hold across its frequencies.
 
-``transform`` holds F x 4*N^2 grid samples, plus F x P^2 S entries with
-``--touchstone``; ``pattern`` holds F x (cuts x theta samples + elements).
-1e8 complex values is 1.6 GB per copy. The rings-5 dense case
-(171 x (4*24^2 + 364^2), about 2.3e7) is a quarter of it.
+F x 4*N^2 grid samples, plus F x P^2 S entries with ``--touchstone``,
+checked before any array is allocated. 1e8 complex values is 1.6 GB per
+copy. The rings-5 dense case (171 x (4*24^2 + 364^2), about 2.3e7) is a
+quarter of it.
+"""
+
+PATTERN_ROW_CAP = 2_000_000
+"""Most rows plus element weights one ``pattern`` run may hold across its frequencies.
+
+F x (cuts x theta samples + elements), checked before the frequency array
+is built. Every row is held at once, as a gain and an array-factor value and
+then as its CSV text, about 125 B in all, so the cap is about 250 MB.
 """

@@ -257,6 +257,19 @@ def enumerate_aperture(shape: ApertureShape) -> list[tuple[int, int]]:
     return sorted(out)
 
 
+def aperture_size(shape: ApertureShape) -> int:
+    """Element count of an aperture shape, from its parameters without enumerating it."""
+    if isinstance(shape, RectangleAperture):
+        return (shape.n1_max - shape.n1_min + 1) * (shape.n2_max - shape.n2_min + 1)
+    if isinstance(shape, HexagonAperture):
+        return 1 + 3 * shape.rings * (shape.rings + 1)
+    if isinstance(shape, TriangleAperture):
+        return shape.rows * (shape.rows + 1) // 2
+    if isinstance(shape, ExplicitAperture):
+        return len(shape.indices)
+    raise LatticeError(f"unknown aperture shape {shape!r}")
+
+
 def aperture_spread(aperture) -> tuple[int, int]:
     """Index spread (max - min) along n1 and along n2.
 

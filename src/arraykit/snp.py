@@ -211,22 +211,21 @@ def parse_touchstone(lines: str | Iterable[str], port_count: int) -> NetworkData
     option = None
     heads: list[np.ndarray] = []  # the frequency of every whole record
     blocks: list[np.ndarray] = []  # the S matrices of every whole record
-    carry: list[np.ndarray] = []  # values of the unfinished record, joined once it is complete
+    carry = np.empty(0)  # values of the unfinished record
     pending: list[str] = []
 
     def take(values: np.ndarray) -> None:
         """Append a chunk's values; turn every record they complete into S."""
         nonlocal carry
-        carry.append(values)
-        if sum(map(len, carry)) < per_record:
+        carry = np.concatenate((carry, values))
+        n = carry.size // per_record
+        if n == 0:
             return
-        values = np.concatenate(carry)
-        n = values.size // per_record
-        whole = values[: n * per_record].reshape(n, per_record)
+        whole = carry[: n * per_record].reshape(n, per_record)
         heads.append(whole[:, 0].copy())
         s = _s_block(whole[:, 1:].reshape(n, p, p, 2), option[1])
         blocks.append(s.transpose(0, 2, 1) if p == 2 else s)  # the v1 two-port quirk: S11 S21 S12 S22
-        carry = [values[n * per_record :].copy()]
+        carry = carry[n * per_record :].copy()
 
     for raw in lines:
         line = raw.split("!", 1)[0].strip()
@@ -251,7 +250,7 @@ def parse_touchstone(lines: str | Iterable[str], port_count: int) -> NetworkData
         raise TouchstoneError("missing '#' option line")
     unit_scale, _, z_ref = option
     n_rec = sum(len(h) for h in heads)
-    heads = np.concatenate(heads + [np.concatenate(carry)[:1]])  # one frequency per started record
+    heads = np.concatenate(heads + [carry[:1]])  # one frequency per started record
 
     f_hz = heads * unit_scale
     if p == 2:
@@ -309,8 +308,7 @@ def touchstone_records(net: NetworkData, fmt: str = "ri") -> Iterator[str]:
     three formats; frequencies are written exactly (shortest round-trip
     float representation). Rows wrap at four S values per line for 3+ ports.
     Every item ends with a newline. ``fmt`` is checked before the iterator
-    is returned; the value columns are then computed for at most
-    ``_CHUNK_LINES`` S entries (and at least one record) at a time.
+    is returned; the value columns are then computed one record at a time.
     """
     fmt = fmt.lower()
     if fmt not in _FORMATS:
@@ -320,15 +318,11 @@ def touchstone_records(net: NetworkData, fmt: str = "ri") -> Iterator[str]:
     widths = [p * p] if p <= 2 else [min(4, p - start) for start in range(0, p, 4)] * p
     record = "%r " + "\n  ".join(" ".join(["%.12e %.12e"] * w) for w in widths) + "\n"
     s = net.s.transpose(0, 2, 1) if p == 2 else net.s  # the v1 two-port quirk: S11 S21 S12 S22
-    freqs = net.frequencies.tolist()
-    step = max(1, _CHUNK_LINES // (p * p))
 
     def items() -> Iterator[str]:
         yield f"! {p}-port S-parameter data\n# Hz S {fmt.upper()} R {net.z_ref:.9g}\n"
-        for start in range(0, len(freqs), step):
-            vals = _value_columns(s[start : start + step], fmt)
-            for f_hz, v in zip(freqs[start : start + step], vals):
-                yield record % (f_hz, *v.ravel().tolist())
+        for f_hz, rec in zip(net.frequencies.tolist(), s):
+            yield record % (f_hz, *_value_columns(rec, fmt).ravel().tolist())
 
     return items()
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from arraykit import cli, metrics, snp
-from arraykit.constants import PATTERN_SAMPLE_CAP, TRANSFORM_VALUE_CAP
+from arraykit.constants import PATTERN_ROW_CAP, PATTERN_SAMPLE_CAP, TRANSFORM_VALUE_CAP
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -283,14 +283,57 @@ def test_transform_oversized_aperture_exits_3_before_enumerating(tmp_path, apert
     assert "aperture index spread (" in proc.stderr and "period 24" in proc.stderr
 
 
+def test_transform_config_errors_precede_the_aperture_fit(tmp_path):
+    # 1e10 candidate indices if enumerated; the work bound and the band check run first and exit 2
+    huge = {"kind": "triangular", "lambda_h_mm": 15.0, "aperture": {"shape": "hexagon", "rings": 100_000}}
+    for lattice, sweep, flags, field in [
+        ({**huge, "n_scan": 24}, {"freq_ghz": [2.0, 9.0]}, [], "outside model band"),
+        ({**huge, "n_scan": 24}, {}, ["--touchstone"], "sweep.freq_ghz"),
+        ({**huge, "n_scan": 400_000}, {}, [], "sweep.freq_ghz"),
+    ]:
+        cfg = write_config(tmp_path, lattice=lattice, sweep=sweep)
+        proc = run_limited(["transform", "--config", str(cfg), "--out", str(tmp_path / "o"), *flags])
+        assert proc.returncode == 2, proc.stderr
+        assert field in proc.stderr
+
+
+def test_metrics_and_pattern_bound_a_huge_aperture_before_enumerating(tmp_path):
+    lattice = {"kind": "triangular", "lambda_h_mm": 15.0, "n_scan": 24, "aperture": {"shape": "hexagon", "rings": 100_000}}
+    src = tmp_path / "net.s4p"
+    src.write_text(snp.write_touchstone(snp.NetworkData([1e9], np.eye(4)[None] * 0.1)))
+    cfg = write_config(tmp_path, lattice=lattice, metrics={"snp": str(src)})
+    proc = run_limited(["metrics", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert proc.returncode == 4, proc.stderr
+    assert "port count 4 matches neither 30000300001" in proc.stderr
+    proc = run_limited(["pattern", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert proc.returncode == 2, proc.stderr
+    assert "pattern.theta_step_deg" in proc.stderr
+
+
 def test_pattern_frequencies_bounded_before_allocating(tmp_path):
     # 2e9 frequencies: the linspace alone would be 16 GB
     cfg = write_config(tmp_path, pattern={"freq_ghz": {"start": 3, "stop": 20, "points": 2_000_000_000}})
     proc = run_limited(["pattern", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert proc.returncode == 2, proc.stderr
     assert "pattern.freq_ghz" in proc.stderr and "pattern.theta_step_deg" in proc.stderr
-    assert f"{TRANSFORM_VALUE_CAP:.0e}" in proc.stderr
+    assert f"{PATTERN_ROW_CAP:.0e}" in proc.stderr
     assert not (tmp_path / "o").exists()
+
+
+def test_pattern_just_under_the_row_cap_runs_in_bounded_memory(tmp_path):
+    # one element, 3 cuts of 3601 theta samples: 10804 rows and weights per frequency
+    per_point = 3 * 3601 + 1
+    points = PATTERN_ROW_CAP // per_point
+    single = {"kind": "triangular", "lambda_h_mm": 15.0, "n_scan": 24, "aperture": {"shape": "hexagon", "rings": 0}}
+    for n, code in [(points, 0), (points + 1, 2)]:
+        pattern = {"freq_ghz": {"start": 3, "stop": 20, "points": n}, "theta_step_deg": 0.05}
+        cfg = write_config(tmp_path, lattice=single, pattern=pattern)
+        out = tmp_path / f"o{n}"
+        # a 1 GiB address space: the rows of a run at the cap need about 0.25 GB
+        proc = run_limited(["pattern", "--config", str(cfg), "--out", str(out)], limit=1024**3)
+        assert proc.returncode == code, proc.stderr
+    assert sum(1 for _ in open(tmp_path / f"o{points}" / "pattern.csv")) == 3 + 3 * 3601 * points
+    assert "pattern.freq_ghz" in proc.stderr and not (tmp_path / f"o{points + 1}").exists()
 
 
 HEX2 = {"kind": "triangular", "lambda_h_mm": 15.0, "n_scan": 24, "aperture": {"shape": "hexagon", "rings": 2}}

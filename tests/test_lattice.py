@@ -183,8 +183,9 @@ def test_enumerate_triangle():
         lat.ExplicitAperture(((2, 0), (0, 1), (-1, 7))),
     ],
 )
-def test_aperture_spread_from_parameters_matches_enumeration(shape):
+def test_aperture_spread_and_size_from_parameters_match_enumeration(shape):
     assert lat.aperture_spread(shape) == lat.aperture_spread(lat.enumerate_aperture(shape))
+    assert lat.aperture_size(shape) == len(lat.enumerate_aperture(shape))
 
 
 def test_explicit_aperture_sorted_and_unique():

@@ -443,10 +443,9 @@ def test_parse_from_open_file_equals_string(ports, fmt, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["ri", "ma", "db"])
 @pytest.mark.parametrize("ports", [1, 2, 3, 38])
-def test_records_join_to_text_and_convert_writes_it(ports, fmt, tmp_path, monkeypatch):
+def test_records_join_to_text_and_convert_writes_it(ports, fmt, tmp_path):
     net = oracle_network(ports, nfreq=5, seed=ports + 3)
     text = snp.write_touchstone(net, fmt)
-    monkeypatch.setattr(snp, "_CHUNK_LINES", 3 * ports * ports)  # value columns for 3 records at a time
     records = list(snp.touchstone_records(net, fmt))
     assert "".join(records) == text
     assert len(records) == 1 + 5 and all(r.endswith("\n") for r in records)
