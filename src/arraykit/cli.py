@@ -112,11 +112,16 @@ def _angle_text(value) -> str:
     return short if float(short) == angle else repr(angle)
 
 
-def _sweep_scans(cfg: dict, pol: str) -> list[str]:
-    """Scan labels of the sweep block, each checked by :func:`metrics.parse_scan_label`."""
+def _sweep_block(cfg: dict) -> dict:
     block = cfg.get("sweep", {})
     if not isinstance(block, dict):
         raise ConfigError("sweep: expected an object")
+    return block
+
+
+def _sweep_scans(cfg: dict, pol: str) -> list[str]:
+    """Scan labels of the sweep block, each checked by :func:`metrics.parse_scan_label`."""
+    block = _sweep_block(cfg)
     if "scans" in block:
         scans = block["scans"]
         if not isinstance(scans, list) or not all(isinstance(s, str) for s in scans):
@@ -138,8 +143,7 @@ def _sweep_scans(cfg: dict, pol: str) -> list[str]:
 
 
 def _sweep_frequencies(cfg: dict, values_per_point: int, set_by: str) -> np.ndarray:
-    block = cfg.get("sweep", {})
-    freq_ghz = block["freq_ghz"] if isinstance(block, dict) and "freq_ghz" in block else DEFAULT_FREQ_GHZ
+    freq_ghz = _sweep_block(cfg).get("freq_ghz", DEFAULT_FREQ_GHZ)
     return _parse_frequencies(freq_ghz, "sweep.freq_ghz", values_per_point, set_by, TRANSFORM_VALUE_CAP)
 
 
@@ -390,7 +394,8 @@ def cmd_pattern(args) -> int:
             f"pattern.theta_step_deg: {step:g} degrees gives about {samples:.3g} theta samples x "
             f"aperture elements per cut, above the limit of {PATTERN_SAMPLE_CAP}"
         )
-    theta = np.arange(-90.0, 90.0 + step / 2, step)
+    # a stop just past 90 and a clip of the last sample keep float drift from leaving [-90, 90]
+    theta = np.minimum(np.arange(-90.0, 90.0 + step * 1e-6, step), 90.0)
     # per frequency: one output row per cut and theta sample, and one weight per element
     freqs = _parse_frequencies(
         block.get("freq_ghz", [4.0, 9.0, 18.0]), "pattern.freq_ghz", len(cuts) * theta.size + n_elem,

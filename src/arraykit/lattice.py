@@ -387,8 +387,8 @@ def lattice_from_config(d: dict, where: str = "lattice") -> tuple[LatticeBasis, 
     if "lambda_h_mm" not in d:
         raise LatticeError(f"{where}.lambda_h_mm: required")
     lambda_h = config_float(d["lambda_h_mm"], f"{where}.lambda_h_mm") * 1e-3
-    n_scan = d.get("n_scan", DEFAULT_N_SCAN)
-    if not isinstance(n_scan, int) or isinstance(n_scan, bool) or n_scan < 2 or n_scan % 2:
+    n_scan = config_int(d.get("n_scan", DEFAULT_N_SCAN), f"{where}.n_scan")
+    if n_scan < 2 or n_scan % 2:
         raise LatticeError(f"{where}.n_scan: expected an even integer >= 2, got {n_scan!r}")
     basis = make_basis(kind, lambda_h)
     shape = None

@@ -8,12 +8,12 @@ out of scope. Noise-parameter records trailing 2-port data are skipped with
 a warning.
 
 Touchstone I/O is streamed. :func:`parse_touchstone` takes the text or any
-iterable of its lines (:func:`read_touchstone` passes the open file), turns
-each chunk of ``_CHUNK_LINES`` lines into floats and those straight into the
-complex S matrices of the records the chunk completes, carrying only the
-unfinished record to the next chunk. Neither the whole text, its line list
-nor its float array ever exists; reading peaks at about twice S (the blocks
-and their concatenation) plus one chunk. :func:`touchstone_records` yields
+iterable of its lines (:func:`read_touchstone` passes the open file) and
+turns the tokens of every data line into one float array, which numpy grows
+in place; reading a file never holds its text or its line list. S is held
+once: a parsed S is a strided view of that array, each record's frequency
+interleaved before its entries, and MA/DB pairs are converted to RI in
+place. Reading peaks at about 1.5 times S. :func:`touchstone_records` yields
 the header and then one formatted record at a time, so a caller writing the
 records to a file holds S plus one record; :func:`write_touchstone` joins
 them into one string.
@@ -21,6 +21,7 @@ them into one string.
 
 from __future__ import annotations
 
+import itertools
 import re
 import warnings
 from dataclasses import dataclass
@@ -34,7 +35,6 @@ POLS = ("x", "y")
 _UNIT_SCALE = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _FORMATS = ("ri", "ma", "db")
 _SNP_EXT = re.compile(r"\.s(\d+)p$", re.IGNORECASE)
-_CHUNK_LINES = 20_000
 
 
 class TouchstoneError(ValueError):
@@ -51,7 +51,9 @@ class NetworkData:
 
     ``frequencies`` is a strictly increasing array of Hz; ``s`` has shape
     (F, P, P) with ``s[f, i, j]`` the wave out of port i per unit wave into
-    port j; ``z_ref`` is the single real reference impedance.
+    port j; ``z_ref`` is the single real reference impedance. Both arrays
+    are read-only; ``s`` need not be contiguous (a parsed ``s`` is a view of
+    the file's values, with the frequencies interleaved between records).
     """
 
     frequencies: np.ndarray
@@ -154,35 +156,6 @@ def _parse_option_line(line: str) -> tuple[float, str, float]:
     return unit_scale, fmt, z_ref
 
 
-def _floats(lines: list[str]) -> np.ndarray:
-    """Convert the whitespace-separated tokens of ``lines`` to one float64 array."""
-    tokens = " ".join(lines).split()
-    try:
-        return np.fromiter(map(float, tokens), dtype=float, count=len(tokens))
-    except ValueError:
-        for tok in tokens:
-            try:
-                float(tok)
-            except ValueError:
-                raise TouchstoneError(f"non-numeric data token {tok!r}") from None
-        raise
-
-
-def _s_block(pairs: np.ndarray, fmt: str) -> np.ndarray:
-    """Complex S entries from value pairs of shape (..., 2) in the RI/MA/DB format ``fmt``."""
-    a, b = pairs[..., 0], pairs[..., 1]
-    s = np.empty(a.shape, dtype=complex)
-    if fmt == "ri":
-        s.real, s.imag = a, b
-    else:
-        # non-finite results are left to NetworkData's check
-        with np.errstate(over="ignore", invalid="ignore"):
-            mag = a if fmt == "ma" else 10.0 ** (a / 20.0)
-            ang = np.radians(b)
-            s.real, s.imag = mag * np.cos(ang), mag * np.sin(ang)
-    return s
-
-
 def parse_touchstone(lines: str | Iterable[str], port_count: int) -> NetworkData:
     """Parse Touchstone v1 content into a :class:`NetworkData`.
 
@@ -209,48 +182,43 @@ def parse_touchstone(lines: str | Iterable[str], port_count: int) -> NetworkData
     p = port_count
     per_record = 1 + 2 * p * p
     option = None
-    heads: list[np.ndarray] = []  # the frequency of every whole record
-    blocks: list[np.ndarray] = []  # the S matrices of every whole record
-    carry = np.empty(0)  # values of the unfinished record
-    pending: list[str] = []
+    tokens: list[str] = []  # the data line being converted
 
-    def take(values: np.ndarray) -> None:
-        """Append a chunk's values; turn every record they complete into S."""
-        nonlocal carry
-        carry = np.concatenate((carry, values))
-        n = carry.size // per_record
-        if n == 0:
-            return
-        whole = carry[: n * per_record].reshape(n, per_record)
-        heads.append(whole[:, 0].copy())
-        s = _s_block(whole[:, 1:].reshape(n, p, p, 2), option[1])
-        blocks.append(s.transpose(0, 2, 1) if p == 2 else s)  # the v1 two-port quirk: S11 S21 S12 S22
-        carry = carry[n * per_record :].copy()
-
-    for raw in lines:
-        line = raw.split("!", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith(("[", "#")):
-            _floats(pending)  # a bad token on an earlier line is reported first
+    def data_tokens() -> Iterator[list[str]]:
+        nonlocal option, tokens
+        for raw in lines:
+            line = raw.split("!", 1)[0].strip()
+            if not line:
+                continue
             if line.startswith("["):
                 raise TouchstoneError(f"Touchstone v2 keyword {line.split()[0]!r} is not supported (v1 only)")
-            if option is not None:
-                raise TouchstoneError("multiple option lines")
-            option = _parse_option_line(line)
-            continue
-        if option is None:
-            raise TouchstoneError("data encountered before the '#' option line")
-        pending.append(line)
-        if len(pending) == _CHUNK_LINES:
-            take(_floats(pending))
-            pending = []
-    take(_floats(pending))
+            if line.startswith("#"):
+                if option is not None:
+                    raise TouchstoneError("multiple option lines")
+                option = _parse_option_line(line)
+                continue
+            if option is None:
+                raise TouchstoneError("data encountered before the '#' option line")
+            tokens = line.split()
+            yield tokens
+
+    # tokens are converted in file order, so a bad token is reported before any later line is read
+    try:
+        values = np.fromiter(map(float, itertools.chain.from_iterable(data_tokens())), dtype=float)
+    except TouchstoneError:
+        raise
+    except ValueError:
+        for tok in tokens:
+            try:
+                float(tok)
+            except ValueError:
+                raise TouchstoneError(f"non-numeric data token {tok!r}") from None
+        raise
     if option is None:
         raise TouchstoneError("missing '#' option line")
-    unit_scale, _, z_ref = option
-    n_rec = sum(len(h) for h in heads)
-    heads = np.concatenate(heads + [carry[:1]])  # one frequency per started record
+    unit_scale, fmt, z_ref = option
+    n_rec = values.size // per_record
+    heads = values[::per_record]  # one frequency per started record
 
     f_hz = heads * unit_scale
     if p == 2:
@@ -269,9 +237,22 @@ def parse_touchstone(lines: str | Iterable[str], port_count: int) -> NetworkData
         )
     if n_rec == 0:
         raise TouchstoneError("no frequency records found")
-    s = np.concatenate(blocks)
-    del blocks
-    return NetworkData(f_hz[:n_rec], s[:n_rec], z_ref)
+
+    pairs = values[: n_rec * per_record].reshape(n_rec, per_record)[:, 1:]
+    if fmt != "ri":
+        # (magnitude or dB, degrees) -> (real, imaginary) in place, through one temporary
+        a, b = pairs[:, 0::2], pairs[:, 1::2]
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are left to NetworkData's check
+            if fmt == "db":
+                np.power(10.0, np.divide(a, 20.0, out=a), out=a)
+            ang = np.radians(b)
+            np.multiply(a, np.sin(ang, out=b), out=b)
+            np.multiply(a, np.cos(ang, out=ang), out=a)
+        del ang
+    s = pairs.view(complex).reshape(n_rec, p, p)
+    if p == 2:
+        s = s.transpose(0, 2, 1)  # the v1 two-port quirk: S11 S21 S12 S22
+    return NetworkData(f_hz[:n_rec], s, z_ref)
 
 
 def read_touchstone(path: str | Path) -> NetworkData:

@@ -105,6 +105,15 @@ def test_transform_out_of_band_sweep_exit_2(tmp_path):
     assert cli.main(["transform", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("command", ["transform", "metrics"])
+def test_non_object_sweep_exit_2(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, sweep="oops")
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "error: sweep: expected an object" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_metrics_chain_constant_gamma(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -352,6 +361,8 @@ BAD_TRANSFORM_NUMBERS = [
     ({"lattice": {**HEX2, "aperture": {"shape": "explicit", "indices": [[0, 0], [1, 0.5]]}}},
      "lattice.aperture.indices"),
     ({"lattice": {**HEX2, "lambda_h_mm": True}}, "lattice.lambda_h_mm"),
+    ({"lattice": {**HEX2, "n_scan": 24.5}}, "lattice.n_scan"),
+    ({"lattice": {**HEX2, "n_scan": True}}, "lattice.n_scan"),
     ({"model": {"kind": "seeded_random", "seed": 1.5}}, "model.seed"),
     ({"model": {"kind": "seeded_random", "seed": 1, "smoothness": True}}, "model.smoothness"),
     ({"model": {"kind": "demo", "cross_pol_level": True}}, "model.cross_pol_level"),
@@ -376,6 +387,29 @@ def test_non_integral_or_boolean_config_numbers_exit_2(tmp_path, capsys, command
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert f"error: {field}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n_scan, ok", [(24.0, True), (24, True), (3.0, False), (0, False), (7, False)])
+def test_n_scan_follows_the_integer_rule(tmp_path, capsys, n_scan, ok):
+    cfg = write_config(tmp_path, lattice={**HEX2, "n_scan": n_scan})
+    assert cli.main(["lattice", "--config", str(cfg), "--out", str(tmp_path / "o")]) == (0 if ok else 2)
+    captured = capsys.readouterr()
+    if ok:
+        assert "n_scan = 24\n" in captured.out
+    else:
+        assert f"error: lattice.n_scan: expected an even integer >= 2, got {int(n_scan)}" in captured.err
+
+
+@pytest.mark.parametrize("step, last", [(0.2, 90.0), (0.01, 90.0), (0.03, 90.0), (7.0, 85.0)])
+def test_pattern_theta_grid_stays_within_90(tmp_path, step, last):
+    # each of these steps once drifted or stepped past 90 and exited 4
+    cfg = write_config(tmp_path, pattern={"freq_ghz": [9.0], "cuts": ["E"], "theta_step_deg": step})
+    out = tmp_path / "out"
+    assert cli.main(["pattern", "--config", str(cfg), "--out", str(out)]) == 0
+    theta = np.array([float(r.split(",")[2]) for r in read_data_lines(out / "pattern.csv")[1:]])
+    assert theta[0] == -90.0 and theta[-1] == last
+    assert np.all(np.abs(theta) <= 90.0) and np.all(np.diff(theta) > 0)
+    assert theta.size == round((last + 90.0) / step) + 1
 
 
 def test_pattern_csv(tmp_path):

@@ -302,7 +302,7 @@ def test_round_trip_property(seed, ports, fmt):
 @pytest.mark.parametrize("fmt", ["ri", "ma", "db"])
 @pytest.mark.parametrize("ports, nfreq", [(1, 7), (2, 7), (3, 5), (5, 4), (128, 6)])
 def test_write_and_parse_match_reference(ports, nfreq, fmt):
-    # 128 ports x 6 records is 24576 data lines: the parser's chunk boundary is crossed
+    # 128 ports x 6 records is 24576 data lines
     net = oracle_network(ports, nfreq, seed=ports + len(fmt))
     new, ref = snp.write_touchstone(net, fmt), _reference_write(net, fmt)
     if fmt == "ri":
@@ -348,7 +348,7 @@ def test_any_layout_parses_like_canonical(seed, ports, fmt, newline):
     assert got.z_ref == want.z_ref
 
 
-# --- error paths of the chunked parser -----------------------------------------
+# --- error paths of the parser on large files -----------------------------------
 
 
 def one_port_lines(nfreq: int) -> list[str]:
@@ -357,8 +357,8 @@ def one_port_lines(nfreq: int) -> list[str]:
 
 
 def _bad_token_after_first_chunk():
-    lines = one_port_lines(snp._CHUNK_LINES + 5000)
-    lines[snp._CHUNK_LINES + 1234] = "21.234 0.25 0.5x"
+    lines = one_port_lines(25_000)
+    lines[21_234] = "21.234 0.25 0.5x"
     return lines, 1, "non-numeric data token '0.5x'"
 
 
@@ -374,9 +374,9 @@ def _records_not_filled():
 
 
 def _not_increasing():
-    lines = one_port_lines(snp._CHUNK_LINES + 5000)
-    lines[snp._CHUNK_LINES + 101] = lines[snp._CHUNK_LINES + 100]
-    f_hz = float(lines[snp._CHUNK_LINES + 100].split()[0]) * 1e9
+    lines = one_port_lines(25_000)
+    lines[20_101] = lines[20_100]
+    f_hz = float(lines[20_100].split()[0]) * 1e9
     return lines, 1, f"frequencies not strictly increasing at {f_hz} Hz"
 
 
@@ -401,7 +401,7 @@ def test_parse_errors_match_reference_and_exit_4(make, tmp_path, capsys):
 
 
 def test_noise_section_after_first_chunk_matches_reference():
-    net = random_network(2, nfreq=snp._CHUNK_LINES + 500, seed=8)
+    net = random_network(2, nfreq=20_500, seed=8)
     text = snp.write_touchstone(net, "ma") + "! noise parameters\n1.5 2.3 0.5 10.0 0.2\n2.5 2.4 0.6 11.0 0.3\n"
     with pytest.warns(UserWarning, match="noise"):
         got = snp.parse_touchstone(text, 2)
@@ -412,7 +412,7 @@ def test_noise_section_after_first_chunk_matches_reference():
 
 
 def test_noise_section_read_from_file_matches_string(tmp_path):
-    net = random_network(2, nfreq=snp._CHUNK_LINES + 500, seed=9)
+    net = random_network(2, nfreq=20_500, seed=9)
     path = tmp_path / "noisy.s2p"
     path.write_text(snp.write_touchstone(net, "db") + "! noise parameters\n1.5 2.3 0.5 10.0 0.2\n")
     with pytest.warns(UserWarning, match="noise"):
@@ -428,13 +428,11 @@ def test_noise_section_read_from_file_matches_string(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["ri", "ma", "db"])
 @pytest.mark.parametrize("ports", [1, 2, 3, 5, 128])
-def test_parse_from_open_file_equals_string(ports, fmt, tmp_path, monkeypatch):
+def test_parse_from_open_file_equals_string(ports, fmt, tmp_path):
     text = snp.write_touchstone(oracle_network(ports, nfreq=4, seed=ports), fmt)
     want = snp.parse_touchstone(text, ports)
     path = tmp_path / f"net.s{ports}p"
     path.write_text(text)
-    # 7-line chunks: records straddle chunks at every port count (a 128-port record spans 4096 lines)
-    monkeypatch.setattr(snp, "_CHUNK_LINES", 7)
     for got in (snp.read_touchstone(path), snp.parse_touchstone(text, ports), snp.parse_touchstone(iter(text.splitlines()), ports)):
         assert got.frequencies.tobytes() == want.frequencies.tobytes()
         assert got.s.tobytes() == want.s.tobytes()
@@ -465,22 +463,21 @@ def test_records_reject_a_bad_format_before_any_file_is_opened(tmp_path):
     assert not path.exists()
 
 
-def test_read_and_convert_peak_memory_is_bounded_by_s(tmp_path, monkeypatch):
+def test_read_and_convert_peak_memory_is_bounded_by_s(tmp_path):
     ports, nfreq = 64, 40
     net = random_network(ports, nfreq=nfreq, seed=5)
-    src, dst = tmp_path / f"in.s{ports}p", tmp_path / f"out.s{ports}p"
-    src.write_text(snp.write_touchstone(net, "ri"))  # 6.6 MB of text for 2.6 MB of S
-    monkeypatch.setattr(snp, "_CHUNK_LINES", 1000)
     s_bytes = net.s.nbytes
-    # a chunk holds its lines, their joined text and tokens, and their floats: about 1 kB per 160-character line
-    chunk_bytes = 1000 * 1024
-    tracemalloc.start()
-    try:
-        assert cli.main(["convert", str(src), str(dst), "--format", "db"]) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * s_bytes + chunk_bytes, f"peak {peak / 1e6:.2f} MB for {s_bytes / 1e6:.2f} MB of S"
+    for fmt in ("ri", "ma", "db"):
+        src, dst = tmp_path / f"in.s{ports}p", tmp_path / f"out.s{ports}p"
+        src.write_text(snp.write_touchstone(net, fmt))  # about 6.6 MB of text for 2.6 MB of S
+        # the parsed values hold S once; an MA/DB read adds one half-size temporary
+        tracemalloc.start()
+        try:
+            assert cli.main(["convert", str(src), str(dst), "--format", "db"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.75 * s_bytes, f"{fmt}: peak {peak / 1e6:.2f} MB for {s_bytes / 1e6:.2f} MB of S"
 
 
 # --- NetworkData validation ---------------------------------------------------
