@@ -248,7 +248,7 @@ def parse_touchstone(lines: str | Iterable[str], port_count: int) -> NetworkData
             ang = np.radians(b)
             np.multiply(a, np.sin(ang, out=b), out=b)
             np.multiply(a, np.cos(ang, out=ang), out=a)
-        del ang
+        del ang  # freed before NetworkData's finiteness check allocates its own temporaries
     s = pairs.view(complex).reshape(n_rec, p, p)
     if p == 2:
         s = s.transpose(0, 2, 1)  # the v1 two-port quirk: S11 S21 S12 S22
