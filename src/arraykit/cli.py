@@ -112,16 +112,17 @@ def _angle_text(value) -> str:
     return short if float(short) == angle else repr(angle)
 
 
-def _sweep_block(cfg: dict) -> dict:
-    block = cfg.get("sweep", {})
+def _block(cfg: dict, name: str) -> dict:
+    """The config object ``name``, empty when absent."""
+    block = cfg.get(name, {})
     if not isinstance(block, dict):
-        raise ConfigError("sweep: expected an object")
+        raise ConfigError(f"{name}: expected an object")
     return block
 
 
 def _sweep_scans(cfg: dict, pol: str) -> list[str]:
     """Scan labels of the sweep block, each checked by :func:`metrics.parse_scan_label`."""
-    block = _sweep_block(cfg)
+    block = _block(cfg, "sweep")
     if "scans" in block:
         scans = block["scans"]
         if not isinstance(scans, list) or not all(isinstance(s, str) for s in scans):
@@ -143,14 +144,12 @@ def _sweep_scans(cfg: dict, pol: str) -> list[str]:
 
 
 def _sweep_frequencies(cfg: dict, values_per_point: int, set_by: str) -> np.ndarray:
-    freq_ghz = _sweep_block(cfg).get("freq_ghz", DEFAULT_FREQ_GHZ)
+    freq_ghz = _block(cfg, "sweep").get("freq_ghz", DEFAULT_FREQ_GHZ)
     return _parse_frequencies(freq_ghz, "sweep.freq_ghz", values_per_point, set_by, TRANSFORM_VALUE_CAP)
 
 
 def _excitation_block(cfg: dict) -> tuple[excitation.TaperSpec, str]:
-    block = cfg.get("excitation", {})
-    if not isinstance(block, dict):
-        raise ConfigError("excitation: expected an object")
+    block = _block(cfg, "excitation")
     pol = str(block.get("pol", "x")).lower()
     if pol not in snp.POLS:
         raise ConfigError(f"excitation.pol: expected x|y, got {pol!r}")
@@ -238,14 +237,14 @@ def cmd_lattice(args) -> int:
 
 def cmd_transform(args) -> int:
     cfg = _load_config(args.config)
-    basis, n_scan, shape = _require_lattice(cfg)
+    basis, n_scan, shape = _require_lattice(cfg, need_aperture=args.touchstone)
     if "model" not in cfg:
         raise ConfigError("model: required for transform")
     model = synthmodel.model_from_config(cfg["model"])
     if args.seed is not None and isinstance(model, synthmodel.SeededRandomModel):
         model = replace(model, seed=args.seed)
     # bound the 4 sampled grids and, with --touchstone, the dense S before anything is allocated
-    ports = 2 * lattice.aperture_size(shape) if args.touchstone and shape is not None else 0
+    ports = 2 * lattice.aperture_size(shape) if args.touchstone else 0
     freqs = _sweep_frequencies(cfg, 4 * n_scan**2 + ports**2, "lattice.n_scan and the aperture")
     lo, hi = model.band
     if freqs[0] < lo or freqs[-1] > hi:
@@ -280,10 +279,7 @@ def cmd_transform(args) -> int:
             _write_lines(path, spectral.gamma_csv_rows(g), cfg_hash)
             print(f"wrote {path}")
     if args.touchstone:
-        if aperture is None:
-            raise ConfigError("lattice.aperture: required to assemble a Touchstone file")
-        pm = snp.PortMap.lexicographic(aperture)
-        net = spectral.assemble_finite_smatrix(sets, aperture, pm)
+        net = spectral.assemble_finite_smatrix(sets, aperture)
         path = out / f"finite_array.s{net.port_count}p"
         _write_touchstone(path, net, "ri")
         print(f"wrote {path} ({net.port_count} ports, {freqs.size} frequencies)")
@@ -296,9 +292,7 @@ def cmd_metrics(args) -> int:
     n_elem = lattice.aperture_size(shape)
     taper, pol = _excitation_block(cfg)
     scans = _sweep_scans(cfg, pol)
-    mblock = cfg.get("metrics", {})
-    if not isinstance(mblock, dict):
-        raise ConfigError("metrics: expected an object")
+    mblock = _block(cfg, "metrics")
     efficiency = config_float(mblock.get("efficiency", 1.0), "metrics.efficiency", ConfigError)
     if not 0.0 < efficiency <= 1.0:
         raise ConfigError(f"metrics.efficiency: expected a value in (0, 1], got {efficiency}")
@@ -377,9 +371,7 @@ def cmd_pattern(args) -> int:
     basis, n_scan, shape = _require_lattice(cfg, need_aperture=True)
     n_elem = lattice.aperture_size(shape)
     taper, pol = _excitation_block(cfg)
-    block = cfg.get("pattern", {})
-    if not isinstance(block, dict):
-        raise ConfigError("pattern: expected an object")
+    block = _block(cfg, "pattern")
     cuts = block.get("cuts", ["E", "H", "D"])
     if not isinstance(cuts, list) or not cuts:
         raise ConfigError("pattern.cuts: expected a non-empty list")

@@ -228,7 +228,6 @@ def sweep(
     taper: TaperSpec,
     scans,
     pol: str = "x",
-    element: tuple[int, int] | None = None,
 ) -> list[ScanSweep]:
     """Evaluate every metric over frequency for each labeled scan in one pass.
 
@@ -236,12 +235,11 @@ def sweep(
     Each scan's (F, P) weights come from one batched call (the linear scan
     phase is frequency dependent), and the outgoing waves are formed once, at
     the probed port and, for a dual-pol map, at its opposite-pol port. The
-    probed element is the centermost one unless given. An empty scan list
-    yields an empty result.
+    probed element is the centermost one (:func:`lattice.centermost_index`).
+    An empty scan list yields an empty result.
     """
     aperture = list(aperture)
-    if element is None:
-        element = centermost_index(basis, aperture)
+    element = centermost_index(basis, aperture)
     pol = str(pol).lower()
     other = "y" if pol == "x" else "x"
     read = [port_map.port_of(element, p) for p in (pol, other) if p in port_map.pols]

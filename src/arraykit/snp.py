@@ -178,7 +178,8 @@ def parse_touchstone(lines: str | Iterable[str], port_count: int) -> NetworkData
     if port_count < 1:
         raise TouchstoneError(f"port_count must be >= 1, got {port_count}")
     if isinstance(lines, str):
-        lines = lines.splitlines()
+        # split where a text file's lines end (\n, \r\n, lone \r), so a string parses as its file does
+        lines = lines.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     p = port_count
     per_record = 1 + 2 * p * p
     option = None

@@ -225,7 +225,6 @@ def assemble_finite_smatrix(
     sets: Mapping[str, CouplingSet],
     aperture,
     port_map: PortMap | None = None,
-    z_ref: float = 50.0,
 ) -> NetworkData:
     """Build a finite-array scattering matrix from coupling coefficients.
 
@@ -233,24 +232,20 @@ def assemble_finite_smatrix(
     xx/xy/yx/yy for a dual-polarized network, or a single co-pol key for a
     single-polarized one. The S entry between port (p, pol A) and port
     (q, pol B) is the (A, B) coupling coefficient at index difference
-    ``(n1p - n1q, n2p - n2q)``.
+    ``(n1p - n1q, n2p - n2q)``. A given ``port_map`` must hold exactly one
+    port per aperture element and pol; the default is
+    :meth:`PortMap.lexicographic`.
 
     Raises :class:`ApertureGridError` when any index difference falls
     outside [-N/2, N/2-1]: the inverse transform is periodic with period N
     and wrapped values would be aliases, not physics.
     """
-    keys = {_check_pair(k) for k in sets}
-    if keys == {"xx"}:
-        pols: tuple[str, ...] = ("x",)
-    elif keys == {"yy"}:
-        pols = ("y",)
-    elif keys == set(POL_PAIRS):
-        pols = ("x", "y")
-    else:
-        raise ValueError(
-            f"sets must hold one co-pol pair or all four pol pairs, got {sorted(keys)}"
-        )
     sets = {_check_pair(k): v for k, v in sets.items()}
+    pols = tuple(sorted({k[0] for k in sets}))
+    if not sets or set(sets) != {a + b for a in pols for b in pols}:
+        raise ValueError(
+            f"sets must hold one co-pol pair or all four pol pairs, got {sorted(sets)}"
+        )
     ref = next(iter(sets.values()))
     n = ref.n
     freqs = ref.frequencies
@@ -261,10 +256,11 @@ def assemble_finite_smatrix(
     aperture = [(int(i), int(j)) for i, j in aperture]
     if port_map is None:
         port_map = PortMap.lexicographic(aperture, pols=pols)
-    if set(port_map.pols) != set(pols) or len(port_map) != len(aperture) * len(pols):
+    ports = {(e, p) for e in aperture for p in pols}
+    if len(port_map) != len(aperture) * len(pols) or set(port_map.entries) != ports:
         raise ValueError(
-            f"port map ({len(port_map)} ports, pols {port_map.pols}) does not cover "
-            f"{len(aperture)} elements x pols {pols}"
+            f"port map ({len(port_map)} ports, pols {port_map.pols}) does not cover exactly "
+            f"the {len(aperture)} aperture elements x pols {pols}"
         )
 
     check_aperture_fits(aperture, n)
@@ -279,7 +275,7 @@ def assemble_finite_smatrix(
         (k * code[:, None] + code, n1[:, None] - n1 + half, n2[:, None] - n2 + half), stack.shape[1:]
     )
     s = np.take(stack.reshape(freqs.size, -1), flat, axis=1)
-    return NetworkData(freqs, s, z_ref)
+    return NetworkData(freqs, s)
 
 
 # --- CSV serialization --------------------------------------------------------

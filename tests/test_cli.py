@@ -50,6 +50,14 @@ def test_lattice_missing_field_exit_2(tmp_path, capsys):
     assert "lattice.lambda_h_mm" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lambda_h_mm", [1e-160, 1e300])
+def test_lattice_lambda_h_beyond_float_range_exit_2(tmp_path, capsys, lambda_h_mm):
+    # the cell area, of order lambda_h^2, would underflow to 0 or overflow
+    cfg = write_config(tmp_path, lattice={"kind": "triangular", "lambda_h_mm": lambda_h_mm, "n_scan": 24})
+    assert cli.main(["lattice", "--config", str(cfg)]) == 2
+    assert "lambda_h" in capsys.readouterr().err
+
+
 def test_missing_config_exit_2(tmp_path, capsys):
     assert cli.main(["lattice", "--config", str(tmp_path / "nope.json")]) == 2
     assert cli.main(["lattice"]) == 2
@@ -111,6 +119,23 @@ def test_non_object_sweep_exit_2(tmp_path, capsys, command):
     out = tmp_path / "o"
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert "error: sweep: expected an object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, block", [("metrics", "excitation"), ("metrics", "metrics"), ("pattern", "pattern"), ("pattern", "excitation")]
+)
+def test_non_object_config_block_exit_2(tmp_path, capsys, command, block):
+    cfg = write_config(tmp_path, **{block: ["oops"]})
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {block}: expected an object" in capsys.readouterr().err
+
+
+def test_transform_touchstone_without_aperture_exit_2_before_writing(tmp_path, capsys):
+    cfg = write_config(tmp_path, lattice={"kind": "square", "lambda_h_mm": 15.0, "n_scan": 24})
+    out = tmp_path / "o"
+    assert cli.main(["transform", "--config", str(cfg), "--out", str(out), "--touchstone", "--gamma"]) == 2
+    assert "lattice.aperture" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -341,7 +366,8 @@ def test_pattern_just_under_the_row_cap_runs_in_bounded_memory(tmp_path):
         # a 1 GiB address space: the rows of a run at the cap need about 0.25 GB
         proc = run_limited(["pattern", "--config", str(cfg), "--out", str(out)], limit=1024**3)
         assert proc.returncode == code, proc.stderr
-    assert sum(1 for _ in open(tmp_path / f"o{points}" / "pattern.csv")) == 3 + 3 * 3601 * points
+    with open(tmp_path / f"o{points}" / "pattern.csv") as fh:
+        assert sum(1 for _ in fh) == 3 + 3 * 3601 * points
     assert "pattern.freq_ghz" in proc.stderr and not (tmp_path / f"o{points + 1}").exists()
 
 

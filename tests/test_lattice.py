@@ -44,14 +44,33 @@ def test_make_basis_rejects_bad_input():
         lat.make_basis("square", -1.0)
     with pytest.raises(lat.LatticeError):
         lat.make_basis("hexagonal", 15 * MM)
+    for lam in (float("nan"), float("inf"), 1e-160, 1e160, 10**200):
+        with pytest.raises(lat.LatticeError):
+            lat.make_basis("triangular", lam)
 
 
-def test_basis_invariants_enforced():
-    b = lat.make_basis("square", 15 * MM)
-    with pytest.raises(lat.LatticeError):
-        lat.LatticeBasis("square", 15 * MM, b.a1, 2 * b.a2)
-    with pytest.raises(lat.LatticeError):
-        lat.LatticeBasis("triangular", 15 * MM, b.a1, b.a2)
+@pytest.mark.parametrize("kind", ["square", "triangular"])
+def test_basis_vectors_follow_kind_and_lambda_h(kind):
+    lam = 15 * MM
+    if kind == "square":
+        h = lam / 2
+        a1, a2 = [h, 0.0], [0.0, h]
+    else:
+        e = lam / math.sqrt(3)
+        s, c, r = math.sin(math.pi / 12), math.cos(math.pi / 12), 1 / math.sqrt(2)
+        a1, a2 = [-s * e, c * e], [r * e, r * e]
+    b = lat.LatticeBasis(kind, lam)
+    assert np.array_equal(b.a1, a1) and np.array_equal(b.a2, a2)
+    assert not (b.a1.flags.writeable or b.a2.flags.writeable)
+
+
+def test_bases_compare_and_hash_by_kind_and_lambda_h():
+    assert lat.make_basis("square", 0.015) == lat.make_basis("square", 0.015)
+    assert hash(lat.make_basis("square", 0.015)) == hash(lat.make_basis("square", 0.015))
+    assert lat.make_basis("triangular", 0.015) == lat.LatticeBasis("triangular", 0.015)
+    assert lat.make_basis("square", 0.015) != lat.make_basis("triangular", 0.015)
+    assert lat.make_basis("square", 0.015) != lat.make_basis("square", 0.016)
+    assert len({lat.make_basis(k, 0.015) for k in ("square", "triangular", "square")}) == 2
 
 
 def test_unit_cell_area_values():

@@ -426,6 +426,24 @@ def test_noise_section_read_from_file_matches_string(tmp_path):
 # --- streamed reading and writing ------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# GHz S RI R 50\n1.0 0.5 0.0 ! note\x0c2.0 0.25 0.0\n3.0 0.125 0.0\n",
+        "# GHz S RI R 50\n1.0 0.5 0.0 ! note\x0b2.0 0.25 0.0\n3.0 0.125 0.0\n",
+        "# GHz S RI R 50\r1.0 0.5 0.0 ! note\r2.0 0.25 0.0\r3.0 0.125 0.0\r",
+        "# GHz S RI R 50\r\n1.0 0.5 0.0 ! note\r\n2.0 0.25 0.0\r\n3.0 0.125 0.0\r\n",
+    ],
+    ids=["ff_in_comment", "vt_in_comment", "lone_cr", "crlf"],
+)
+def test_string_splits_lines_as_a_file_does(text, tmp_path):
+    path = tmp_path / "net.s1p"
+    path.write_bytes(text.encode())
+    from_file, from_text = snp.read_touchstone(path), snp.parse_touchstone(text, 1)
+    assert from_text.frequencies.tobytes() == from_file.frequencies.tobytes()
+    assert from_text.s.tobytes() == from_file.s.tobytes()
+
+
 @pytest.mark.parametrize("fmt", ["ri", "ma", "db"])
 @pytest.mark.parametrize("ports", [1, 2, 3, 5, 128])
 def test_parse_from_open_file_equals_string(ports, fmt, tmp_path):

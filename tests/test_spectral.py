@@ -263,6 +263,28 @@ def test_assembly_rejects_partial_pol_pairs():
         )
 
 
+@pytest.mark.parametrize("keys", [("xx", "yy"), ("xy",), ("yx", "yy"), ()])
+def test_assembly_pols_follow_the_pair_keys(keys):
+    c = spectral.gamma_to_coupling(random_gamma(n=4, nfreq=1))
+    with pytest.raises(ValueError, match="one co-pol pair or all four pol pairs"):
+        spectral.assemble_finite_smatrix({k: c for k in keys}, [(0, 0)])
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_assembly_rejects_port_map_over_other_elements(dual):
+    # same port count and pols as the aperture needs, but not its elements
+    c = spectral.gamma_to_coupling(random_gamma(n=8, nfreq=1))
+    aperture = [(0, 0), (0, 1)]
+    if dual:
+        sets = {pair: c for pair in spectral.POL_PAIRS}
+        pm = PortMap((((0, 0), "x"), ((0, 0), "y"), ((0, 1), "x"), ((2, 1), "y")))
+    else:
+        sets = {"xx": c}
+        pm = PortMap.lexicographic([(0, 0), (2, 1)], pols=("x",))
+    with pytest.raises(ValueError, match="does not cover exactly"):
+        spectral.assemble_finite_smatrix(sets, aperture, pm)
+
+
 def test_assembly_respects_custom_port_map():
     sets = constant_sets(0.5)
     pm = PortMap((((0, 0), "y"), ((0, 0), "x")))
