@@ -134,6 +134,8 @@ def _sweep_scans(cfg: dict, pol: str) -> list[str]:
         thetas = block.get("theta_deg", [0.0])
         phis = block.get("phi_deg", [0.0])
         try:
+            if not (isinstance(thetas, list) and isinstance(phis, list)):
+                raise TypeError
             scans = [f"T{_angle_text(t)}P{_angle_text(p)}" for t in thetas for p in phis]
         except (TypeError, ValueError):
             raise ConfigError("sweep.theta_deg/phi_deg: expected lists of numbers") from None
@@ -258,8 +260,7 @@ def cmd_transform(args) -> int:
         aperture = lattice.enumerate_aperture(shape)
 
     recip = lattice.reciprocal_basis(basis, n_scan)
-    grid = spectral.build_scan_grid(recip)
-    grids = {pair: synthmodel.sample_grid(model, grid, freqs, pair) for pair in spectral.POL_PAIRS}
+    grids = {pair: synthmodel.sample_grid(model, recip, freqs, pair) for pair in spectral.POL_PAIRS}
 
     method = "direct" if args.oracle else "fft"
     sets = {pair: spectral.gamma_to_coupling(g, method) for pair, g in grids.items()}
@@ -297,6 +298,8 @@ def cmd_metrics(args) -> int:
     if not 0.0 < efficiency <= 1.0:
         raise ConfigError(f"metrics.efficiency: expected a value in (0, 1], got {efficiency}")
 
+    if mblock.get("snp") is not None and not isinstance(mblock["snp"], str):
+        raise ConfigError(f"metrics.snp: expected a path, got {mblock['snp']!r}")
     snp_path = args.snp or mblock.get("snp")
     if snp_path is None:
         guess = Path(args.out or ".") / f"finite_array.s{2 * n_elem}p"

@@ -78,20 +78,50 @@ class LatticeBasis:
 
 @dataclass(frozen=True)
 class ReciprocalBasis:
-    """Scan-space basis k1, k2 (rad/m) with sampling density n_scan.
+    """Scan-space basis k1, k2 (rad/m) and scan grid of a lattice sampled n_scan points per axis.
 
-    Satisfies ``[k1; k2] [a1 a2] = (2*pi/n_scan) * I``; the full-period
-    reciprocal primitive vectors are ``n_scan*k1`` and ``n_scan*k2``.
+    Satisfies ``[k1; k2] [a1 a2] = (2*pi/n_scan) * I``; the full-period reciprocal primitive vectors
+    are ``n_scan*k1`` and ``n_scan*k2``. All follow from ``basis`` and ``n_scan``, the fields it compares and hashes by.
     """
 
-    k1: np.ndarray
-    k2: np.ndarray
+    basis: LatticeBasis
     n_scan: int
+    k1: np.ndarray = field(init=False, compare=False)
+    k2: np.ndarray = field(init=False, compare=False)
+
+    def __post_init__(self):
+        n_scan = self.n_scan
+        if not isinstance(n_scan, int) or isinstance(n_scan, bool):
+            raise LatticeError(f"n_scan must be an integer, got {n_scan!r}")
+        if n_scan < 2 or n_scan % 2 != 0:
+            raise LatticeError(f"n_scan must be even and >= 2, got {n_scan}")
+        cell = self.basis.cell_matrix
+        scale = 2 * math.pi / n_scan
+        rows = scale * np.linalg.inv(cell)
+        err = np.abs(rows @ cell - scale * np.eye(2)).max()
+        if err > _REL_TOL * scale:
+            raise LatticeError(f"reciprocal basis identity violated by {err:.3e}")
+        object.__setattr__(self, "k1", _frozen_vec(rows[0, 0], rows[0, 1]))
+        object.__setattr__(self, "k2", _frozen_vec(rows[1, 0], rows[1, 1]))
 
     @property
     def row_matrix(self) -> np.ndarray:
         """2x2 matrix with k1 and k2 as rows."""
         return np.vstack([self.k1, self.k2])
+
+    @property
+    def points(self) -> np.ndarray:
+        """All N^2 scan points m1*k1 + m2*k2 (N, N, 2), axis index i <-> m = i - N/2; built on each access."""
+        m = np.arange(-self.n_scan // 2, self.n_scan // 2, dtype=float)
+        pts = m[:, None, None] * self.k1[None, None, :] + m[None, :, None] * self.k2[None, None, :]
+        pts.setflags(write=False)
+        return pts
+
+    def point(self, m1: int, m2: int) -> np.ndarray:
+        h = self.n_scan // 2
+        if not (-h <= m1 < h and -h <= m2 < h):
+            raise IndexError(f"scan index ({m1}, {m2}) outside [-{h}, {h - 1}]")
+        return m1 * self.k1 + m2 * self.k2
 
 
 def make_basis(kind: str, lambda_h: float) -> LatticeBasis:
@@ -138,19 +168,7 @@ def reciprocal_basis(basis: LatticeBasis, n_scan: int) -> ReciprocalBasis:
     ``(4*pi/(N*lambda_h)) * (-1/sqrt(2), 1/sqrt(2))`` and
     ``(4*pi/(N*lambda_h)) * (cos(pi/12), sin(pi/12))``.
     """
-    if not isinstance(n_scan, int) or isinstance(n_scan, bool):
-        raise LatticeError(f"n_scan must be an integer, got {n_scan!r}")
-    if n_scan < 2 or n_scan % 2 != 0:
-        raise LatticeError(f"n_scan must be even and >= 2, got {n_scan}")
-    cell = basis.cell_matrix
-    rows = (2 * math.pi / n_scan) * np.linalg.inv(cell)
-    scale = 2 * math.pi / n_scan
-    err = np.abs(rows @ cell - scale * np.eye(2)).max()
-    if err > _REL_TOL * scale:
-        raise LatticeError(f"reciprocal basis identity violated by {err:.3e}")
-    k1 = _frozen_vec(rows[0, 0], rows[0, 1])
-    k2 = _frozen_vec(rows[1, 0], rows[1, 1])
-    return ReciprocalBasis(k1, k2, n_scan)
+    return ReciprocalBasis(basis, n_scan)
 
 
 # --- aperture shapes ---------------------------------------------------------
@@ -369,7 +387,11 @@ def lattice_from_config(d: dict, where: str = "lattice") -> tuple[LatticeBasis, 
     n_scan = config_int(d.get("n_scan", DEFAULT_N_SCAN), f"{where}.n_scan")
     if n_scan < 2 or n_scan % 2:
         raise LatticeError(f"{where}.n_scan: expected an even integer >= 2, got {n_scan!r}")
-    basis = make_basis(kind, lambda_h)
+    try:
+        basis = make_basis(kind, lambda_h)
+    except LatticeError:  # the kind is valid, so lambda_h is at fault
+        msg = f"expected a positive length whose square in m^2 is a normal float, got {d['lambda_h_mm']!r}"
+        raise LatticeError(f"{where}.lambda_h_mm: {msg}") from None
     shape = None
     if "aperture" in d and d["aperture"] is not None:
         shape = shape_from_config(d["aperture"], where=f"{where}.aperture")

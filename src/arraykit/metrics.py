@@ -70,25 +70,29 @@ def db20(x) -> np.ndarray:
     return _floored_log10(x, 20.0)
 
 
-def _outgoing(net: NetworkData, weights: np.ndarray, ports) -> np.ndarray:
-    """Outgoing waves ``b_p = sum_q S_pq a_q`` at the listed ports only: (F, len(ports)).
+def _probe(net: NetworkData, weights, ports: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Incident wave a (F,) at ``ports[0]`` and outgoing waves ``b_p = sum_q S_pq a_q`` (F, len(ports)).
 
-    ``weights`` is one plan (P,) or per-frequency weights (F, P).
+    ``weights`` is one plan (P,) or per-frequency weights (F, P). A port
+    outside the network, a weight count other than its port count and a zero
+    incident wave at ``ports[0]`` raise :class:`MetricError`.
     """
-    w = np.broadcast_to(np.asarray(weights, dtype=complex), (net.frequencies.size, net.port_count))
-    return np.einsum("fpq,fq->fp", net.s[:, ports, :], w)
+    if not all(0 <= p < net.port_count for p in ports):
+        raise MetricError(f"probed ports {ports} outside the {net.port_count}-port network")
+    w = np.asarray(weights, dtype=complex)
+    if w.shape[-1] != net.port_count:
+        raise MetricError(f"plan covers {w.shape[-1]} ports, network has {net.port_count}")
+    w = np.broadcast_to(w, (net.frequencies.size, net.port_count))
+    a = w[:, ports[0]]
+    if not np.all(a):
+        raise MetricError(f"zero excitation at the probed port {ports[0]}: the metric is undefined")
+    return a, np.einsum("fpq,fq->fp", net.s[:, ports, :], w)
 
 
 def active_reflection(net: NetworkData, plan: ExcitationPlan, port: int) -> np.ndarray:
     """Active reflection at a port: (sum_q S_pq a_q) / a_p, per frequency."""
-    if not 0 <= port < net.port_count:
-        raise MetricError(f"port {port} out of range")
-    if len(plan.weights) != net.port_count:
-        raise MetricError(f"plan covers {len(plan.weights)} ports, network has {net.port_count}")
-    a_p = plan.weights[port]
-    if a_p == 0:
-        raise MetricError(f"active reflection undefined: zero plan weight at port {port}")
-    return _outgoing(net, plan.weights, [port])[:, 0] / a_p
+    a, b = _probe(net, plan.weights, [port])
+    return b[:, 0] / a
 
 
 def vswr(gamma) -> np.ndarray:
@@ -113,12 +117,8 @@ def orthogonal_coupling(
     """
     excited_pol = str(excited_pol).lower()
     other = "y" if excited_pol == "x" else "x"
-    p_obs = port_map.port_of(element, other)
-    p_co = port_map.port_of(element, excited_pol)
-    a_co = plan.weights[p_co]
-    if a_co == 0:
-        raise MetricError(f"zero plan weight at the co-located {excited_pol}-pol port")
-    return db20(np.abs(_outgoing(net, plan.weights, [p_obs])[:, 0]) / abs(a_co))
+    a, b = _probe(net, plan.weights, [port_map.port_of(element, excited_pol), port_map.port_of(element, other)])
+    return db20(np.abs(b[:, 1]) / np.abs(a))
 
 
 def normalized_gain(gamma, efficiency: float = 1.0) -> np.ndarray:
@@ -181,6 +181,8 @@ def array_factor_pattern(
         raise MetricError("pattern theta grid must lie within [-90, 90]")
     af = array_factor(positions, weights, frequency, th, phi_deg)
     norm = np.abs(np.asarray(weights)).sum()
+    if norm == 0:
+        raise MetricError("zero excitation: every weight is 0, so the pattern is undefined")
     element_dbi = ideal_embedded_gain(cell_area, frequency, np.abs(th))
     gain = np.maximum(element_dbi + db20(np.abs(af) / norm), DB_FLOOR)
     return Pattern(float(frequency), label or f"phi{phi_deg:g}", float(phi_deg), th, af, gain)
@@ -249,8 +251,7 @@ def sweep(
     for label in scans:
         name, theta, phi = parse_scan_label(label, pol)
         weights = weights_at(scan_wavevectors(theta, phi, net.frequencies))
-        b = _outgoing(net, weights, read)
-        a = weights[:, read[0]]
+        a, b = _probe(net, weights, read)
         coupling = np.abs(b[:, 1]) / np.abs(a) if len(read) == 2 else None
         out.append(ScanSweep(name, theta, net.frequencies, b[:, 0] / a, coupling))
     return out

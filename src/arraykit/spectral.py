@@ -45,24 +45,6 @@ def _check_pair(pol_pair: str) -> str:
 
 
 @dataclass(frozen=True)
-class ScanGrid:
-    """The N x N scan-space sample points m1*k1 + m2*k2 (rad/m)."""
-
-    recip: ReciprocalBasis
-    points: np.ndarray  # (N, N, 2), axis index i <-> m = i - N/2
-
-    @property
-    def n(self) -> int:
-        return self.recip.n_scan
-
-    def point(self, m1: int, m2: int) -> np.ndarray:
-        h = self.n // 2
-        if not (-h <= m1 < h and -h <= m2 < h):
-            raise IndexError(f"scan index ({m1}, {m2}) outside [-{h}, {h - 1}]")
-        return self.points[m1 + h, m2 + h]
-
-
-@dataclass(frozen=True)
 class ActiveGammaGrid:
     """Per-frequency N x N active reflection samples for one pol pair.
 
@@ -120,15 +102,6 @@ class CouplingSet:
         if not (-h <= n1 < h and -h <= n2 < h):
             raise IndexError(f"coupling index ({n1}, {n2}) outside [-{h}, {h - 1}]")
         return complex(self.coeffs[f_index, n1 + h, n2 + h])
-
-
-def build_scan_grid(recip: ReciprocalBasis) -> ScanGrid:
-    """All N^2 scan points, including those outside visible space."""
-    n = recip.n_scan
-    m = np.arange(-n // 2, n // 2, dtype=float)
-    pts = m[:, None, None] * recip.k1[None, None, :] + m[None, :, None] * recip.k2[None, None, :]
-    pts.setflags(write=False)
-    return ScanGrid(recip, pts)
 
 
 def _idft2_centered_fft(grid: np.ndarray) -> np.ndarray:
@@ -189,11 +162,11 @@ def coupling_to_gamma(c: CouplingSet, k_t, basis: LatticeBasis) -> np.ndarray:
     return out.reshape(c.frequencies.shape + k_t.shape[:-1])
 
 
-def reconstruct_gamma_grid(c: CouplingSet, grid: ScanGrid, basis: LatticeBasis) -> ActiveGammaGrid:
-    """Evaluate the forward sum on every scan-grid point (round-trip check)."""
-    if grid.n != c.n:
-        raise GridShapeError(f"scan grid N={grid.n} does not match coupling N={c.n}")
-    return ActiveGammaGrid(c.frequencies, coupling_to_gamma(c, grid.points, basis), c.pol_pair)
+def reconstruct_gamma_grid(c: CouplingSet, recip: ReciprocalBasis) -> ActiveGammaGrid:
+    """Evaluate the forward sum on every scan-grid point of ``recip`` (round-trip check)."""
+    if recip.n_scan != c.n:
+        raise GridShapeError(f"scan grid N={recip.n_scan} does not match coupling N={c.n}")
+    return ActiveGammaGrid(c.frequencies, coupling_to_gamma(c, recip.points, recip.basis), c.pol_pair)
 
 
 def parseval_mismatch(g: ActiveGammaGrid, c: CouplingSet) -> float:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import config_float, config_int
-from .spectral import POL_PAIRS, ActiveGammaGrid, ScanGrid
+from .lattice import ReciprocalBasis, config_float, config_int
+from .spectral import POL_PAIRS, ActiveGammaGrid
 
 _PAIR_STREAM = {pair: i for i, pair in enumerate(POL_PAIRS)}
 
@@ -195,10 +195,10 @@ def eval_gamma(model: ModelSpec, pol_pair: str, k_t, f):
     return out[..., 0][()] if scalar else out
 
 
-def sample_grid(model: ModelSpec, grid: ScanGrid, frequencies, pol_pair: str) -> ActiveGammaGrid:
-    """Fill every scan-grid point (visible or not) at each frequency, in one model evaluation."""
+def sample_grid(model: ModelSpec, recip: ReciprocalBasis, frequencies, pol_pair: str) -> ActiveGammaGrid:
+    """Fill every scan-grid point of ``recip`` (visible or not) at each frequency, in one model evaluation."""
     freqs = np.asarray(frequencies, dtype=float)
-    return ActiveGammaGrid(freqs, eval_gamma(model, pol_pair, grid.points, freqs), pol_pair)
+    return ActiveGammaGrid(freqs, eval_gamma(model, pol_pair, recip.points, freqs), pol_pair)
 
 
 def demo_model(band: tuple[float, float] = (3e9, 20e9), cross_pol_level: float = 0.5) -> ScanPolyModel:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arraykit import cli, metrics, snp
+from arraykit import cli, lattice, metrics, snp
 from arraykit.constants import PATTERN_ROW_CAP, PATTERN_SAMPLE_CAP, TRANSFORM_VALUE_CAP
 
 
@@ -56,6 +56,25 @@ def test_lattice_lambda_h_beyond_float_range_exit_2(tmp_path, capsys, lambda_h_m
     cfg = write_config(tmp_path, lattice={"kind": "triangular", "lambda_h_mm": lambda_h_mm, "n_scan": 24})
     assert cli.main(["lattice", "--config", str(cfg)]) == 2
     assert "lambda_h" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lambda_h_mm", [-15, 0, 1e-160])
+def test_lattice_lambda_h_error_names_the_field_and_the_configured_value(tmp_path, capsys, lambda_h_mm):
+    cfg = write_config(tmp_path, lattice={"kind": "square", "lambda_h_mm": lambda_h_mm})
+    assert cli.main(["lattice", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lattice.lambda_h_mm: ") and err.endswith(f"got {lambda_h_mm!r}\n")
+
+
+def test_lattice_report_builds_no_scan_grid(tmp_path, capsys, monkeypatch):
+    # the report needs k1 and k2 only; an N x N grid at this N would take 64 TB
+    def no_grid(self):
+        raise AssertionError("scan grid built")
+
+    monkeypatch.setattr(lattice.ReciprocalBasis, "points", property(no_grid))
+    cfg = write_config(tmp_path, lattice={"kind": "square", "lambda_h_mm": 15.0, "n_scan": 2000000})
+    assert cli.main(["lattice", "--config", str(cfg)]) == 0
+    assert "n_scan = 2000000" in capsys.readouterr().out
 
 
 def test_missing_config_exit_2(tmp_path, capsys):
@@ -186,6 +205,32 @@ def test_metrics_port_mismatch_exit_4(tmp_path, capsys):
 def test_metrics_missing_snp_exit_2(tmp_path):
     cfg = write_config(tmp_path)
     assert cli.main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "empty")]) == 2
+
+
+@pytest.mark.parametrize("value", [5, ["a.s18p"], True])
+def test_metrics_snp_not_a_path_exit_2(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, metrics={"snp": value})
+    out = tmp_path / "o"
+    assert cli.main(["metrics", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "error: metrics.snp: expected a path" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_excitation_exit_4_without_tables(tmp_path, capsys):
+    # no element of a 4 x 4 aperture sits at its centroid: a 1 um taper waist underflows every weight to 0
+    rect4 = {"shape": "rectangle", "n1": [0, 3], "n2": [0, 3]}
+    lat4 = {"kind": "square", "lambda_h_mm": 15.0, "n_scan": 24, "aperture": rect4}
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, lattice=lat4)
+    assert cli.main(["transform", "--config", str(cfg), "--out", str(out), "--touchstone"]) == 0
+    cfg = write_config(
+        tmp_path, lattice=lat4, excitation={"taper": {"kind": "gaussian", "w0_mm": 0.001}}, pattern={"freq_ghz": [9.0]}
+    )
+    capsys.readouterr()
+    for command, table in (("metrics", "vswr.csv"), ("pattern", "pattern.csv")):
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 4
+        assert "error: zero excitation" in capsys.readouterr().err
+        assert not (out / table).exists()
 
 
 def test_metrics_theta_phi_sweep_form_and_gnuplot(tmp_path):
@@ -539,7 +584,7 @@ def test_metrics_bad_scan_label_exit_2(tmp_path, capsys, label):
 
 
 @pytest.mark.parametrize(
-    "theta,phi", [([0, 95], [0]), ([30], ["x"]), ([30], [float("nan")]), ([90.0000001], [0])]
+    "theta,phi", [([0, 95], [0]), ([30], ["x"]), ([30], [float("nan")]), ([90.0000001], [0]), ("60", [0]), ([30], "45")]
 )
 def test_metrics_bad_theta_phi_sweep_exit_2(tmp_path, capsys, theta, phi):
     cfg = write_config(tmp_path, sweep={"theta_deg": theta, "phi_deg": phi})

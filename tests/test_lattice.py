@@ -160,6 +160,37 @@ def test_reciprocal_rejects_bad_n():
         lat.reciprocal_basis(b, 24.0)  # type: ignore[arg-type]
 
 
+def test_reciprocal_bases_compare_and_hash_by_basis_and_n_scan():
+    sq, tr = lat.make_basis("square", 0.015), lat.make_basis("triangular", 0.015)
+    assert lat.reciprocal_basis(sq, 24) == lat.reciprocal_basis(sq, 24)
+    assert hash(lat.reciprocal_basis(sq, 24)) == hash(lat.ReciprocalBasis(sq, 24))
+    assert lat.reciprocal_basis(sq, 24) != lat.reciprocal_basis(sq, 8)
+    assert lat.reciprocal_basis(sq, 24) != lat.reciprocal_basis(tr, 24)
+    assert len({lat.reciprocal_basis(b, n) for b in (sq, tr, sq) for n in (8, 24, 8)}) == 4
+
+
+@pytest.mark.parametrize("kind", ["square", "triangular"])
+@pytest.mark.parametrize("n", [2, 8, 24])
+def test_reciprocal_vectors_and_points_follow_basis_and_n_scan(kind, n):
+    b = lat.make_basis(kind, 15 * MM)
+    # reference: the formulas the vectors and the scan grid were built with before the basis computed them
+    rows = (2 * math.pi / n) * np.linalg.inv(b.cell_matrix)
+    k1, k2 = np.array([rows[0, 0], rows[0, 1]]), np.array([rows[1, 0], rows[1, 1]])
+    m = np.arange(-n // 2, n // 2, dtype=float)
+    points = m[:, None, None] * k1[None, None, :] + m[None, :, None] * k2[None, None, :]
+    r = lat.ReciprocalBasis(b, n)
+    assert np.array_equal(r.k1, k1) and np.array_equal(r.k2, k2)
+    assert np.array_equal(r.points, points)
+    assert not (r.k1.flags.writeable or r.k2.flags.writeable or r.points.flags.writeable)
+    h = n // 2
+    for m1 in range(-h, h):
+        for m2 in range(-h, h):
+            assert np.array_equal(r.point(m1, m2), r.points[m1 + h, m2 + h])
+    for bad in ((h, 0), (0, -h - 1)):
+        with pytest.raises(IndexError):
+            r.point(*bad)
+
+
 def test_enumerate_rectangle():
     idx = lat.enumerate_aperture(lat.RectangleAperture(0, 4, 0, 4))
     assert len(idx) == 25

@@ -263,11 +263,10 @@ def test_uniform_5x5_beamwidth_and_sidelobe():
 def assembled_demo(kind="square", n=24, nfreq=6, cross=0.5, shape=None):
     basis = lat.make_basis(kind, 15 * MM)
     recip = lat.reciprocal_basis(basis, n)
-    grid = spectral.build_scan_grid(recip)
     model = synthmodel.demo_model(cross_pol_level=cross)
     freqs = np.linspace(3e9, 20e9, nfreq)
     sets = {
-        pair: spectral.gamma_to_coupling(synthmodel.sample_grid(model, grid, freqs, pair))
+        pair: spectral.gamma_to_coupling(synthmodel.sample_grid(model, recip, freqs, pair))
         for pair in spectral.POL_PAIRS
     }
     aperture = lat.enumerate_aperture(shape or lat.HexagonAperture(2))
@@ -502,3 +501,28 @@ def test_sweep_rejects_out_of_range_label():
     basis, aperture, pm, net = assembled_demo(nfreq=2)
     with pytest.raises(metrics.MetricError, match="E95"):
         metrics.sweep(net, pm, basis, aperture, TaperSpec("uniform"), ["E95"])
+
+
+def test_zero_excitation_is_rejected_by_sweep_and_pattern():
+    # a 4 x 4 aperture has no element at its centroid, so a 1 um taper waist underflows every weight to 0
+    basis, aperture, pm, net = assembled_demo(nfreq=2, shape=lat.RectangleAperture(0, 3, 0, 3))
+    with pytest.raises(metrics.MetricError, match="zero excitation"):
+        metrics.sweep(net, pm, basis, aperture, TaperSpec("gaussian", 1e-6), ["broadside"])
+    pos = lat.aperture_positions(basis, aperture)
+    with pytest.raises(metrics.MetricError, match="zero excitation: every weight is 0"):
+        metrics.array_factor_pattern(pos, np.zeros(len(aperture)), 9e9, np.array([0.0]), 0.0, 1e-4)
+
+
+@pytest.mark.parametrize("kind", ["square", "triangular"])
+@pytest.mark.parametrize("pol", ["x", "y"])
+def test_active_reflection_of_a_plan_equals_the_sweep_bit_for_bit(kind, pol):
+    basis, aperture, pm, net = assembled_demo(kind, nfreq=4)
+    taper = TaperSpec("gaussian", 17 * MM)
+    port = pm.port_of(lat.centermost_index(basis, aperture), pol)
+    for label in ("broadside", "E60", "T37.3P12.9"):
+        _, theta, phi = metrics.parse_scan_label(label, pol)
+        (sw,) = metrics.sweep(net, pm, basis, aperture, taper, [label], pol=pol)
+        for i, f in enumerate(net.frequencies):
+            plan = build_plan(basis, aperture, pm, taper, ScanSpec(theta, phi, float(f)), pol)
+            assert metrics.active_reflection(net, plan, port)[i] == sw.gamma[i]
+

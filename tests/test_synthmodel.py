@@ -15,7 +15,7 @@ BAND = (3e9, 20e9)
 def demo_grid(kind="square", n=8):
     basis = lat.make_basis(kind, 15 * MM)
     recip = lat.reciprocal_basis(basis, n)
-    return basis, spectral.build_scan_grid(recip)
+    return basis, recip
 
 
 def test_constant_model_values():
@@ -118,7 +118,7 @@ def test_sample_grid_constant_uniform():
 def reference_sample_grid(model, grid, frequencies, pol_pair):
     """The per-frequency loop that sample_grid replaced (reference oracle)."""
     freqs = np.asarray(frequencies, dtype=float)
-    out = np.empty((freqs.size, grid.n, grid.n), dtype=complex)
+    out = np.empty((freqs.size, grid.n_scan, grid.n_scan), dtype=complex)
     for i, f in enumerate(freqs):
         out[i] = synthmodel.eval_gamma(model, pol_pair, grid.points, float(f))
     return spectral.ActiveGammaGrid(freqs, out, pol_pair)
