@@ -5,6 +5,9 @@ infinite-to-finite transform, metric sweeps over measured or assembled
 Touchstone data, array-factor pattern cuts, and Touchstone format
 conversion.
 
+The JSON configuration is read here alone: each fault in it raises
+:class:`ConfigError` naming its field, and every number in it must be finite.
+
 Exit codes: 0 success, 2 configuration error, 3 transform-domain error,
 4 data or port mismatch, 1 anything else. Identical configuration produces
 byte-identical outputs. ``--threads`` is accepted by every command and has
@@ -24,8 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, excitation, lattice, metrics, snp, spectral, synthmodel
-from .constants import PATTERN_ROW_CAP, PATTERN_SAMPLE_CAP, TRANSFORM_VALUE_CAP
-from .lattice import config_float, config_int
+from .constants import DEFAULT_N_SCAN, PATTERN_ROW_CAP, PATTERN_SAMPLE_CAP, TRANSFORM_VALUE_CAP
 
 
 DEFAULT_FREQ_GHZ = {"start": 3, "stop": 20, "points": 171}
@@ -60,8 +62,38 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canonical).hexdigest()[:16]
 
 
+def _config_int(value, where: str) -> int:
+    """An integer config field; a boolean or a non-integral number raises :class:`ConfigError` naming ``where``."""
+    fraction = isinstance(value, float) and not value.is_integer()
+    if not (isinstance(value, bool) or fraction):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{where}: expected an integer, got {value!r}")
+
+
+def _config_float(value, where: str) -> float:
+    """A numeric config field; a boolean, a non-number, nan or +-inf raises :class:`ConfigError` naming ``where``."""
+    try:
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an integer beyond the float range
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return number
+
+
+def _config_hz(value, where: str) -> float:
+    """A frequency field in GHz, as Hz; one that overflows in Hz raises :class:`ConfigError` naming ``where``."""
+    hz = 1e9 * _config_float(value, where)
+    if math.isinf(hz):
+        raise ConfigError(f"{where}: {value!r} GHz overflows in Hz")
+    return hz
+
+
 def _parse_frequencies(block, where: str, values_per_point: int, set_by: str, cap: int) -> np.ndarray:
-    """Frequencies (Hz) of a ``{start, stop, points}`` block or a GHz list.
+    """Frequencies (Hz) of a ``{start, stop, points}`` block or a GHz list, strictly increasing.
 
     ``values_per_point`` is what the command holds per frequency, as the
     fields named in ``set_by`` determine; a sweep whose point count times it
@@ -70,19 +102,17 @@ def _parse_frequencies(block, where: str, values_per_point: int, set_by: str, ca
     if isinstance(block, dict):
         if not {"start", "stop", "points"} <= block.keys():
             raise ConfigError(f"{where}: expected {{start, stop, points}}")
-        start, stop = (config_float(block[k], f"{where}.{k}", ConfigError) for k in ("start", "stop"))
-        points = config_int(block["points"], f"{where}.points", ConfigError)
-        if not (math.isfinite(start) and math.isfinite(stop)):
-            raise ConfigError(f"{where}: start and stop must be finite")
+        start, stop = (_config_hz(block[k], f"{where}.{k}") for k in ("start", "stop"))
+        points = _config_int(block["points"], f"{where}.points")
         if points < 1 or stop < start or start <= 0:
             raise ConfigError(f"{where}: need 0 < start <= stop and points >= 1")
+        if points > 1 and stop == start:
+            raise ConfigError(f"{where}: {points} points need start < stop")
         _check_work(points, values_per_point, set_by, where, cap)
-        return np.linspace(start * 1e9, stop * 1e9, points)
+        return np.linspace(start, stop, points)
     if isinstance(block, (list, tuple)) and block:
         _check_work(len(block), values_per_point, set_by, where, cap)
-        vals = np.array([1e9 * config_float(v, where, ConfigError) for v in block])
-        if not np.all(np.isfinite(vals)):
-            raise ConfigError(f"{where}: frequencies must be finite")
+        vals = np.array([_config_hz(v, where) for v in block])
         if np.any(vals <= 0) or np.any(np.diff(vals) <= 0):
             raise ConfigError(f"{where}: frequencies must be positive and increasing")
         return vals
@@ -107,7 +137,7 @@ def _scan_label(label, pol: str, where: str) -> tuple[str, float, float]:
 
 def _angle_text(value) -> str:
     """``%g`` text of an angle when it parses back to the same float, else the exact repr."""
-    angle = config_float(value, "sweep.theta_deg/phi_deg", ConfigError)
+    angle = _config_float(value, "sweep.theta_deg/phi_deg")
     short = f"{angle:g}"
     return short if float(short) == angle else repr(angle)
 
@@ -125,8 +155,8 @@ def _sweep_scans(cfg: dict, pol: str) -> list[str]:
     block = _block(cfg, "sweep")
     if "scans" in block:
         scans = block["scans"]
-        if not isinstance(scans, list) or not all(isinstance(s, str) for s in scans):
-            raise ConfigError("sweep.scans: expected a list of labels")
+        if not (isinstance(scans, list) and scans and all(isinstance(s, str) for s in scans)):
+            raise ConfigError("sweep.scans: expected a non-empty list of labels")
         for i, label in enumerate(scans):
             _scan_label(label, pol, f"sweep.scans[{i}]")
         return scans
@@ -134,11 +164,11 @@ def _sweep_scans(cfg: dict, pol: str) -> list[str]:
         thetas = block.get("theta_deg", [0.0])
         phis = block.get("phi_deg", [0.0])
         try:
-            if not (isinstance(thetas, list) and isinstance(phis, list)):
+            if not (isinstance(thetas, list) and isinstance(phis, list) and thetas and phis):
                 raise TypeError
             scans = [f"T{_angle_text(t)}P{_angle_text(p)}" for t in thetas for p in phis]
         except (TypeError, ValueError):
-            raise ConfigError("sweep.theta_deg/phi_deg: expected lists of numbers") from None
+            raise ConfigError("sweep.theta_deg/phi_deg: expected non-empty lists of numbers") from None
         for label in scans:
             _scan_label(label, pol, "sweep.theta_deg/phi_deg")
         return scans
@@ -163,8 +193,8 @@ def _excitation_block(cfg: dict) -> tuple[excitation.TaperSpec, str]:
         taper = excitation.TaperSpec("uniform")
     elif kind == "gaussian":
         try:
-            taper = excitation.TaperSpec("gaussian", config_float(tb.get("w0_mm", 17.0), "w0_mm", ConfigError) * 1e-3)
-        except (TypeError, ValueError, excitation.ExcitationError) as exc:
+            taper = excitation.TaperSpec("gaussian", _config_float(tb.get("w0_mm", 17.0), "w0_mm") * 1e-3)
+        except ValueError as exc:  # a ConfigError or an ExcitationError
             raise ConfigError(f"excitation.taper: {exc}") from None
     else:
         raise ConfigError(f"excitation.taper.kind: expected uniform|gaussian, got {kind!r}")
@@ -172,12 +202,104 @@ def _excitation_block(cfg: dict) -> tuple[excitation.TaperSpec, str]:
 
 
 def _require_lattice(cfg: dict, need_aperture: bool = False):
+    """``(basis, n_scan, aperture shape or None)`` of the ``lattice`` block."""
     if "lattice" not in cfg:
         raise ConfigError("lattice: required")
-    basis, n_scan, shape = lattice.lattice_from_config(cfg["lattice"])
+    d = _block(cfg, "lattice")
+    kind = d.get("kind")
+    if kind not in lattice.LATTICE_KINDS:
+        raise ConfigError(f"lattice.kind: expected square|triangular, got {kind!r}")
+    if "lambda_h_mm" not in d:
+        raise ConfigError("lattice.lambda_h_mm: required")
+    lambda_h = _config_float(d["lambda_h_mm"], "lattice.lambda_h_mm") * 1e-3
+    n_scan = _config_int(d.get("n_scan", DEFAULT_N_SCAN), "lattice.n_scan")
+    if n_scan < 2 or n_scan % 2:
+        raise ConfigError(f"lattice.n_scan: expected an even integer >= 2, got {n_scan!r}")
+    try:
+        basis = lattice.make_basis(kind, lambda_h)
+    except lattice.LatticeError:  # the kind is valid, so lambda_h is at fault
+        msg = f"expected a positive length whose square in m^2 is a normal float, got {d['lambda_h_mm']!r}"
+        raise ConfigError(f"lattice.lambda_h_mm: {msg}") from None
+    shape = None if d.get("aperture") is None else _aperture_shape(d["aperture"])
     if need_aperture and shape is None:
         raise ConfigError("lattice.aperture: required for this command")
     return basis, n_scan, shape
+
+
+def _aperture_shape(d) -> lattice.ApertureShape:
+    """The ``lattice.aperture`` block, such as ``{"shape": "hexagon", "rings": 2}``."""
+    where = "lattice.aperture"
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where}: expected an object")
+    kind = d.get("shape")
+    try:
+        if kind == "rectangle":
+            (a, b), (c, e) = d["n1"], d["n2"]
+            n1 = [_config_int(v, f"{where}.n1") for v in (a, b)]
+            n2 = [_config_int(v, f"{where}.n2") for v in (c, e)]
+            return lattice.RectangleAperture(*n1, *n2)
+        if kind == "hexagon":
+            return lattice.HexagonAperture(_config_int(d["rings"], f"{where}.rings"))
+        if kind == "triangle":
+            return lattice.TriangleAperture(_config_int(d["rows"], f"{where}.rows"))
+        if kind == "explicit":
+            idx = f"{where}.indices"
+            return lattice.ExplicitAperture(tuple((_config_int(i, idx), _config_int(j, idx)) for i, j in d["indices"]))
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"{where}.{exc.args[0]}: required for shape {kind!r}") from None
+    except (TypeError, ValueError) as exc:  # a constructor's error or a malformed index list
+        raise ConfigError(f"{where}: {exc}") from None
+    raise ConfigError(f"{where}.shape: expected rectangle|hexagon|triangle|explicit, got {kind!r}")
+
+
+def _require_model(cfg: dict) -> synthmodel.ModelSpec:
+    """The ``model`` block: kind ``constant`` (gamma), ``scan_poly`` (alpha, beta, k_ref, cross_pol_level),
+    ``seeded_random`` (seed, smoothness, k_ref, level, cross_pol_level) or ``demo`` (cross_pol_level), each
+    with an optional ``band_ghz``; ``alpha`` and ``beta`` are ``[[f_ghz, re, im], ...]`` knot tables."""
+    if "model" not in cfg:
+        raise ConfigError("model: required for transform")
+    d = _block(cfg, "model")
+    kind = d.get("kind")
+
+    def num(value, key: str) -> float:
+        return _config_float(value, f"model.{key}")
+
+    band_ghz = d.get("band_ghz", (3.0, 20.0))
+    if not isinstance(band_ghz, (list, tuple)) or len(band_ghz) != 2:
+        raise ConfigError(f"model.band_ghz: expected two numbers [f_min, f_max], got {band_ghz!r}")
+    band = tuple(_config_hz(x, "model.band_ghz") for x in band_ghz)
+    try:
+        if kind == "constant":
+            re, im = d["gamma"]
+            return synthmodel.ConstantModel(complex(num(re, "gamma"), num(im, "gamma")), band)
+        if kind == "scan_poly":
+            alpha, beta = (
+                tuple((_config_hz(f, f"model.{key}"), complex(num(re, key), num(im, key))) for f, re, im in d[key])
+                for key in ("alpha", "beta")
+            )
+            k_ref = num(d.get("k_ref", 2 * math.pi * band[1] / 3.0e8), "k_ref")
+            cross = num(d.get("cross_pol_level", 0.0), "cross_pol_level")
+            return synthmodel.ScanPolyModel(alpha, beta, k_ref, band, cross)
+        if kind == "seeded_random":
+            return synthmodel.SeededRandomModel(
+                seed=_config_int(d["seed"], "model.seed"),
+                smoothness=_config_int(d.get("smoothness", 3), "model.smoothness"),
+                k_ref=num(d.get("k_ref", 2 * math.pi * band[1] / 3.0e8), "k_ref"),
+                band=band,
+                level=num(d.get("level", 0.8), "level"),
+                cross_pol_level=num(d.get("cross_pol_level", 1.0), "cross_pol_level"),
+            )
+        if kind == "demo":
+            return synthmodel.demo_model(band, num(d.get("cross_pol_level", 0.5), "cross_pol_level"))
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"model.{exc.args[0]}: required for kind {kind!r}") from None
+    except (TypeError, ValueError) as exc:  # a ModelError or a malformed knot table
+        raise ConfigError(f"model: {exc}") from None
+    raise ConfigError(f"model.kind: expected constant|scan_poly|seeded_random|demo, got {kind!r}")
 
 
 # --- output helpers -------------------------------------------------------------
@@ -240,9 +362,7 @@ def cmd_lattice(args) -> int:
 def cmd_transform(args) -> int:
     cfg = _load_config(args.config)
     basis, n_scan, shape = _require_lattice(cfg, need_aperture=args.touchstone)
-    if "model" not in cfg:
-        raise ConfigError("model: required for transform")
-    model = synthmodel.model_from_config(cfg["model"])
+    model = _require_model(cfg)
     if args.seed is not None and isinstance(model, synthmodel.SeededRandomModel):
         model = replace(model, seed=args.seed)
     # bound the 4 sampled grids and, with --touchstone, the dense S before anything is allocated
@@ -294,7 +414,7 @@ def cmd_metrics(args) -> int:
     taper, pol = _excitation_block(cfg)
     scans = _sweep_scans(cfg, pol)
     mblock = _block(cfg, "metrics")
-    efficiency = config_float(mblock.get("efficiency", 1.0), "metrics.efficiency", ConfigError)
+    efficiency = _config_float(mblock.get("efficiency", 1.0), "metrics.efficiency")
     if not 0.0 < efficiency <= 1.0:
         raise ConfigError(f"metrics.efficiency: expected a value in (0, 1], got {efficiency}")
 
@@ -361,12 +481,9 @@ def _cut_phi(cut, pol: str, where: str) -> float:
     if str(cut).lower() in ("e", "h", "d"):
         return excitation.plane_phi(cut, pol)
     try:
-        phi = config_float(cut, where, ConfigError)
+        return _config_float(cut, where)
     except ConfigError:
-        phi = math.nan
-    if not math.isfinite(phi):
-        raise ConfigError(f"{where}: expected E|H|D or a finite azimuth in degrees, got {cut!r}")
-    return phi
+        raise ConfigError(f"{where}: expected E|H|D or a finite azimuth in degrees, got {cut!r}") from None
 
 
 def cmd_pattern(args) -> int:
@@ -379,9 +496,9 @@ def cmd_pattern(args) -> int:
     if not isinstance(cuts, list) or not cuts:
         raise ConfigError("pattern.cuts: expected a non-empty list")
     cut_phis = [_cut_phi(cut, pol, f"pattern.cuts[{i}]") for i, cut in enumerate(cuts)]
-    step = config_float(block.get("theta_step_deg", 1.0), "pattern.theta_step_deg", ConfigError)
-    if not (step > 0 and math.isfinite(step)):
-        raise ConfigError("pattern.theta_step_deg: must be positive and finite")
+    step = _config_float(block.get("theta_step_deg", 1.0), "pattern.theta_step_deg")
+    if not step > 0:
+        raise ConfigError("pattern.theta_step_deg: must be positive")
     # theta samples x elements; a float, so a step near 0 gives inf instead of overflowing an int
     samples = n_elem * (180.0 + step / 2) / step
     if samples > PATTERN_SAMPLE_CAP:
@@ -418,8 +535,12 @@ def cmd_pattern(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    net = snp.read_touchstone(args.input)
+    ports = snp.port_count_from_name(args.input)
     out = Path(args.output)
+    # an output that read_touchstone would read back with another port count; a bad input name fails in the read
+    if ports is not None and snp.port_count_from_name(out) != ports:
+        raise ConfigError(f"{out}: expected an output name ending in .s{ports}p for the {ports}-port input")
+    net = snp.read_touchstone(args.input)
     _write_touchstone(out, net, args.format)
     print(f"wrote {out} ({net.port_count} ports, {net.frequencies.size} frequencies, {args.format.upper()})")
     return 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import C0, DEFAULT_N_SCAN
+from .constants import C0
 
 SQUARE = "square"
 TRIANGULAR = "triangular"
@@ -27,7 +27,7 @@ _TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 
 class LatticeError(ValueError):
-    """Invalid lattice parameters or configuration."""
+    """Invalid lattice parameters."""
 
 
 def _frozen_vec(x: float, y: float) -> np.ndarray:
@@ -319,80 +319,3 @@ def grating_lobe_onset(basis: LatticeBasis, scan_theta: float) -> float:
         raise LatticeError(f"scan_theta must be in [0, 90] degrees, got {scan_theta}")
     return 2 * C0 / (basis.lambda_h * (1 + math.sin(math.radians(scan_theta))))
 
-
-# --- JSON configuration ------------------------------------------------------
-
-
-def config_int(value, where: str, error: type[ValueError] = LatticeError) -> int:
-    """An integer config field; a boolean or a non-integral number raises ``error`` naming ``where``."""
-    fraction = isinstance(value, float) and not value.is_integer()
-    if not (isinstance(value, bool) or fraction):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            pass
-    raise error(f"{where}: expected an integer, got {value!r}")
-
-
-def config_float(value, where: str, error: type[ValueError] = LatticeError) -> float:
-    """A numeric config field; a boolean or a non-number raises ``error`` naming ``where``."""
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise error(f"{where}: expected a number, got {value!r}")
-
-
-def shape_from_config(d: dict, where: str = "aperture") -> ApertureShape:
-    """Parse an aperture block like {"shape": "hexagon", "rings": 2}."""
-    if not isinstance(d, dict):
-        raise LatticeError(f"{where}: expected an object")
-    kind = d.get("shape")
-    try:
-        if kind == "rectangle":
-            (a, b), (c, e) = d["n1"], d["n2"]
-            n1 = [config_int(v, f"{where}.n1") for v in (a, b)]
-            n2 = [config_int(v, f"{where}.n2") for v in (c, e)]
-            return RectangleAperture(*n1, *n2)
-        if kind == "hexagon":
-            return HexagonAperture(config_int(d["rings"], f"{where}.rings"))
-        if kind == "triangle":
-            return TriangleAperture(config_int(d["rows"], f"{where}.rows"))
-        if kind == "explicit":
-            idx = f"{where}.indices"
-            return ExplicitAperture(tuple((config_int(i, idx), config_int(j, idx)) for i, j in d["indices"]))
-    except KeyError as exc:
-        raise LatticeError(f"{where}.{exc.args[0]}: required for shape {kind!r}") from None
-    except (TypeError, ValueError) as exc:
-        msg = str(exc)  # config_int errors already name their field
-        raise LatticeError(msg if msg.startswith(where) else f"{where}: {msg}") from None
-    raise LatticeError(f"{where}.shape: expected rectangle|hexagon|triangle|explicit, got {kind!r}")
-
-
-def lattice_from_config(d: dict, where: str = "lattice") -> tuple[LatticeBasis, int, ApertureShape | None]:
-    """Parse {"kind", "lambda_h_mm", "n_scan", "aperture"} into lattice objects.
-
-    Returns (basis, n_scan, aperture-or-None). Raises :class:`LatticeError`
-    naming the offending field path.
-    """
-    if not isinstance(d, dict):
-        raise LatticeError(f"{where}: expected an object")
-    kind = d.get("kind")
-    if kind not in LATTICE_KINDS:
-        raise LatticeError(f"{where}.kind: expected square|triangular, got {kind!r}")
-    if "lambda_h_mm" not in d:
-        raise LatticeError(f"{where}.lambda_h_mm: required")
-    lambda_h = config_float(d["lambda_h_mm"], f"{where}.lambda_h_mm") * 1e-3
-    n_scan = config_int(d.get("n_scan", DEFAULT_N_SCAN), f"{where}.n_scan")
-    if n_scan < 2 or n_scan % 2:
-        raise LatticeError(f"{where}.n_scan: expected an even integer >= 2, got {n_scan!r}")
-    try:
-        basis = make_basis(kind, lambda_h)
-    except LatticeError:  # the kind is valid, so lambda_h is at fault
-        msg = f"expected a positive length whose square in m^2 is a normal float, got {d['lambda_h_mm']!r}"
-        raise LatticeError(f"{where}.lambda_h_mm: {msg}") from None
-    shape = None
-    if "aperture" in d and d["aperture"] is not None:
-        shape = shape_from_config(d["aperture"], where=f"{where}.aperture")
-    return basis, n_scan, shape

@@ -256,14 +256,20 @@ def parse_touchstone(lines: str | Iterable[str], port_count: int) -> NetworkData
     return NetworkData(f_hz[:n_rec], s, z_ref)
 
 
+def port_count_from_name(path: str | Path) -> int | None:
+    """The N of a file name ending in ``.sNp`` (any case), else None."""
+    m = _SNP_EXT.search(Path(path).name)
+    return int(m.group(1)) if m else None
+
+
 def read_touchstone(path: str | Path) -> NetworkData:
     """Read a ``.sNp`` file line by line; the port count comes from the extension."""
     path = Path(path)
-    m = _SNP_EXT.search(path.name)
-    if not m:
+    ports = port_count_from_name(path)
+    if ports is None:
         raise TouchstoneError(f"cannot infer port count from file name {path.name!r} (expected .sNp)")
     with open(path) as fh:
-        return parse_touchstone(fh, int(m.group(1)))
+        return parse_touchstone(fh, ports)
 
 
 def _value_columns(s: np.ndarray, fmt: str) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import ReciprocalBasis, config_float, config_int
+from .lattice import ReciprocalBasis
 from .spectral import POL_PAIRS, ActiveGammaGrid
 
 _PAIR_STREAM = {pair: i for i, pair in enumerate(POL_PAIRS)}
@@ -214,54 +214,3 @@ def demo_model(band: tuple[float, float] = (3e9, 20e9), cross_pol_level: float =
     beta = ((lo, 0.25 + 0j), (hi, 0.25 + 0j))
     return ScanPolyModel(alpha=alpha, beta=beta, k_ref=k_ref, band=(lo, hi), cross_pol_level=cross_pol_level)
 
-
-def model_from_config(d: dict, where: str = "model") -> ModelSpec:
-    """Parse the JSON model block.
-
-    Kinds: {"kind": "constant", "gamma": [re, im], "band_ghz": [lo, hi]};
-    {"kind": "scan_poly", "alpha": [[f_ghz, re, im], ...], "beta": [...],
-    "k_ref": rad_per_m, "band_ghz": [...], "cross_pol_level": x};
-    {"kind": "seeded_random", "seed": s, "smoothness": m, "k_ref": ...,
-    "band_ghz": [...], "level": a, "cross_pol_level": x};
-    {"kind": "demo"} with optional "band_ghz"/"cross_pol_level".
-    """
-    if not isinstance(d, dict):
-        raise ModelError(f"{where}: expected an object")
-    kind = d.get("kind")
-
-    def num(value, key: str) -> float:
-        return config_float(value, f"{where}.{key}", ModelError)
-
-    band_ghz = d.get("band_ghz", (3.0, 20.0))
-    if not isinstance(band_ghz, (list, tuple)) or len(band_ghz) != 2:
-        raise ModelError(f"{where}.band_ghz: expected two numbers [f_min, f_max], got {band_ghz!r}")
-    try:
-        band = tuple(1e9 * num(x, "band_ghz") for x in band_ghz)
-        if kind == "constant":
-            re, im = d["gamma"]
-            return ConstantModel(complex(num(re, "gamma"), num(im, "gamma")), band)
-        if kind == "scan_poly":
-            alpha, beta = (
-                tuple((1e9 * num(f, key), complex(num(re, key), num(im, key))) for f, re, im in d[key])
-                for key in ("alpha", "beta")
-            )
-            k_ref = num(d.get("k_ref", 2 * math.pi * band[1] / 3.0e8), "k_ref")
-            return ScanPolyModel(alpha, beta, k_ref, band, num(d.get("cross_pol_level", 0.0), "cross_pol_level"))
-        if kind == "seeded_random":
-            return SeededRandomModel(
-                seed=config_int(d["seed"], f"{where}.seed", ModelError),
-                smoothness=config_int(d.get("smoothness", 3), f"{where}.smoothness", ModelError),
-                k_ref=num(d.get("k_ref", 2 * math.pi * band[1] / 3.0e8), "k_ref"),
-                band=band,
-                level=num(d.get("level", 0.8), "level"),
-                cross_pol_level=num(d.get("cross_pol_level", 1.0), "cross_pol_level"),
-            )
-        if kind == "demo":
-            return demo_model(band, num(d.get("cross_pol_level", 0.5), "cross_pol_level"))
-    except KeyError as exc:
-        raise ModelError(f"{where}.{exc.args[0]}: required for kind {kind!r}") from None
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ModelError):
-            raise
-        raise ModelError(f"{where}: {exc}") from None
-    raise ModelError(f"{where}.kind: expected constant|scan_poly|seeded_random|demo, got {kind!r}")

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arraykit import cli, lattice, metrics, snp
+from arraykit import cli, lattice, metrics, snp, spectral, synthmodel
 from arraykit.constants import PATTERN_ROW_CAP, PATTERN_SAMPLE_CAP, TRANSFORM_VALUE_CAP
 
 
@@ -267,7 +267,7 @@ def test_metrics_theta_phi_sweep_keeps_full_precision(tmp_path):
     [
         ({"sweep": {"freq_ghz": ["a", 4]}}, "sweep.freq_ghz"),
         ({"sweep": {"freq_ghz": [4, float("nan")]}}, "sweep.freq_ghz"),
-        ({"sweep": {"freq_ghz": {"start": 3, "stop": float("nan"), "points": 4}}}, "sweep.freq_ghz"),
+        ({"sweep": {"freq_ghz": {"start": 3, "stop": float("nan"), "points": 4}}}, "sweep.freq_ghz.stop"),
         ({"pattern": {"freq_ghz": ["x"]}}, "pattern.freq_ghz"),
         ({"pattern": {"freq_ghz": [float("nan")]}}, "pattern.freq_ghz"),
     ],
@@ -446,11 +446,23 @@ BAD_METRICS_NUMBERS = [
     ({"lattice": {**HEX2, "n_scan": 24.5}}, "lattice.n_scan"),
     ({"lattice": {**HEX2, "n_scan": True}}, "lattice.n_scan"),
 ]
+# each of these exited 0 or 3, or exited 2 without naming its field; kept apart so the rows above keep their ids
+NON_FINITE_OR_UNNAMED = [
+    ("transform", {"model": {"kind": "demo", "cross_pol_level": float("nan")}}, "model.cross_pol_level"),
+    ("transform", {"model": {"kind": "demo", "cross_pol_level": float("inf")}}, "model.cross_pol_level"),
+    ("transform", {"model": {"kind": "constant", "gamma": [float("nan"), 0]}}, "model.gamma"),
+    ("transform", {"model": {"kind": "demo", "band_ghz": [3, float("inf")]}}, "model.band_ghz"),
+    ("transform", {"model": {"kind": "seeded_random", "seed": 1, "k_ref": float("inf")}}, "model.k_ref"),
+    ("transform", {"model": {"kind": "seeded_random", "seed": 1, "level": 0}}, "model"),
+    ("metrics", {"excitation": {"taper": {"kind": "gaussian", "w0_mm": float("inf")}}}, "excitation.taper: w0_mm"),
+]
 
 
 @pytest.mark.parametrize(
     "command,overrides,field",
-    [("transform", *case) for case in BAD_TRANSFORM_NUMBERS] + [("metrics", *case) for case in BAD_METRICS_NUMBERS],
+    [("transform", *case) for case in BAD_TRANSFORM_NUMBERS]
+    + [("metrics", *case) for case in BAD_METRICS_NUMBERS]
+    + NON_FINITE_OR_UNNAMED,
 )
 def test_non_integral_or_boolean_config_numbers_exit_2(tmp_path, capsys, command, overrides, field):
     cfg = write_config(tmp_path, **overrides)
@@ -584,12 +596,132 @@ def test_metrics_bad_scan_label_exit_2(tmp_path, capsys, label):
 
 
 @pytest.mark.parametrize(
-    "theta,phi", [([0, 95], [0]), ([30], ["x"]), ([30], [float("nan")]), ([90.0000001], [0]), ("60", [0]), ([30], "45")]
+    "theta,phi",
+    [([0, 95], [0]), ([30], ["x"]), ([30], [float("nan")]), ([90.0000001], [0]), ("60", [0]), ([30], "45"), ([], [0]), ([30], [])],
 )
 def test_metrics_bad_theta_phi_sweep_exit_2(tmp_path, capsys, theta, phi):
     cfg = write_config(tmp_path, sweep={"theta_deg": theta, "phi_deg": phi})
     assert cli.main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "empty")]) == 2
     assert "sweep.theta_deg/phi_deg" in capsys.readouterr().err
+
+
+def test_metrics_empty_scans_exit_2_without_tables(tmp_path, capsys):
+    cfg = write_config(tmp_path, sweep={"scans": []})
+    out = tmp_path / "out"
+    assert cli.main(["transform", "--config", str(cfg), "--out", str(out), "--touchstone"]) == 0
+    assert cli.main(["metrics", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "error: sweep.scans: expected a non-empty list of labels" in capsys.readouterr().err
+    assert not (out / "vswr.csv").exists()
+
+
+@pytest.mark.parametrize("command, block", [("transform", "sweep"), ("pattern", "pattern")])
+def test_zero_width_frequency_block_takes_one_point(tmp_path, capsys, command, block):
+    flags = ["--touchstone"] if command == "transform" else []
+    for points, code in ((3, 2), (1, 0)):
+        cfg = write_config(tmp_path, **{block: {"freq_ghz": {"start": 5, "stop": 5, "points": points}}})
+        out = tmp_path / f"o{points}"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out), *flags]) == code
+        if code == 2:
+            assert f"error: {block}.freq_ghz: 3 points need start < stop" in capsys.readouterr().err
+            assert not out.exists()
+
+
+def test_convert_output_name_must_give_the_input_port_count(tmp_path, capsys):
+    src = tmp_path / "in.s4p"
+    src.write_text(snp.write_touchstone(snp.NetworkData([1e9, 2e9, 3e9], np.tile(0.1 * np.eye(4), (3, 1, 1)))))
+    for name in ("out.s2p", "out.s3p", "out.txt"):
+        assert cli.main(["convert", str(src), str(tmp_path / name)]) == 2
+        assert f"error: {tmp_path / name}: expected an output name ending in .s4p" in capsys.readouterr().err
+        assert not (tmp_path / name).exists()
+    assert cli.main(["convert", str(src), str(tmp_path / "OUT.S4P")]) == 0
+    back = snp.read_touchstone(tmp_path / "OUT.S4P")
+    assert back.port_count == 4 and back.frequencies.size == 3
+
+
+# --- config block readers --------------------------------------------------------
+
+
+def test_config_round_trip():
+    cfg = {
+        "kind": "triangular",
+        "lambda_h_mm": 15.0,
+        "n_scan": 24,
+        "aperture": {"shape": "hexagon", "rings": 2},
+    }
+    basis, n_scan, shape = cli._require_lattice({"lattice": cfg})
+    assert basis.kind == "triangular" and n_scan == 24
+    assert basis.lambda_h == pytest.approx(15e-3, rel=1e-15)
+    assert isinstance(shape, lattice.HexagonAperture) and shape.rings == 2
+
+
+def test_config_errors_name_field_paths():
+    with pytest.raises(cli.ConfigError, match="lattice.lambda_h_mm"):
+        cli._require_lattice({"lattice": {"kind": "square"}})
+    with pytest.raises(cli.ConfigError, match="lattice.kind"):
+        cli._require_lattice({"lattice": {"kind": "diamond", "lambda_h_mm": 15}})
+    with pytest.raises(cli.ConfigError, match="lattice.n_scan"):
+        cli._require_lattice({"lattice": {"kind": "square", "lambda_h_mm": 15, "n_scan": 7}})
+    with pytest.raises(cli.ConfigError, match="lattice.aperture.rings"):
+        cli._require_lattice({"lattice": {"kind": "square", "lambda_h_mm": 15, "aperture": {"shape": "hexagon"}}})
+
+
+def test_all_aperture_shapes_from_config():
+    assert isinstance(
+        cli._aperture_shape({"shape": "rectangle", "n1": [0, 3], "n2": [1, 2]}),
+        lattice.RectangleAperture,
+    )
+    assert isinstance(cli._aperture_shape({"shape": "triangle", "rows": 4}), lattice.TriangleAperture)
+    explicit = cli._aperture_shape({"shape": "explicit", "indices": [[0, 0], [1, 0]]})
+    assert explicit.indices == ((0, 0), (1, 0))
+
+
+def test_model_from_config_each_kind():
+    c = cli._require_model({"model": {"kind": "constant", "gamma": [0.2, -0.1]}})
+    assert isinstance(c, synthmodel.ConstantModel) and c.gamma0 == 0.2 - 0.1j
+    sp = cli._require_model(
+        {
+            "model": {
+                "kind": "scan_poly",
+                "band_ghz": [3, 20],
+                "alpha": [[3, 0.5, 0], [20, 0.1, 0]],
+                "beta": [[3, 0.25, 0], [20, 0.25, 0]],
+                "cross_pol_level": 0.5,
+            }
+        }
+    )
+    assert isinstance(sp, synthmodel.ScanPolyModel)
+    assert sp.alpha[0] == (3e9, 0.5 + 0j)
+    sr = cli._require_model({"model": {"kind": "seeded_random", "seed": 11}})
+    assert isinstance(sr, synthmodel.SeededRandomModel) and sr.seed == 11
+    assert isinstance(cli._require_model({"model": {"kind": "demo"}}), synthmodel.ScanPolyModel)
+
+
+def test_model_from_config_errors_name_fields():
+    with pytest.raises(cli.ConfigError, match="model.kind"):
+        cli._require_model({"model": {"kind": "fullwave"}})
+    with pytest.raises(cli.ConfigError, match="model.gamma"):
+        cli._require_model({"model": {"kind": "constant"}})
+    with pytest.raises(cli.ConfigError, match="model.seed"):
+        cli._require_model({"model": {"kind": "seeded_random"}})
+
+
+@pytest.mark.parametrize("band", [[3], [3, 20, 1], [], "ab", 3])
+def test_model_band_must_hold_two_numbers(band):
+    for kind in ({"kind": "demo"}, {"kind": "seeded_random", "seed": 1}):
+        with pytest.raises(cli.ConfigError, match="model.band_ghz"):
+            cli._require_model({"model": {**kind, "band_ghz": band}})
+
+
+@pytest.mark.parametrize("seed", [1, 5, 99])
+def test_seeded_random_config_defaults_passive(seed):
+    # defaults: level 0.8, cross_pol_level 1.0; these seeds reached 1.36-1.51
+    grid = lattice.reciprocal_basis(lattice.make_basis("triangular", 15e-3), 24)
+    model = cli._require_model({"model": {"kind": "seeded_random", "seed": seed}})
+    freqs = np.linspace(3e9, 20e9, 18)
+    g = {pair: synthmodel.sample_grid(model, grid, freqs, pair).grid for pair in spectral.POL_PAIRS}
+    # max over frequency and scan sample of the 2x2 block norm ||Gamma(m)||_2
+    blocks = np.stack([np.stack([g["xx"], g["xy"]], -1), np.stack([g["yx"], g["yy"]], -1)], -2)
+    assert float(np.linalg.norm(blocks, ord=2, axis=(-2, -1)).max()) <= 0.8 * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("label", ["E95", "Q7", "T30P"])

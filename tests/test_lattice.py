@@ -348,38 +348,3 @@ def test_grating_onset_rejects_bad_theta():
     with pytest.raises(lat.LatticeError):
         lat.grating_lobe_onset(b, 90.5)
 
-
-def test_config_round_trip():
-    cfg = {
-        "kind": "triangular",
-        "lambda_h_mm": 15.0,
-        "n_scan": 24,
-        "aperture": {"shape": "hexagon", "rings": 2},
-    }
-    basis, n_scan, shape = lat.lattice_from_config(cfg)
-    assert basis.kind == "triangular" and n_scan == 24
-    assert basis.lambda_h == pytest.approx(15 * MM, rel=1e-15)
-    assert isinstance(shape, lat.HexagonAperture) and shape.rings == 2
-
-
-def test_config_errors_name_field_paths():
-    with pytest.raises(lat.LatticeError, match="lattice.lambda_h_mm"):
-        lat.lattice_from_config({"kind": "square"})
-    with pytest.raises(lat.LatticeError, match="lattice.kind"):
-        lat.lattice_from_config({"kind": "diamond", "lambda_h_mm": 15})
-    with pytest.raises(lat.LatticeError, match="lattice.n_scan"):
-        lat.lattice_from_config({"kind": "square", "lambda_h_mm": 15, "n_scan": 7})
-    with pytest.raises(lat.LatticeError, match="lattice.aperture.rings"):
-        lat.lattice_from_config(
-            {"kind": "square", "lambda_h_mm": 15, "aperture": {"shape": "hexagon"}}
-        )
-
-
-def test_all_aperture_shapes_from_config():
-    assert isinstance(
-        lat.shape_from_config({"shape": "rectangle", "n1": [0, 3], "n2": [1, 2]}),
-        lat.RectangleAperture,
-    )
-    assert isinstance(lat.shape_from_config({"shape": "triangle", "rows": 4}), lat.TriangleAperture)
-    explicit = lat.shape_from_config({"shape": "explicit", "indices": [[0, 0], [1, 0]]})
-    assert explicit.indices == ((0, 0), (1, 0))

@@ -1,11 +1,14 @@
-"""README's library table names only what the package really has."""
+"""README's library table names only what the package really has, and its full configuration runs."""
 
 import dataclasses
 import importlib
+import json
 import re
 from pathlib import Path
 
 import pytest
+
+from arraykit import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -53,3 +56,14 @@ def test_listed_names_and_members_exist(module):
             fields = {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else set()
             missing = [m for m in members if not (hasattr(obj, m) or m in fields)]
             assert not missing, f"{module}.{name} lacks {missing}"
+
+
+def test_full_configuration_runs_every_command(tmp_path):
+    text = README.read_text()
+    block = re.search(r"A full configuration:\n\n```json\n(.*?)\n```", text, re.S).group(1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(json.loads(block)))
+    out = tmp_path / "out"
+    for argv in (["lattice"], ["transform", "--touchstone"], ["metrics"], ["pattern"]):
+        assert cli.main([*argv, "--config", str(cfg), "--out", str(out)]) == 0, argv
+    assert {"finite_array.s38p", "vswr.csv", "gain.csv", "coupling.csv", "pattern.csv"} <= {p.name for p in out.iterdir()}
