@@ -17,9 +17,11 @@ no effect.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -33,6 +35,8 @@ from .constants import DEFAULT_N_SCAN, PATTERN_ROW_CAP, PATTERN_SAMPLE_CAP, TRAN
 DEFAULT_FREQ_GHZ = {"start": 3, "stop": 20, "points": 171}
 # rows per write: one join per batch is faster than a write per row and holds only the batch's text
 _WRITE_BATCH_ROWS = 1024
+# glibc's mallopt parameter for the free memory kept at the top of the heap, and the amount kept
+_M_TOP_PAD, _HEAP_TOP_PAD = -2, 16 << 20
 
 
 class ConfigError(ValueError):
@@ -192,10 +196,11 @@ def _excitation_block(cfg: dict) -> tuple[excitation.TaperSpec, str]:
     if kind == "uniform":
         taper = excitation.TaperSpec("uniform")
     elif kind == "gaussian":
+        w0_mm = _config_float(tb.get("w0_mm", 17.0), "excitation.taper.w0_mm")
         try:
-            taper = excitation.TaperSpec("gaussian", _config_float(tb.get("w0_mm", 17.0), "w0_mm") * 1e-3)
-        except ValueError as exc:  # a ConfigError or an ExcitationError
-            raise ConfigError(f"excitation.taper: {exc}") from None
+            taper = excitation.TaperSpec("gaussian", w0_mm * 1e-3)
+        except excitation.ExcitationError as exc:
+            raise ConfigError(f"excitation.taper.w0_mm: {exc}") from None
     else:
         raise ConfigError(f"excitation.taper.kind: expected uniform|gaussian, got {kind!r}")
     return taper, pol
@@ -314,12 +319,30 @@ def _write_lines(path: Path, rows: list[str], cfg_hash: str) -> None:
             fh.write("\n".join(rows[start : start + _WRITE_BATCH_ROWS]) + "\n")
 
 
-def _write_touchstone(path: Path, net: snp.NetworkData, fmt: str) -> None:
-    """Write ``net`` record by record; a bad ``fmt`` fails before the file is opened."""
-    records = snp.touchstone_records(net, fmt)
+def _write_touchstone(path: Path, source, fmt: str) -> int:
+    """Write a :class:`snp.NetworkData` or a record stream record by record; return the record count.
+
+    A bad ``fmt``, or a source whose header cannot be read, fails before any
+    file or directory is made. The records go to a temporary file beside
+    ``path``, which replaces ``path`` only once every record is written, so
+    a failure part way leaves no output and any earlier file at ``path``
+    unchanged.
+    """
+    items = snp.touchstone_records(source, fmt)
+    header = next(items)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.writelines(records)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    count = 0
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            fh.write(header)
+            for count, record in enumerate(items, 1):
+                fh.write(record)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return count
 
 
 def _out_dir(args) -> Path:
@@ -364,7 +387,10 @@ def cmd_transform(args) -> int:
     basis, n_scan, shape = _require_lattice(cfg, need_aperture=args.touchstone)
     model = _require_model(cfg)
     if args.seed is not None and isinstance(model, synthmodel.SeededRandomModel):
-        model = replace(model, seed=args.seed)
+        try:
+            model = replace(model, seed=args.seed)
+        except synthmodel.ModelError as exc:
+            raise ConfigError(f"--seed: {exc}") from None
     # bound the 4 sampled grids and, with --touchstone, the dense S before anything is allocated
     ports = 2 * lattice.aperture_size(shape) if args.touchstone else 0
     freqs = _sweep_frequencies(cfg, 4 * n_scan**2 + ports**2, "lattice.n_scan and the aperture")
@@ -400,10 +426,9 @@ def cmd_transform(args) -> int:
             _write_lines(path, spectral.gamma_csv_rows(g), cfg_hash)
             print(f"wrote {path}")
     if args.touchstone:
-        net = spectral.assemble_finite_smatrix(sets, aperture)
-        path = out / f"finite_array.s{net.port_count}p"
-        _write_touchstone(path, net, "ri")
-        print(f"wrote {path} ({net.port_count} ports, {freqs.size} frequencies)")
+        path = out / f"finite_array.s{ports}p"
+        _write_touchstone(path, spectral.smatrix_records(sets, aperture), "ri")
+        print(f"wrote {path} ({ports} ports, {freqs.size} frequencies)")
     return 0
 
 
@@ -428,21 +453,22 @@ def cmd_metrics(args) -> int:
         snp_path = guess
     if not Path(snp_path).is_file():
         raise ConfigError(f"metrics.snp: file not found: {snp_path}")
-    net = snp.read_touchstone(snp_path)
-
-    if net.port_count not in (n_elem, 2 * n_elem):
+    ports = snp.touchstone_port_count(snp_path)
+    if ports not in (n_elem, 2 * n_elem):
         raise snp.NetworkError(
-            f"port count {net.port_count} matches neither {n_elem} (single-pol) nor "
+            f"port count {ports} matches neither {n_elem} (single-pol) nor "
             f"{2 * n_elem} (dual-pol) for the {n_elem}-element aperture"
         )
-    dual = net.port_count == 2 * n_elem
+    dual = ports == 2 * n_elem
     aperture = lattice.enumerate_aperture(shape)  # no larger than the file's port count
     pm = snp.PortMap.lexicographic(aperture) if dual else snp.PortMap.lexicographic(aperture, pols=(pol,))
+    read = metrics.probed_ports(pm, basis, aperture, pol)
+    freqs, rows = _read_rows(Path(snp_path), ports, read)
 
     out = _out_dir(args)
     cfg_hash = _config_hash(cfg)
-    # one sweep feeds every table; net= and scans= stay keywords, which the stage tracer reads
-    sweeps = metrics.sweep(net=net, port_map=pm, basis=basis, aperture=aperture, taper=taper, scans=scans, pol=pol)
+    # one sweep feeds every table
+    sweeps = metrics.sweep_rows(freqs, rows, read, ports, pm, basis, aperture, taper, scans, pol)
     tables = {"vswr.csv": metrics.vswr_table_rows(sweeps), "gain.csv": metrics.gain_table_rows(sweeps, efficiency)}
     if dual:
         tables["coupling.csv"] = metrics.coupling_table_rows(sweeps)
@@ -456,6 +482,14 @@ def cmd_metrics(args) -> int:
         (out / "plots.gp").write_text(stub)
         print(f"wrote {out / 'plots.gp'}")
     return 0
+
+
+def _read_rows(path: Path, ports: int, read: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies (F,) and the S rows ``read`` (F, len(read), P) of a Touchstone file, read record by record."""
+    with open(path) as fh:
+        records = snp.read_records(fh, ports)
+        next(records)
+        return snp.stack_records(((f_hz, s[read]) for f_hz, s in records), (len(read), ports))
 
 
 def _gnuplot_stub(tables: list[str]) -> str:
@@ -537,12 +571,13 @@ def cmd_pattern(args) -> int:
 def cmd_convert(args) -> int:
     ports = snp.port_count_from_name(args.input)
     out = Path(args.output)
-    # an output that read_touchstone would read back with another port count; a bad input name fails in the read
+    # an output that would be read back with another port count; a bad input name fails in the read
     if ports is not None and snp.port_count_from_name(out) != ports:
         raise ConfigError(f"{out}: expected an output name ending in .s{ports}p for the {ports}-port input")
-    net = snp.read_touchstone(args.input)
-    _write_touchstone(out, net, args.format)
-    print(f"wrote {out} ({net.port_count} ports, {net.frequencies.size} frequencies, {args.format.upper()})")
+    ports = snp.touchstone_port_count(args.input)
+    with open(args.input) as fh:
+        count = _write_touchstone(out, snp.read_records(fh, ports), args.format)
+    print(f"wrote {out} ({ports} ports, {count} frequencies, {args.format.upper()})")
     return 0
 
 
@@ -585,8 +620,24 @@ _COMMANDS = {
 }
 
 
+def _keep_heap_slack() -> None:
+    """Keep 16 MB of freed heap for reuse instead of returning it to the system at each free.
+
+    The Touchstone record loops free and allocate a few MB of buffers per
+    record. By default glibc gives that memory back after every record, and
+    the next record faults it in and zeroes it again: that made ``convert``
+    of the 128-port benchmark file 12% slower on a 2-vCPU VM. Without glibc
+    this does nothing.
+    """
+    try:
+        ctypes.CDLL(None).mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
+    except (AttributeError, OSError):
+        pass
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _keep_heap_slack()
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, lattice.LatticeError, synthmodel.ModelError) as exc:

@@ -70,28 +70,39 @@ def db20(x) -> np.ndarray:
     return _floored_log10(x, 20.0)
 
 
-def _probe(net: NetworkData, weights, ports: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _check_ports(ports: list[int], port_count: int) -> None:
+    if not all(0 <= p < port_count for p in ports):
+        raise MetricError(f"probed ports {ports} outside the {port_count}-port network")
+
+
+def _rows(net: NetworkData, ports: list[int]) -> np.ndarray:
+    """The S rows (F, len(ports), P) of ``ports``; a port outside the network raises :class:`MetricError`."""
+    _check_ports(ports, net.port_count)
+    return net.s[:, ports, :]
+
+
+def _probe(rows: np.ndarray, weights, ports: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Incident wave a (F,) at ``ports[0]`` and outgoing waves ``b_p = sum_q S_pq a_q`` (F, len(ports)).
 
-    ``weights`` is one plan (P,) or per-frequency weights (F, P). A port
-    outside the network, a weight count other than its port count and a zero
-    incident wave at ``ports[0]`` raise :class:`MetricError`.
+    ``rows`` holds the S rows of ``ports``, shape (F, len(ports), P).
+    ``weights`` is one plan (P,) or per-frequency weights (F, P). A weight
+    count other than P and a zero incident wave at ``ports[0]`` raise
+    :class:`MetricError`.
     """
-    if not all(0 <= p < net.port_count for p in ports):
-        raise MetricError(f"probed ports {ports} outside the {net.port_count}-port network")
+    f, _, port_count = rows.shape
     w = np.asarray(weights, dtype=complex)
-    if w.shape[-1] != net.port_count:
-        raise MetricError(f"plan covers {w.shape[-1]} ports, network has {net.port_count}")
-    w = np.broadcast_to(w, (net.frequencies.size, net.port_count))
+    if w.shape[-1] != port_count:
+        raise MetricError(f"plan covers {w.shape[-1]} ports, network has {port_count}")
+    w = np.broadcast_to(w, (f, port_count))
     a = w[:, ports[0]]
     if not np.all(a):
         raise MetricError(f"zero excitation at the probed port {ports[0]}: the metric is undefined")
-    return a, np.einsum("fpq,fq->fp", net.s[:, ports, :], w)
+    return a, np.einsum("fpq,fq->fp", rows, w)
 
 
 def active_reflection(net: NetworkData, plan: ExcitationPlan, port: int) -> np.ndarray:
     """Active reflection at a port: (sum_q S_pq a_q) / a_p, per frequency."""
-    a, b = _probe(net, plan.weights, [port])
+    a, b = _probe(_rows(net, [port]), plan.weights, [port])
     return b[:, 0] / a
 
 
@@ -117,7 +128,8 @@ def orthogonal_coupling(
     """
     excited_pol = str(excited_pol).lower()
     other = "y" if excited_pol == "x" else "x"
-    a, b = _probe(net, plan.weights, [port_map.port_of(element, excited_pol), port_map.port_of(element, other)])
+    ports = [port_map.port_of(element, excited_pol), port_map.port_of(element, other)]
+    a, b = _probe(_rows(net, ports), plan.weights, ports)
     return db20(np.abs(b[:, 1]) / np.abs(a))
 
 
@@ -222,6 +234,53 @@ def parse_scan_label(label: str, pol: str) -> tuple[str, float, float]:
     return text, theta, phi
 
 
+def probed_ports(port_map: PortMap, basis: LatticeBasis, aperture, pol: str = "x") -> list[int]:
+    """The ports a sweep reads: the centermost element's ``pol`` port, then its other-pol port if mapped.
+
+    The centermost element is :func:`lattice.centermost_index` of ``aperture``.
+    """
+    element = centermost_index(basis, list(aperture))
+    pol = str(pol).lower()
+    other = "y" if pol == "x" else "x"
+    return [port_map.port_of(element, p) for p in (pol, other) if p in port_map.pols]
+
+
+def sweep_rows(
+    frequencies: np.ndarray,
+    rows: np.ndarray,
+    read: list[int],
+    port_count: int,
+    port_map: PortMap,
+    basis: LatticeBasis,
+    aperture,
+    taper: TaperSpec,
+    scans,
+    pol: str = "x",
+) -> list[ScanSweep]:
+    """Evaluate every metric over frequency for each labeled scan, from the S rows a sweep reads.
+
+    ``read`` is :func:`probed_ports` of the same map, aperture and pol, and
+    ``rows`` their S rows, shape (F, len(read), P) for ``port_count`` P, so
+    no other row of S is needed. ``scans`` is a list of labels understood
+    by :func:`parse_scan_label`. Each scan's (F, P) weights come from one
+    batched call (the linear scan phase is frequency dependent), and the
+    outgoing waves are formed once, at the probed port and, for a dual-pol
+    map, at its opposite-pol port. An empty scan list yields an empty result.
+    """
+    _check_ports(read, port_count)
+    pol = str(pol).lower()
+    weights_at = weight_function(basis, list(aperture), port_map, taper, pol)
+
+    out: list[ScanSweep] = []
+    for label in scans:
+        name, theta, phi = parse_scan_label(label, pol)
+        weights = weights_at(scan_wavevectors(theta, phi, frequencies))
+        a, b = _probe(rows, weights, read)
+        coupling = np.abs(b[:, 1]) / np.abs(a) if len(read) == 2 else None
+        out.append(ScanSweep(name, theta, frequencies, b[:, 0] / a, coupling))
+    return out
+
+
 def sweep(
     net: NetworkData,
     port_map: PortMap,
@@ -231,30 +290,12 @@ def sweep(
     scans,
     pol: str = "x",
 ) -> list[ScanSweep]:
-    """Evaluate every metric over frequency for each labeled scan in one pass.
-
-    ``scans`` is a list of labels understood by :func:`parse_scan_label`.
-    Each scan's (F, P) weights come from one batched call (the linear scan
-    phase is frequency dependent), and the outgoing waves are formed once, at
-    the probed port and, for a dual-pol map, at its opposite-pol port. The
-    probed element is the centermost one (:func:`lattice.centermost_index`).
-    An empty scan list yields an empty result.
-    """
+    """:func:`sweep_rows` over the rows of ``net`` that :func:`probed_ports` names."""
     aperture = list(aperture)
-    element = centermost_index(basis, aperture)
-    pol = str(pol).lower()
-    other = "y" if pol == "x" else "x"
-    read = [port_map.port_of(element, p) for p in (pol, other) if p in port_map.pols]
-    weights_at = weight_function(basis, aperture, port_map, taper, pol)
-
-    out: list[ScanSweep] = []
-    for label in scans:
-        name, theta, phi = parse_scan_label(label, pol)
-        weights = weights_at(scan_wavevectors(theta, phi, net.frequencies))
-        a, b = _probe(net, weights, read)
-        coupling = np.abs(b[:, 1]) / np.abs(a) if len(read) == 2 else None
-        out.append(ScanSweep(name, theta, net.frequencies, b[:, 0] / a, coupling))
-    return out
+    read = probed_ports(port_map, basis, aperture, pol)
+    return sweep_rows(
+        net.frequencies, _rows(net, read), read, net.port_count, port_map, basis, aperture, taper, scans, pol
+    )
 
 
 # --- CSV tables -----------------------------------------------------------------

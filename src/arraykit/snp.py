@@ -7,21 +7,24 @@ carrying a v2 ``[Version]`` keyword are rejected. Y/Z/H/G parameter types are
 out of scope. Noise-parameter records trailing 2-port data are skipped with
 a warning.
 
-Touchstone I/O is streamed. :func:`parse_touchstone` takes the text or any
-iterable of its lines (:func:`read_touchstone` passes the open file) and
-turns the tokens of every data line into one float array, which numpy grows
-in place; reading a file never holds its text or its line list. S is held
-once: a parsed S is a strided view of that array, each record's frequency
-interleaved before its entries, and MA/DB pairs are converted to RI in
-place. Reading peaks at about 1.5 times S. :func:`touchstone_records` yields
-the header and then one formatted record at a time, so a caller writing the
-records to a file holds S plus one record; :func:`write_touchstone` joins
-them into one string.
+Touchstone I/O goes one record at a time. :func:`read_records` is the one
+reader: it takes the text or any iterable of its lines (an open file will
+do) and yields the header ``(port_count, z_ref)`` and then each record's
+frequency and (P, P) S, converting every token and checking each record as
+it arrives, so it never holds the text, its line list or more than one
+record of values. :func:`parse_touchstone` stacks those records into a
+:class:`NetworkData`, which holds S once. :func:`touchstone_records` formats
+a record stream, or a :class:`NetworkData`, one record at a time: converting
+a file holds one record, and writing an assembled network one frequency's
+S. :func:`touchstone_port_count` checks a file's size against its ``.sNp``
+name before any record buffer is sized from that name.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -65,6 +68,8 @@ class NetworkData:
         s = np.asarray(self.s, dtype=complex)
         if f.ndim != 1 or f.size == 0:
             raise NetworkError("frequencies must be a non-empty 1-D array")
+        if not np.all(np.isfinite(f)):
+            raise NetworkError("frequencies must be finite")
         if np.any(f <= 0) or np.any(np.diff(f) <= 0):
             raise NetworkError("frequencies must be positive and strictly increasing")
         if s.ndim != 3 or s.shape[0] != f.size or s.shape[1] != s.shape[2] or s.shape[1] < 1:
@@ -156,32 +161,37 @@ def _parse_option_line(line: str) -> tuple[float, str, float]:
     return unit_scale, fmt, z_ref
 
 
-def parse_touchstone(lines: str | Iterable[str], port_count: int) -> NetworkData:
-    """Parse Touchstone v1 content into a :class:`NetworkData`.
+def read_records(lines: str | Iterable[str], port_count: int) -> Iterator:
+    """Touchstone v1 content as a record stream, converted one record at a time.
 
-    Parameters
-    ----------
-    lines : str or iterable of str
-        File content, or its lines (an open text file will do; line ends
-        and ``!`` comments are stripped). The port count is not inferable
-        from v1 content and must be supplied (``.sNp`` naming convention).
-    port_count : int
-        Number of ports P; each frequency record carries 2*P*P values.
+    The first item is the header ``(port_count, z_ref)``; every further item
+    is one record, ``(frequency in Hz, S)`` with S a (P, P) complex array.
+    ``lines`` is the text or any iterable of its lines (an open text file
+    will do; line ends and ``!`` comments are stripped). The port count is
+    not inferable from v1 content and must be supplied (``.sNp`` naming
+    convention). Tokens are converted in file order into one buffer of
+    ``2*P*P`` values per record, and each record is checked as it arrives,
+    so a consumer that keeps part of each record holds no more than that.
 
     Raises
     ------
     TouchstoneError
         Missing/malformed option line, v2 keywords, unsupported parameter
-        type, non-monotone frequencies, or a value count that does not fill
-        whole P x P records.
+        type, a non-numeric token, non-monotone frequencies, a final record
+        short of ``2*P*P`` values, or no record at all.
+    NetworkError
+        A reference impedance or a first frequency that is not positive, or
+        a frequency or S entry that is not finite.
     """
     if port_count < 1:
         raise TouchstoneError(f"port_count must be >= 1, got {port_count}")
     if isinstance(lines, str):
         # split where a text file's lines end (\n, \r\n, lone \r), so a string parses as its file does
         lines = lines.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    p = port_count
-    per_record = 1 + 2 * p * p
+    return _records(lines, port_count)
+
+
+def _records(lines: Iterable[str], p: int) -> Iterator:
     option = None
     tokens: list[str] = []  # the data line being converted
 
@@ -203,57 +213,101 @@ def parse_touchstone(lines: str | Iterable[str], port_count: int) -> NetworkData
             tokens = line.split()
             yield tokens
 
-    # tokens are converted in file order, so a bad token is reported before any later line is read
-    try:
-        values = np.fromiter(map(float, itertools.chain.from_iterable(data_tokens())), dtype=float)
-    except TouchstoneError:
-        raise
-    except ValueError:
+    def bad_token() -> str | None:
+        """The first token of the current line that is not a number."""
         for tok in tokens:
             try:
                 float(tok)
             except ValueError:
-                raise TouchstoneError(f"non-numeric data token {tok!r}") from None
-        raise
-    if option is None:
-        raise TouchstoneError("missing '#' option line")
-    unit_scale, fmt, z_ref = option
-    n_rec = values.size // per_record
-    heads = values[::per_record]  # one frequency per started record
+                return tok
+        return None
 
-    f_hz = heads * unit_scale
-    if p == 2:
-        # 2-port noise-parameter section: frequency restarts below S data
-        restart = np.flatnonzero(heads[1:] < f_hz[:-1] / unit_scale)
-        if restart.size:
-            warnings.warn("ignoring trailing noise-parameter data in 2-port file", stacklevel=2)
-            n_rec = int(restart[0]) + 1
-            heads = heads[:n_rec]
-    down = np.flatnonzero(np.diff(f_hz[:n_rec]) <= 0)
-    if down.size:
-        raise TouchstoneError(f"frequencies not strictly increasing at {float(f_hz[down[0] + 1])} Hz")
-    if n_rec < heads.size:
-        raise TouchstoneError(
-            f"frequency record at {float(heads[n_rec])!r} has fewer than {2 * p * p} S values"
-        )
-    if n_rec == 0:
+    # tokens are converted in file order, so a bad token is reported before any later line is read
+    values = map(float, itertools.chain.from_iterable(data_tokens()))
+    n = 2 * p * p
+    count, prev = 0, 0.0
+    try:
+        head = next(values, None)
+        if option is None:
+            raise TouchstoneError("missing '#' option line")
+        unit_scale, fmt, z_ref = option
+        if not z_ref > 0:
+            raise NetworkError(f"z_ref must be positive, got {z_ref}")
+        yield p, z_ref
+        while head is not None:
+            if p == 2 and count and head < prev / unit_scale:
+                # 2-port noise-parameter section: frequency restarts below S data
+                warnings.warn("ignoring trailing noise-parameter data in 2-port file", stacklevel=2)
+                collections.deque(values, maxlen=0)  # still converted, so a bad token there is reported
+                break
+            try:
+                rec = np.fromiter(values, dtype=float, count=n)
+            except TouchstoneError:
+                raise
+            except ValueError:
+                if bad_token() is not None:
+                    raise
+                raise TouchstoneError(f"frequency record at {head!r} has fewer than {n} S values") from None
+            f_hz = head * unit_scale
+            if not math.isfinite(f_hz):
+                raise NetworkError(f"frequency record at {head!r} has a frequency that is not finite in Hz")
+            if not f_hz > prev:
+                if count:
+                    raise TouchstoneError(f"frequencies not strictly increasing at {f_hz} Hz")
+                raise NetworkError("frequencies must be positive and strictly increasing")
+            if fmt != "ri":
+                # (magnitude or dB, degrees) -> (real, imaginary) in place, through one temporary
+                a, b = rec[0::2], rec[1::2]
+                with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are caught below
+                    if fmt == "db":
+                        np.power(10.0, np.divide(a, 20.0, out=a), out=a)
+                    ang = np.radians(b)
+                    np.multiply(a, np.sin(ang, out=b), out=b)
+                    np.multiply(a, np.cos(ang, out=ang), out=a)
+            if not np.isfinite(rec).all():
+                raise NetworkError("s contains non-finite entries")
+            s = rec.view(complex).reshape(p, p)
+            yield f_hz, s.T if p == 2 else s  # the v1 two-port quirk: S11 S21 S12 S22
+            count, prev = count + 1, f_hz
+            head = next(values, None)
+    except (TouchstoneError, NetworkError):
+        raise
+    except ValueError:
+        tok = bad_token()
+        if tok is None:
+            raise
+        raise TouchstoneError(f"non-numeric data token {tok!r}") from None
+    if not count:
         raise TouchstoneError("no frequency records found")
 
-    pairs = values[: n_rec * per_record].reshape(n_rec, per_record)[:, 1:]
-    if fmt != "ri":
-        # (magnitude or dB, degrees) -> (real, imaginary) in place, through one temporary
-        a, b = pairs[:, 0::2], pairs[:, 1::2]
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are left to NetworkData's check
-            if fmt == "db":
-                np.power(10.0, np.divide(a, 20.0, out=a), out=a)
-            ang = np.radians(b)
-            np.multiply(a, np.sin(ang, out=b), out=b)
-            np.multiply(a, np.cos(ang, out=ang), out=a)
-        del ang  # freed before NetworkData's finiteness check allocates its own temporaries
-    s = pairs.view(complex).reshape(n_rec, p, p)
-    if p == 2:
-        s = s.transpose(0, 2, 1)  # the v1 two-port quirk: S11 S21 S12 S22
-    return NetworkData(f_hz[:n_rec], s, z_ref)
+
+def stack_records(records: Iterable, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies (F,) and the arrays of ``(frequency, array)`` records stacked, (F, *shape), complex.
+
+    The stack is allocated once and grown in place as records arrive, so
+    stacking holds it plus the record being copied.
+    """
+    freqs: list[float] = []
+
+    def arrays() -> Iterator[np.ndarray]:
+        for f_hz, a in records:
+            freqs.append(f_hz)
+            yield a
+
+    stacked = np.fromiter(arrays(), dtype=np.dtype((complex, shape)))
+    return np.array(freqs), stacked
+
+
+def network_from_records(records: Iterable) -> NetworkData:
+    """Stack a record stream (see :func:`read_records`) into one :class:`NetworkData`, holding S once."""
+    records = iter(records)
+    p, z_ref = next(records)
+    return NetworkData(*stack_records(records, (p, p)), z_ref)
+
+
+def parse_touchstone(lines: str | Iterable[str], port_count: int) -> NetworkData:
+    """Parse Touchstone v1 content into a :class:`NetworkData`: the records of :func:`read_records`, stacked."""
+    return network_from_records(read_records(lines, port_count))
 
 
 def port_count_from_name(path: str | Path) -> int | None:
@@ -262,12 +316,28 @@ def port_count_from_name(path: str | Path) -> int | None:
     return int(m.group(1)) if m else None
 
 
-def read_touchstone(path: str | Path) -> NetworkData:
-    """Read a ``.sNp`` file line by line; the port count comes from the extension."""
+def touchstone_port_count(path: str | Path) -> int:
+    """The port count P of a ``.sNp`` file, from its name, once its size can hold one record.
+
+    A record is a frequency and ``2*P*P`` values, each at least one
+    character and a separator, so a file under ``2 * (1 + 2*P*P)`` bytes
+    is rejected before a record buffer sized from its name is allocated.
+    """
     path = Path(path)
     ports = port_count_from_name(path)
     if ports is None:
         raise TouchstoneError(f"cannot infer port count from file name {path.name!r} (expected .sNp)")
+    size, least = path.stat().st_size, 2 * (1 + 2 * ports * ports)
+    if size < least:
+        raise TouchstoneError(
+            f"{path}: {size} bytes cannot hold one {ports}-port record, which needs at least {least} bytes"
+        )
+    return ports
+
+
+def read_touchstone(path: str | Path) -> NetworkData:
+    """Read a ``.sNp`` file line by line; the port count comes from the extension."""
+    ports = touchstone_port_count(path)
     with open(path) as fh:
         return parse_touchstone(fh, ports)
 
@@ -288,29 +358,35 @@ def _value_columns(s: np.ndarray, fmt: str) -> np.ndarray:
     return vals
 
 
-def touchstone_records(net: NetworkData, fmt: str = "ri") -> Iterator[str]:
+def touchstone_records(net: NetworkData | Iterable, fmt: str = "ri") -> Iterator[str]:
     """Touchstone v1 text as an iterator: the two header lines, then one record per item.
 
-    Values are written with 13 significant digits so that a parse of the
-    output reproduces every S entry to better than 1e-9 relative in all
-    three formats; frequencies are written exactly (shortest round-trip
-    float representation). Rows wrap at four S values per line for 3+ ports.
-    Every item ends with a newline. ``fmt`` is checked before the iterator
-    is returned; the value columns are then computed one record at a time.
+    ``net`` is a :class:`NetworkData` or a record stream, such as those of
+    :func:`read_records` and :func:`spectral.smatrix_records`; a stream's
+    records are formatted as they arrive. Values are written with 13
+    significant digits so that a parse of the output reproduces every S
+    entry to better than 1e-9 relative in all three formats; frequencies are
+    written exactly (shortest round-trip float representation). Rows wrap at
+    four S values per line for 3+ ports. Every item ends with a newline.
+    ``fmt`` is checked before the iterator is returned.
     """
     fmt = fmt.lower()
     if fmt not in _FORMATS:
         raise TouchstoneError(f"format must be one of {_FORMATS}, got {fmt!r}")
-    p = net.port_count
-    # one line for 1- and 2-port records, else each matrix row wrapped at four pairs
-    widths = [p * p] if p <= 2 else [min(4, p - start) for start in range(0, p, 4)] * p
-    record = "%r " + "\n  ".join(" ".join(["%.12e %.12e"] * w) for w in widths) + "\n"
-    s = net.s.transpose(0, 2, 1) if p == 2 else net.s  # the v1 two-port quirk: S11 S21 S12 S22
+    if isinstance(net, NetworkData):
+        records = itertools.chain([(net.port_count, net.z_ref)], zip(net.frequencies.tolist(), net.s))
+    else:
+        records = iter(net)
 
     def items() -> Iterator[str]:
-        yield f"! {p}-port S-parameter data\n# Hz S {fmt.upper()} R {net.z_ref:.9g}\n"
-        for f_hz, rec in zip(net.frequencies.tolist(), s):
-            yield record % (f_hz, *_value_columns(rec, fmt).ravel().tolist())
+        p, z_ref = next(records)
+        # one line for 1- and 2-port records, else each matrix row wrapped at four pairs
+        widths = [p * p] if p <= 2 else [min(4, p - start) for start in range(0, p, 4)] * p
+        record = "%r " + "\n  ".join(" ".join(["%.12e %.12e"] * w) for w in widths) + "\n"
+        yield f"! {p}-port S-parameter data\n# Hz S {fmt.upper()} R {z_ref:.9g}\n"
+        for f_hz, s in records:
+            # the v1 two-port quirk: S11 S21 S12 S22
+            yield record % (f_hz, *_value_columns(s.T if p == 2 else s, fmt).ravel().tolist())
 
     return items()
 

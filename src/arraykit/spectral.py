@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
 from .lattice import LatticeBasis, ReciprocalBasis, aperture_spread
-from .snp import NetworkData, PortMap, _table_rows
+from .snp import NetworkData, PortMap, _table_rows, network_from_records
 
 POL_PAIRS = ("xx", "xy", "yx", "yy")
 
@@ -194,12 +194,12 @@ def check_aperture_fits(aperture, n_scan: int) -> None:
         )
 
 
-def assemble_finite_smatrix(
+def smatrix_records(
     sets: Mapping[str, CouplingSet],
     aperture,
     port_map: PortMap | None = None,
-) -> NetworkData:
-    """Build a finite-array scattering matrix from coupling coefficients.
+) -> Iterator:
+    """The finite-array scattering matrix from coupling coefficients, as a record stream.
 
     ``sets`` maps pol-pair keys to CouplingSets: either all four of
     xx/xy/yx/yy for a dual-polarized network, or a single co-pol key for a
@@ -207,7 +207,10 @@ def assemble_finite_smatrix(
     (q, pol B) is the (A, B) coupling coefficient at index difference
     ``(n1p - n1q, n2p - n2q)``. A given ``port_map`` must hold exactly one
     port per aperture element and pol; the default is
-    :meth:`PortMap.lexicographic`.
+    :meth:`PortMap.lexicographic`. The stream is that of
+    :func:`snp.read_records`: the header ``(port_count, 50.0)``, then one
+    ``(frequency, S)`` record per frequency, each S gathered when it is
+    reached. Everything is checked before the stream is returned.
 
     Raises :class:`ApertureGridError` when any index difference falls
     outside [-N/2, N/2-1]: the inverse transform is periodic with period N
@@ -238,17 +241,30 @@ def assemble_finite_smatrix(
 
     check_aperture_fits(aperture, n)
     k = len(pols)
-    stack = np.stack([sets[a + b].coeffs for a in pols for b in pols], axis=1)  # (F, k^2, N, N)
+    coeffs = [sets[a + b].coeffs for a in pols for b in pols]
     n1, n2 = np.array([e for e, _ in port_map.entries]).T
     code = np.array([pols.index(p) for _, p in port_map.entries])
     half = n // 2
-    # one gather, S[f, p, q] = stack[f, k*code_p + code_q, n1_p - n1_q + N/2, n2_p - n2_q + N/2];
-    # take() on the flattened index keeps S C-contiguous
+    # one gather per frequency, S[p, q] = stack[k*code_p + code_q, n1_p - n1_q + N/2, n2_p - n2_q + N/2]
     flat = np.ravel_multi_index(
-        (k * code[:, None] + code, n1[:, None] - n1 + half, n2[:, None] - n2 + half), stack.shape[1:]
+        (k * code[:, None] + code, n1[:, None] - n1 + half, n2[:, None] - n2 + half), (k * k, n, n)
     )
-    s = np.take(stack.reshape(freqs.size, -1), flat, axis=1)
-    return NetworkData(freqs, s)
+
+    def records() -> Iterator:
+        yield len(port_map), 50.0
+        for f, f_hz in enumerate(freqs.tolist()):
+            yield f_hz, np.take(np.stack([c[f] for c in coeffs]), flat)
+
+    return records()
+
+
+def assemble_finite_smatrix(
+    sets: Mapping[str, CouplingSet],
+    aperture,
+    port_map: PortMap | None = None,
+) -> NetworkData:
+    """The records of :func:`smatrix_records`, stacked into one :class:`NetworkData`."""
+    return network_from_records(smatrix_records(sets, aperture, port_map))
 
 
 # --- CSV serialization --------------------------------------------------------

@@ -121,6 +121,8 @@ class SeededRandomModel:
 
     def __post_init__(self):
         object.__setattr__(self, "band", _check_band(self.band))
+        if self.seed < 0:
+            raise ModelError(f"seed must be >= 0, got {self.seed}")
         if self.smoothness < 1:
             raise ModelError("smoothness must be >= 1")
         if not self.k_ref > 0:

@@ -442,7 +442,7 @@ BAD_TRANSFORM_NUMBERS = [
 BAD_METRICS_NUMBERS = [
     ({"metrics": {"efficiency": True}}, "metrics.efficiency"),
     ({"sweep": {"theta_deg": [True], "phi_deg": [0]}}, "sweep.theta_deg/phi_deg"),
-    ({"excitation": {"taper": {"kind": "gaussian", "w0_mm": True}}}, "excitation.taper: w0_mm"),
+    ({"excitation": {"taper": {"kind": "gaussian", "w0_mm": True}}}, "excitation.taper.w0_mm"),
     ({"lattice": {**HEX2, "n_scan": 24.5}}, "lattice.n_scan"),
     ({"lattice": {**HEX2, "n_scan": True}}, "lattice.n_scan"),
 ]
@@ -454,7 +454,7 @@ NON_FINITE_OR_UNNAMED = [
     ("transform", {"model": {"kind": "demo", "band_ghz": [3, float("inf")]}}, "model.band_ghz"),
     ("transform", {"model": {"kind": "seeded_random", "seed": 1, "k_ref": float("inf")}}, "model.k_ref"),
     ("transform", {"model": {"kind": "seeded_random", "seed": 1, "level": 0}}, "model"),
-    ("metrics", {"excitation": {"taper": {"kind": "gaussian", "w0_mm": float("inf")}}}, "excitation.taper: w0_mm"),
+    ("metrics", {"excitation": {"taper": {"kind": "gaussian", "w0_mm": float("inf")}}}, "excitation.taper.w0_mm"),
 ]
 
 
@@ -523,6 +523,45 @@ def test_convert_bad_file_exit_4(tmp_path, capsys):
     assert cli.main(["convert", str(src), str(tmp_path / "o.s1p")]) == 4
 
 
+def test_convert_fault_in_the_last_record_leaves_no_output(tmp_path, capsys):
+    rng = np.random.default_rng(2)
+    s = 0.2 * (rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3)))
+    lines = snp.write_touchstone(snp.NetworkData([1e9, 2e9, 3e9, 4e9], s), "ma").splitlines()
+    lines[-1] = lines[-1].rsplit(" ", 1)[0] + " 0.5x"  # the last token of the file
+    src = tmp_path / "in.s3p"
+    src.write_text("\n".join(lines) + "\n")
+    fresh, old = tmp_path / "out" / "new.s3p", tmp_path / "old.s3p"
+    old.write_bytes(b"an earlier output\n")
+    for dst in (fresh, old):
+        assert cli.main(["convert", str(src), str(dst), "--format", "db"]) == 4
+        assert "error: non-numeric data token '0.5x'" in capsys.readouterr().err
+    assert old.read_bytes() == b"an earlier output\n"
+    # three records were written before the fault; neither output nor temporary file is left
+    assert list((tmp_path / "out").iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.s3p", "old.s3p", "out"]
+    src.write_text("\n".join(lines[:-1] + [lines[-1].replace("0.5x", "0.5")]) + "\n")
+    assert cli.main(["convert", str(src), str(old), "--format", "db"]) == 0
+    assert old.read_bytes() == snp.write_touchstone(snp.read_touchstone(src), "db").encode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.s3p", "old.s3p", "out"]
+
+
+def test_snp_size_is_checked_before_a_record_buffer_is_allocated(tmp_path):
+    # the name asks for 20000 ports: one record of 8e8 values, a 6.4 GB buffer, from a 28-byte file
+    src = tmp_path / "x.s20000p"
+    src.write_text("# GHz S RI R 50\n1.0 0.5 0.0\n")
+    rect = {"shape": "rectangle", "n1": [0, 99], "n2": [0, 99]}  # 10000 elements, so 20000 dual-pol ports
+    cfg = write_config(tmp_path, lattice={"kind": "square", "lambda_h_mm": 15.0, "n_scan": 24, "aperture": rect})
+    dst = tmp_path / "y.s20000p"
+    for argv in (
+        ["metrics", "--config", str(cfg), "--out", str(tmp_path / "o"), "--snp", str(src)],
+        ["convert", str(src), str(dst)],
+    ):
+        proc = run_limited(argv)
+        assert proc.returncode == 4, proc.stderr
+        assert f"error: {src}: 28 bytes cannot hold one 20000-port record" in proc.stderr
+    assert not dst.exists() and not (tmp_path / "o").exists()
+
+
 def run_pipeline(cfg: Path, out: Path) -> dict[str, bytes]:
     assert cli.main(["transform", "--config", str(cfg), "--out", str(out), "--touchstone", "--threads", "8"]) == 0
     assert cli.main(["metrics", "--config", str(cfg), "--out", str(out)]) == 0
@@ -560,6 +599,18 @@ def test_seed_flag_overrides_model_seed(tmp_path):
     xx = "coupling_xx.csv"
     assert (a / xx).read_bytes() != (b / xx).read_bytes()
     assert (a / xx).read_bytes() == (c / xx).read_bytes()
+
+
+def test_negative_seed_exit_2_naming_the_seed(tmp_path, capsys):
+    model = {"kind": "seeded_random", "seed": -3, "band_ghz": [3, 20]}
+    cfg = write_config(tmp_path, model=model, sweep={"freq_ghz": {"start": 3, "stop": 20, "points": 2}})
+    out = tmp_path / "o"
+    assert cli.main(["transform", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "error: model: seed must be >= 0, got -3" in capsys.readouterr().err
+    cfg = write_config(tmp_path, model={**model, "seed": 3}, sweep={"freq_ghz": {"start": 3, "stop": 20, "points": 2}})
+    assert cli.main(["transform", "--config", str(cfg), "--out", str(out), "--seed", "-3"]) == 2
+    assert "error: --seed: seed must be >= 0, got -3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_outputs_carry_version_and_config_hash(tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from arraykit import excitation as exc
 from arraykit import lattice as lat
-from arraykit import metrics, spectral, synthmodel
+from arraykit import metrics, snp, spectral, synthmodel
 from arraykit.excitation import ExcitationPlan, ScanSpec, TaperSpec, build_plan
 from arraykit.snp import NetworkData, PortMap
 
@@ -415,6 +415,34 @@ def test_sweep_matches_per_frequency_loop(pols):
             assert sw.coupling is None
         else:
             np.testing.assert_allclose(sw.coupling, coupling, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("kind", ["square", "triangular"])
+@pytest.mark.parametrize("pols", ["xy", "x", "y"])
+def test_sweep_rows_of_streamed_records_equal_the_sweep_bit_for_bit(kind, pols):
+    basis, aperture, pm, net = assembled_demo(kind, nfreq=5)
+    if len(pols) == 1:
+        net, pm = single_pol(net, pm, pols)
+    pol = pols[-1]
+    taper = TaperSpec("gaussian", 17 * MM)
+    scans = ["broadside", "E60", "D45", "T37.3P12.9"]
+    text = snp.write_touchstone(net, "ma")
+    read = metrics.probed_ports(pm, basis, aperture, pol)
+    assert len(read) == len(pols)
+    # only the probed rows of each record are kept as the records stream past
+    records = snp.read_records(text, net.port_count)
+    next(records)
+    freqs, rows = snp.stack_records(((f_hz, s[read]) for f_hz, s in records), (len(read), net.port_count))
+    got = metrics.sweep_rows(freqs, rows, read, net.port_count, pm, basis, aperture, taper, scans, pol)
+    want = metrics.sweep(snp.parse_touchstone(text, net.port_count), pm, basis, aperture, taper, scans, pol=pol)
+    for g, w in zip(got, want, strict=True):
+        assert (g.label, g.theta_deg) == (w.label, w.theta_deg)
+        assert g.frequencies.tobytes() == w.frequencies.tobytes()
+        assert g.gamma.tobytes() == w.gamma.tobytes()
+        assert (g.coupling is None) == (w.coupling is None) == (len(pols) == 1)
+        assert g.coupling is None or g.coupling.tobytes() == w.coupling.tobytes()
+    with pytest.raises(metrics.MetricError, match="outside"):
+        metrics.sweep_rows(freqs, rows, [net.port_count], net.port_count, pm, basis, aperture, taper, scans, pol)
 
 
 def reference_table_rows(header, sweeps, columns):

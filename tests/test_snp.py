@@ -1,4 +1,6 @@
 import cmath
+import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -7,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arraykit import cli, snp
@@ -400,6 +402,28 @@ def test_parse_errors_match_reference_and_exit_4(make, tmp_path, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "make", [_bad_token_after_first_chunk, _bad_token_before_second_option_line, _records_not_filled, _not_increasing]
+)
+def test_parse_errors_exit_4_through_metrics_snp(make, tmp_path, capsys):
+    lines, ports, message = make()
+    src = tmp_path / f"bad.s{ports}p"
+    src.write_text("\n".join(lines) + "\n")
+    # one element single-pol for the 1-port files, an 8 x 8 rectangle dual-pol for the 128-port one
+    last = 0 if ports == 1 else 7
+    rect = {"shape": "rectangle", "n1": [0, last], "n2": [0, last]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "lattice": {"kind": "square", "lambda_h_mm": 15.0, "aperture": rect},
+        "excitation": {"taper": {"kind": "uniform"}},
+        "sweep": {"scans": ["broadside"]},
+    }))
+    out = tmp_path / "o"
+    assert cli.main(["metrics", "--config", str(cfg), "--out", str(out), "--snp", str(src)]) == 4
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_noise_section_after_first_chunk_matches_reference():
     net = random_network(2, nfreq=20_500, seed=8)
     text = snp.write_touchstone(net, "ma") + "! noise parameters\n1.5 2.3 0.5 10.0 0.2\n2.5 2.4 0.6 11.0 0.3\n"
@@ -498,6 +522,109 @@ def test_read_and_convert_peak_memory_is_bounded_by_s(tmp_path):
         assert peak <= 1.75 * s_bytes, f"{fmt}: peak {peak / 1e6:.2f} MB for {s_bytes / 1e6:.2f} MB of S"
 
 
+def test_streamed_convert_peak_memory_is_a_few_records(tmp_path):
+    ports, nfreq = 32, 60
+    net = random_network(ports, nfreq=nfreq, seed=6)
+    record = (1 + 2 * ports * ports) * 8  # one record's values
+    for fmt in ("ri", "ma", "db"):
+        src, dst = tmp_path / f"in.s{ports}p", tmp_path / f"out.s{ports}p"
+        src.write_text(snp.write_touchstone(net, fmt))
+        # each record is read, then formatted (columns, Python floats, text) and written, before the next
+        tracemalloc.start()
+        try:
+            assert cli.main(["convert", str(src), str(dst), "--format", "db"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * record, f"{fmt}: peak {peak / record:.1f} records, S is {nfreq} records"
+
+
+def test_metrics_snp_read_peak_memory_is_the_probed_rows_and_a_few_records(tmp_path):
+    ports, nfreq = 64, 60
+    net = random_network(ports, nfreq=nfreq, seed=7)
+    record = (1 + 2 * ports * ports) * 8
+    read = [21, 53]  # an element's x and y ports, as metrics keeps them
+    rows = nfreq * len(read) * ports * 16
+    for fmt in ("ri", "ma", "db"):
+        src = tmp_path / f"in.s{ports}p"
+        src.write_text(snp.write_touchstone(net, fmt))
+        tracemalloc.start()
+        try:
+            freqs, kept = cli._read_rows(src, ports, read)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert freqs.tobytes() == net.frequencies.tobytes() and kept.shape == (nfreq, 2, ports)
+        # the kept rows grow in place, by up to half their size at a time; S would be 60 records
+        assert peak <= 1.5 * rows + 4 * record, f"{fmt}: peak {peak / record:.1f} records, rows {rows / record:.1f}"
+
+
+NOISE = "! noise parameters\n1.5 2.3 0.5 10.0 0.2\n2.5 2.4 0.6 11.0 0.3\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    ports=st.sampled_from([1, 2, 3, 5]),
+    fmt=st.sampled_from(["ri", "ma", "db"]),
+    noise=st.booleans(),
+)
+@example(seed=3, ports=2, fmt="ma", noise=True)
+def test_streamed_records_stack_to_the_reference_parse(seed, ports, fmt, noise):
+    noise = noise and ports == 2
+    text = snp.write_touchstone(oracle_network(ports, nfreq=4, seed=seed), fmt) + (NOISE if noise else "")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        records = snp.read_records(text, ports)
+        header = next(records)
+        got = [(f_hz, s.copy()) for f_hz, s in records]
+        stacked = snp.parse_touchstone(text, ports)
+        want = _reference_parse(text, ports)
+    # one noise warning each from the stream, the stack and the reference
+    warned = ["ignoring trailing noise-parameter data in 2-port file"] * (3 if noise else 0)
+    assert [str(w.message) for w in caught] == warned
+    assert header == (ports, want.z_ref)
+    assert all(type(f_hz) is float and s.shape == (ports, ports) for f_hz, s in got)
+    streamed = snp.NetworkData(np.array([f for f, _ in got]), np.stack([s for _, s in got]), header[1])
+    assert_parsed_matches_reference(streamed, want, fmt)
+    assert stacked.frequencies.tobytes() == streamed.frequencies.tobytes()
+    assert stacked.s.tobytes() == streamed.s.tobytes()
+
+
+def test_records_are_checked_as_they_arrive():
+    # a fault in the third record: the first two records come out before it is reported
+    lines = ["# GHz S RI R 50", "1.0 0.5 0.0", "2.0 0.25 0.0", "3.0 nan 0.0", "4.0 bogus 0.0"]
+    records = snp.read_records(lines, 1)
+    assert next(records) == (1, 50.0)
+    assert [f for f, _ in itertools.islice(records, 2)] == [1e9, 2e9]
+    with pytest.raises(snp.NetworkError, match="non-finite"):
+        next(records)
+    # a non-finite entry anywhere in a record fails it, whichever rows a caller keeps
+    with pytest.raises(snp.NetworkError, match="non-finite"):
+        snp.parse_touchstone("# GHz S RI R 50\n1.0 0.1 0 0.2 0 0.3 0 0.4 inf\n", 2)
+    with pytest.raises(snp.NetworkError, match="positive"):
+        snp.parse_touchstone("# GHz S RI R 50\n0.0 0.1 0\n", 1)
+    for text in ("nan 0.1 0\n2.0 0.1 0\n", "1.0 0.1 0\ninf 0.1 0\n", "1e300 0.1 0\n"):
+        with pytest.raises(snp.NetworkError, match="not finite in Hz"):
+            snp.parse_touchstone("# GHz S RI R 50\n" + text, 1)
+    with pytest.raises(snp.NetworkError, match="z_ref"):
+        next(snp.read_records("# GHz S RI R -50\n1.0 0.1 0\n", 1))
+    with pytest.raises(snp.TouchstoneError, match="no frequency records"):
+        snp.parse_touchstone("# GHz S RI R 50\n! nothing\n", 1)
+
+
+def test_touchstone_port_count_checks_the_file_size(tmp_path):
+    path = tmp_path / "x.s3p"
+    path.write_text("#\n1 " + " ".join(["0"] * 18))  # the shortest 3-port file: 19 values in 39 bytes
+    assert snp.touchstone_port_count(path) == 3
+    assert snp.read_touchstone(path).s.shape == (1, 3, 3)
+    path.write_text("#\n1 0 0\n")
+    with pytest.raises(snp.TouchstoneError, match=f"{path}: 8 bytes cannot hold one 3-port record"):
+        snp.touchstone_port_count(path)
+    with pytest.raises(snp.TouchstoneError, match="cannot infer port count"):
+        snp.touchstone_port_count(tmp_path / "x.txt")
+
+
 # --- NetworkData validation ---------------------------------------------------
 
 
@@ -512,6 +639,8 @@ def test_network_data_validation():
         snp.NetworkData([1e9], np.zeros((1, 1, 1), complex), z_ref=0.0)
     with pytest.raises(snp.NetworkError):
         snp.NetworkData([1e9], np.full((1, 1, 1), np.nan, complex))
+    with pytest.raises(snp.NetworkError, match="finite"):
+        snp.NetworkData([np.nan, 2e9], np.zeros((2, 1, 1), complex))
 
 
 # --- termination -------------------------------------------------------------
