@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, excitation, lattice, metrics, snp, spectral, synthmodel
-from .constants import DEFAULT_N_SCAN, PATTERN_ROW_CAP, PATTERN_SAMPLE_CAP, TRANSFORM_VALUE_CAP
+from .constants import DEFAULT_N_SCAN, MEMORY_BUDGET
 
 
 DEFAULT_FREQ_GHZ = {"start": 3, "stop": 20, "points": 171}
@@ -54,7 +54,7 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config file not found: {p}")
     try:
         cfg = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of more digits than int() converts
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
@@ -96,12 +96,12 @@ def _config_hz(value, where: str) -> float:
     return hz
 
 
-def _parse_frequencies(block, where: str, values_per_point: int, set_by: str, cap: int) -> np.ndarray:
+def _parse_frequencies(block, where: str, price: tuple[int, int], set_by: str) -> np.ndarray:
     """Frequencies (Hz) of a ``{start, stop, points}`` block or a GHz list, strictly increasing.
 
-    ``values_per_point`` is what the command holds per frequency, as the
-    fields named in ``set_by`` determine; a sweep whose point count times it
-    exceeds ``cap`` is rejected before the frequency array is built.
+    ``price`` is ``(fixed bytes, bytes per frequency)`` of the command, as
+    the fields named in ``set_by`` determine; a sweep that puts it over
+    :data:`MEMORY_BUDGET` is rejected before the frequency array is built.
     """
     if isinstance(block, dict):
         if not {"start", "stop", "points"} <= block.keys():
@@ -112,24 +112,15 @@ def _parse_frequencies(block, where: str, values_per_point: int, set_by: str, ca
             raise ConfigError(f"{where}: need 0 < start <= stop and points >= 1")
         if points > 1 and stop == start:
             raise ConfigError(f"{where}: {points} points need start < stop")
-        _check_work(points, values_per_point, set_by, where, cap)
+        _check_budget(price[0] + points * price[1], where, f"{where}.points, {set_by}")
         return np.linspace(start, stop, points)
     if isinstance(block, (list, tuple)) and block:
-        _check_work(len(block), values_per_point, set_by, where, cap)
+        _check_budget(price[0] + len(block) * price[1], where, f"its length, {set_by}")
         vals = np.array([_config_hz(v, where) for v in block])
         if np.any(vals <= 0) or np.any(np.diff(vals) <= 0):
             raise ConfigError(f"{where}: frequencies must be positive and increasing")
         return vals
     raise ConfigError(f"{where}: expected an object or a non-empty list")
-
-
-def _check_work(points: int, values_per_point: int, set_by: str, where: str, cap: int) -> None:
-    total = points * values_per_point
-    if total > cap:
-        raise ConfigError(
-            f"{where}: {points} frequencies x {values_per_point} values each (set by {set_by}) "
-            f"is {total:.3g} values, above the limit of {cap:.0e}"
-        )
 
 
 def _scan_label(label, pol: str, where: str) -> tuple[str, float, float]:
@@ -179,11 +170,6 @@ def _sweep_scans(cfg: dict, pol: str) -> list[str]:
     return ["broadside", "E60", "H60", "D60"]
 
 
-def _sweep_frequencies(cfg: dict, values_per_point: int, set_by: str) -> np.ndarray:
-    freq_ghz = _block(cfg, "sweep").get("freq_ghz", DEFAULT_FREQ_GHZ)
-    return _parse_frequencies(freq_ghz, "sweep.freq_ghz", values_per_point, set_by, TRANSFORM_VALUE_CAP)
-
-
 def _excitation_block(cfg: dict) -> tuple[excitation.TaperSpec, str]:
     block = _block(cfg, "excitation")
     pol = str(block.get("pol", "x")).lower()
@@ -207,7 +193,7 @@ def _excitation_block(cfg: dict) -> tuple[excitation.TaperSpec, str]:
 
 
 def _require_lattice(cfg: dict, need_aperture: bool = False):
-    """``(basis, n_scan, aperture shape or None)`` of the ``lattice`` block."""
+    """``(reciprocal basis, aperture shape or None)`` of the ``lattice`` block."""
     if "lattice" not in cfg:
         raise ConfigError("lattice: required")
     d = _block(cfg, "lattice")
@@ -218,17 +204,19 @@ def _require_lattice(cfg: dict, need_aperture: bool = False):
         raise ConfigError("lattice.lambda_h_mm: required")
     lambda_h = _config_float(d["lambda_h_mm"], "lattice.lambda_h_mm") * 1e-3
     n_scan = _config_int(d.get("n_scan", DEFAULT_N_SCAN), "lattice.n_scan")
-    if n_scan < 2 or n_scan % 2:
-        raise ConfigError(f"lattice.n_scan: expected an even integer >= 2, got {n_scan!r}")
     try:
         basis = lattice.make_basis(kind, lambda_h)
     except lattice.LatticeError:  # the kind is valid, so lambda_h is at fault
         msg = f"expected a positive length whose square in m^2 is a normal float, got {d['lambda_h_mm']!r}"
         raise ConfigError(f"lattice.lambda_h_mm: {msg}") from None
+    try:
+        recip = lattice.ReciprocalBasis(basis, n_scan)
+    except lattice.LatticeError as exc:
+        raise ConfigError(f"lattice.n_scan: {exc}") from None
     shape = None if d.get("aperture") is None else _aperture_shape(d["aperture"])
     if need_aperture and shape is None:
         raise ConfigError("lattice.aperture: required for this command")
-    return basis, n_scan, shape
+    return recip, shape
 
 
 def _aperture_shape(d) -> lattice.ApertureShape:
@@ -307,6 +295,46 @@ def _require_model(cfg: dict) -> synthmodel.ModelSpec:
     raise ConfigError(f"model.kind: expected constant|scan_poly|seeded_random|demo, got {kind!r}")
 
 
+# --- memory budget ---------------------------------------------------------------
+# Bytes held at once per unit, as tracemalloc measured them ("about") rounded up; each price sums them over
+# the sizes its config or input file gives. The fixed part covers the parser, config and small arrays.
+_FIXED_BYTES = 1 << 20  # about 0.3 MB
+_ELEMENT_BYTES = 512  # per aperture element: its indices, position and port-map entries, about 250 B
+_TEXT_ENTRY_BYTES = 256  # per S entry of one record, read or assembled and then formatted as text, about 190 B
+_PORT_FREQ_BYTES = 128  # per port and frequency: one scan's weights (about 60 B), and the S rows metrics keeps
+_ROW_BYTES = 128  # per CSV row of metrics or pattern, with the values it is formatted from, about 120 B
+
+
+def _check_budget(nbytes: int, where: str, set_by: str) -> None:
+    """Raise :class:`ConfigError` naming ``where`` if ``nbytes``, a price from ``set_by``, is over the budget."""
+    if nbytes > MEMORY_BUDGET:
+        shown = nbytes if nbytes.bit_length() <= 64 else f"more than {1 << 64}"
+        msg = f"the run would hold {shown} bytes at once (set by {set_by}), above the budget of {MEMORY_BUDGET}"
+        raise ConfigError(f"{where}: {msg}")
+
+
+def _transform_price(n_scan: int, model: synthmodel.ModelSpec, ports: int) -> tuple[int, int]:
+    """``(fixed bytes, bytes per frequency)`` of ``transform``: the grids, and one S record of ``ports`` formatted."""
+    # per scan point and frequency: 4 gamma grids, 4 coupling sets and one CSV's rows, about 245 B, and 40 B per
+    # seeded-random term while sampling; one frequency more covers the CSV index columns made once per grid
+    terms = model.smoothness if isinstance(model, synthmodel.SeededRandomModel) else 0
+    per = n_scan**2 * (256 + 40 * terms)
+    return _FIXED_BYTES + ports**2 * _TEXT_ENTRY_BYTES + per, per
+
+
+def _pattern_price(elements: int, cuts: int, thetas: int) -> tuple[int, int]:
+    """``(fixed bytes, bytes per frequency)`` of ``pattern``: one cut's phase matrix; rows and weights."""
+    fixed = _FIXED_BYTES + elements * (_ELEMENT_BYTES + 40 * thetas)  # the matrix, about 33 B per entry
+    return fixed, cuts * thetas * _ROW_BYTES + elements * _PORT_FREQ_BYTES
+
+
+def _metrics_price(size: int, ports: int, elements: int, scans: int) -> int:
+    """Bytes ``metrics`` holds: one record read, then each frequency's kept rows, weights and table rows."""
+    freqs = size // (2 * (1 + 2 * ports * ports))  # each of a record's values takes a character and a separator
+    per = ports * _PORT_FREQ_BYTES + 3 * scans * _ROW_BYTES
+    return _FIXED_BYTES + elements * _ELEMENT_BYTES + 64 * ports**2 + freqs * per  # a record read: about 40 B per entry
+
+
 # --- output helpers -------------------------------------------------------------
 
 
@@ -356,8 +384,8 @@ def _out_dir(args) -> Path:
 
 def cmd_lattice(args) -> int:
     cfg = _load_config(args.config)
-    basis, n_scan, _ = _require_lattice(cfg)
-    recip = lattice.reciprocal_basis(basis, n_scan)
+    recip, _ = _require_lattice(cfg)
+    basis, n_scan = recip.basis, recip.n_scan
     area = lattice.unit_cell_area(basis)
     ratio = lattice.unit_cell_area(lattice.make_basis("triangular", basis.lambda_h)) / lattice.unit_cell_area(
         lattice.make_basis("square", basis.lambda_h)
@@ -384,28 +412,26 @@ def cmd_lattice(args) -> int:
 
 def cmd_transform(args) -> int:
     cfg = _load_config(args.config)
-    basis, n_scan, shape = _require_lattice(cfg, need_aperture=args.touchstone)
+    recip, shape = _require_lattice(cfg, need_aperture=args.touchstone)
     model = _require_model(cfg)
     if args.seed is not None and isinstance(model, synthmodel.SeededRandomModel):
         try:
             model = replace(model, seed=args.seed)
         except synthmodel.ModelError as exc:
             raise ConfigError(f"--seed: {exc}") from None
-    # bound the 4 sampled grids and, with --touchstone, the dense S before anything is allocated
     ports = 2 * lattice.aperture_size(shape) if args.touchstone else 0
-    freqs = _sweep_frequencies(cfg, 4 * n_scan**2 + ports**2, "lattice.n_scan and the aperture")
+    freqs = _parse_frequencies(
+        _block(cfg, "sweep").get("freq_ghz", DEFAULT_FREQ_GHZ), "sweep.freq_ghz",
+        _transform_price(recip.n_scan, model, ports), "lattice.n_scan, the model and the aperture",
+    )
     lo, hi = model.band
     if freqs[0] < lo or freqs[-1] > hi:
         raise ConfigError(
             f"sweep.freq_ghz: range [{freqs[0] / 1e9:g}, {freqs[-1] / 1e9:g}] GHz "
             f"outside model band [{lo / 1e9:g}, {hi / 1e9:g}] GHz"
         )
-    aperture = None
     if shape is not None:
-        spectral.check_aperture_fits(shape, n_scan)  # from the shape's parameters, before enumerating it
-        aperture = lattice.enumerate_aperture(shape)
-
-    recip = lattice.reciprocal_basis(basis, n_scan)
+        spectral.check_aperture_fits(shape, recip.n_scan)  # from the shape's parameters, before enumerating it
     grids = {pair: synthmodel.sample_grid(model, recip, freqs, pair) for pair in spectral.POL_PAIRS}
 
     method = "direct" if args.oracle else "fft"
@@ -427,15 +453,15 @@ def cmd_transform(args) -> int:
             print(f"wrote {path}")
     if args.touchstone:
         path = out / f"finite_array.s{ports}p"
-        _write_touchstone(path, spectral.smatrix_records(sets, aperture), "ri")
+        _write_touchstone(path, spectral.smatrix_records(sets, lattice.enumerate_aperture(shape)), "ri")
         print(f"wrote {path} ({ports} ports, {freqs.size} frequencies)")
     return 0
 
 
 def cmd_metrics(args) -> int:
     cfg = _load_config(args.config)
-    basis, n_scan, shape = _require_lattice(cfg, need_aperture=True)
-    n_elem = lattice.aperture_size(shape)
+    recip, shape = _require_lattice(cfg, need_aperture=True)
+    basis, n_elem = recip.basis, lattice.aperture_size(shape)
     taper, pol = _excitation_block(cfg)
     scans = _sweep_scans(cfg, pol)
     mblock = _block(cfg, "metrics")
@@ -459,6 +485,8 @@ def cmd_metrics(args) -> int:
             f"port count {ports} matches neither {n_elem} (single-pol) nor "
             f"{2 * n_elem} (dual-pol) for the {n_elem}-element aperture"
         )
+    size = Path(snp_path).stat().st_size
+    _check_budget(_metrics_price(size, ports, n_elem, len(scans)), str(snp_path), "its size and name, and sweep.scans")
     dual = ports == 2 * n_elem
     aperture = lattice.enumerate_aperture(shape)  # no larger than the file's port count
     pm = snp.PortMap.lexicographic(aperture) if dual else snp.PortMap.lexicographic(aperture, pols=(pol,))
@@ -522,8 +550,8 @@ def _cut_phi(cut, pol: str, where: str) -> float:
 
 def cmd_pattern(args) -> int:
     cfg = _load_config(args.config)
-    basis, n_scan, shape = _require_lattice(cfg, need_aperture=True)
-    n_elem = lattice.aperture_size(shape)
+    recip, shape = _require_lattice(cfg, need_aperture=True)
+    basis, n_elem = recip.basis, lattice.aperture_size(shape)
     taper, pol = _excitation_block(cfg)
     block = _block(cfg, "pattern")
     cuts = block.get("cuts", ["E", "H", "D"])
@@ -533,19 +561,16 @@ def cmd_pattern(args) -> int:
     step = _config_float(block.get("theta_step_deg", 1.0), "pattern.theta_step_deg")
     if not step > 0:
         raise ConfigError("pattern.theta_step_deg: must be positive")
-    # theta samples x elements; a float, so a step near 0 gives inf instead of overflowing an int
-    samples = n_elem * (180.0 + step / 2) / step
-    if samples > PATTERN_SAMPLE_CAP:
-        raise ConfigError(
-            f"pattern.theta_step_deg: {step:g} degrees gives about {samples:.3g} theta samples x "
-            f"aperture elements per cut, above the limit of {PATTERN_SAMPLE_CAP}"
-        )
     # a stop just past 90 and a clip of the last sample keep float drift from leaving [-90, 90]
-    theta = np.minimum(np.arange(-90.0, 90.0 + step * 1e-6, step), 90.0)
-    # per frequency: one output row per cut and theta sample, and one weight per element
+    stop = 90.0 + step * 1e-6
+    # np.arange's sample count, clamped so that a step near 0 gives a count over any budget, not inf
+    thetas = math.ceil(min((stop + 90.0) / step, 1e300))
+    price = _pattern_price(n_elem, len(cuts), thetas)
+    _check_budget(price[0], "pattern.theta_step_deg", "pattern.theta_step_deg and the aperture")
+    theta = np.minimum(np.arange(-90.0, stop, step), 90.0)
     freqs = _parse_frequencies(
-        block.get("freq_ghz", [4.0, 9.0, 18.0]), "pattern.freq_ghz", len(cuts) * theta.size + n_elem,
-        "pattern.cuts, pattern.theta_step_deg and the aperture", PATTERN_ROW_CAP,
+        block.get("freq_ghz", [4.0, 9.0, 18.0]), "pattern.freq_ghz", price,
+        "pattern.cuts, pattern.theta_step_deg and the aperture",
     )
     _, theta0, phi0 = _scan_label(str(block.get("scan", "broadside")), pol, "pattern.scan")
 
@@ -569,12 +594,15 @@ def cmd_pattern(args) -> int:
 
 
 def cmd_convert(args) -> int:
+    if not Path(args.input).is_file():
+        raise ConfigError(f"convert input: file not found: {args.input}")
     ports = snp.port_count_from_name(args.input)
     out = Path(args.output)
     # an output that would be read back with another port count; a bad input name fails in the read
     if ports is not None and snp.port_count_from_name(out) != ports:
         raise ConfigError(f"{out}: expected an output name ending in .s{ports}p for the {ports}-port input")
     ports = snp.touchstone_port_count(args.input)
+    _check_budget(_FIXED_BYTES + ports**2 * _TEXT_ENTRY_BYTES, args.input, "its name")
     with open(args.input) as fh:
         count = _write_touchstone(out, snp.read_records(fh, ports), args.format)
     print(f"wrote {out} ({ports} ports, {count} frequencies, {args.format.upper()})")

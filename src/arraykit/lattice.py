@@ -82,6 +82,8 @@ class ReciprocalBasis:
 
     Satisfies ``[k1; k2] [a1 a2] = (2*pi/n_scan) * I``; the full-period reciprocal primitive vectors
     are ``n_scan*k1`` and ``n_scan*k2``. All follow from ``basis`` and ``n_scan``, the fields it compares and hashes by.
+    ``n_scan`` must be even and >= 2. Closed forms, with ``c = 4*pi/(N*lambda_h)``: square ``c * I``;
+    triangular rows ``c * (-1/sqrt(2), 1/sqrt(2))`` and ``c * (cos(pi/12), sin(pi/12))``.
     """
 
     basis: LatticeBasis
@@ -94,9 +96,12 @@ class ReciprocalBasis:
         if not isinstance(n_scan, int) or isinstance(n_scan, bool):
             raise LatticeError(f"n_scan must be an integer, got {n_scan!r}")
         if n_scan < 2 or n_scan % 2 != 0:
-            raise LatticeError(f"n_scan must be even and >= 2, got {n_scan}")
+            raise LatticeError(f"expected an even integer >= 2, got {n_scan}")
+        try:
+            scale = 2 * math.pi / n_scan
+        except OverflowError:
+            raise LatticeError(f"expected an integer within the float range, got {len(str(n_scan))} digits") from None
         cell = self.basis.cell_matrix
-        scale = 2 * math.pi / n_scan
         rows = scale * np.linalg.inv(cell)
         err = np.abs(rows @ cell - scale * np.eye(2)).max()
         if err > _REL_TOL * scale:
@@ -157,18 +162,6 @@ def aperture_positions(basis: LatticeBasis, indices) -> np.ndarray:
     if idx.size == 0:
         return np.zeros((0, 2))
     return idx @ np.vstack([basis.a1, basis.a2])
-
-
-def reciprocal_basis(basis: LatticeBasis, n_scan: int) -> ReciprocalBasis:
-    """Reciprocal scan basis ``[k1; k2] = (2*pi/n_scan) * [a1 a2]^-1``.
-
-    ``n_scan`` must be even and >= 2; the scan grid index ranges assume an
-    even point count per dimension. Closed forms for the canonical bases:
-    square ``(4*pi/(N*lambda_h)) * I``; triangular rows
-    ``(4*pi/(N*lambda_h)) * (-1/sqrt(2), 1/sqrt(2))`` and
-    ``(4*pi/(N*lambda_h)) * (cos(pi/12), sin(pi/12))``.
-    """
-    return ReciprocalBasis(basis, n_scan)
 
 
 # --- aperture shapes ---------------------------------------------------------

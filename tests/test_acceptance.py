@@ -53,11 +53,11 @@ def test_criterion_02_reciprocal_identity():
         for kind in lat.LATTICE_KINDS:
             basis = lat.make_basis(kind, 15 * MM)
             for n in (2, 8, 24):
-                recip = lat.reciprocal_basis(basis, n)
+                recip = lat.ReciprocalBasis(basis, n)
                 scale = 2 * math.pi / n
                 err = np.abs(recip.row_matrix @ basis.cell_matrix - scale * np.eye(2)).max()
                 assert err < 1e-12 * scale
-        recip = lat.reciprocal_basis(lat.make_basis("triangular", 15 * MM), 24)
+        recip = lat.ReciprocalBasis(lat.make_basis("triangular", 15 * MM), 24)
         k = 4 * math.pi / (24 * 15 * MM)
         closed = k * np.array(
             [[-1 / math.sqrt(2), 1 / math.sqrt(2)],
@@ -80,7 +80,7 @@ def test_criterion_04_transform_round_trip():
         freqs = np.linspace(3e9, 20e9, 16)
         for kind in lat.LATTICE_KINDS:
             basis = lat.make_basis(kind, 15 * MM)
-            grid = lat.reciprocal_basis(basis, 24)
+            grid = lat.ReciprocalBasis(basis, 24)
             model = synthmodel.SeededRandomModel(
                 seed=42, smoothness=4, k_ref=419.0, band=(3e9, 20e9), level=0.8
             )
@@ -247,7 +247,7 @@ def test_criterion_11_dplane_coupling_dominates():
             ("triangular", lat.HexagonAperture(5)),
         ):
             basis = lat.make_basis(kind, 15 * MM)
-            grid = lat.reciprocal_basis(basis, 24)
+            grid = lat.ReciprocalBasis(basis, 24)
             sets = {
                 pair: spectral.gamma_to_coupling(synthmodel.sample_grid(model, grid, freqs, pair))
                 for pair in spectral.POL_PAIRS

@@ -1,15 +1,17 @@
 import json
+import math
 import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from arraykit import cli, lattice, metrics, snp, spectral, synthmodel
-from arraykit.constants import PATTERN_ROW_CAP, PATTERN_SAMPLE_CAP, TRANSFORM_VALUE_CAP
+from arraykit.constants import MEMORY_BUDGET
 
 
 def write_config(tmp_path: Path, **overrides) -> Path:
@@ -302,9 +304,7 @@ def test_pattern_work_bounded_before_allocating(tmp_path):
         timeout=60,
     )
     assert proc.returncode == 2, proc.stderr
-    assert "pattern.theta_step_deg" in proc.stderr and str(PATTERN_SAMPLE_CAP) in proc.stderr
-    # the benchmark's densest pattern (0.05 degree step, 19-element hexagon) stays far below the cap
-    assert 3601 * 19 * 50 < PATTERN_SAMPLE_CAP
+    assert "pattern.theta_step_deg" in proc.stderr and str(MEMORY_BUDGET) in proc.stderr
 
 
 def run_limited(argv, limit=2 * 1024**3):
@@ -329,22 +329,66 @@ HEX14_N60 = {"kind": "triangular", "lambda_h_mm": 15.0, "n_scan": 60, "aperture"
         ({"sweep": {"freq_ghz": {"start": 3, "stop": 20, "points": 2_000_000_000}}}, []),
         # the default 171 frequencies x 4 grids of 20000^2
         ({"lattice": {"kind": "square", "lambda_h_mm": 15.0, "n_scan": 20_000}, "sweep": {}}, []),
-        # 100 frequencies x 1262^2 S entries (2.5 GB) for 631 elements, though the grids are small
-        ({"lattice": HEX14_N60, "sweep": {"freq_ghz": {"start": 3, "stop": 20, "points": 100}}}, ["--touchstone"]),
+        # 40 000 frequencies x 4 grids of 24^2: 9.2e7 values, which a cap of 1e8 values once let through to an
+        # allocation failure; the grids and their CSV rows need about 6 GB
+        ({"sweep": {"freq_ghz": {"start": 3, "stop": 20, "points": 40_000}}}, []),
     ],
 )
 def test_transform_work_bounded_before_allocating(tmp_path, overrides, flags):
     cfg = write_config(tmp_path, **overrides)
     proc = run_limited(["transform", "--config", str(cfg), "--out", str(tmp_path / "o"), *flags])
     assert proc.returncode == 2, proc.stderr
-    assert "sweep.freq_ghz" in proc.stderr and "lattice.n_scan" in proc.stderr
-    assert f"{TRANSFORM_VALUE_CAP:.0e}" in proc.stderr
+    assert "error: sweep.freq_ghz:" in proc.stderr and "lattice.n_scan" in proc.stderr
+    assert str(MEMORY_BUDGET) in proc.stderr
     assert not (tmp_path / "o").exists()
 
 
-def test_transform_work_bound_admits_the_dense_benchmark():
-    # rings 5 (182 elements, 364 ports) at n_scan 24 and 171 frequencies, with --touchstone
-    assert 171 * (4 * 24**2 + 364**2) < TRANSFORM_VALUE_CAP / 4
+def test_budget_admits_the_benchmark_runs_with_room():
+    quarter = MEMORY_BUDGET // 4
+
+    def total(price, freqs):
+        return price[0] + freqs * price[1]
+
+    seeded = synthmodel.SeededRandomModel(seed=1, smoothness=3, k_ref=420.0, band=(3e9, 20e9))
+    # hex5_dense: rings 5 (364 ports) at N = 24, 171 frequencies, the default smoothness, --touchstone
+    assert total(cli._transform_price(24, seeded, 364), 171) < quarter
+    # hex2_scan: rings 2 (19 elements, 38 ports), then 49 scans, then 3 frequencies x 3 cuts of 3601 samples;
+    # metrics reads the transform's RI file, under 48 bytes of text per S entry
+    assert total(cli._transform_price(24, synthmodel.demo_model(), 38), 171) < quarter
+    assert cli._metrics_price(171 * 38**2 * 48, 38, 19, 49) < quarter
+    assert total(cli._pattern_price(19, 3, 3601), 3) < quarter
+    # measured_io: an 8 x 8 rectangle (128 ports), 171 frequencies of MA text under 32 bytes per entry, 5 scans
+    assert cli._metrics_price(171 * 128**2 * 32, 128, 64, 5) < quarter
+    assert cli._FIXED_BYTES + 128**2 * cli._TEXT_ENTRY_BYTES < quarter
+    # rings 14 (1262 ports) at N = 60 with --touchstone, 100 frequencies: S is written one frequency at a time
+    assert total(cli._transform_price(60, synthmodel.ConstantModel(0.25), 1262), 100) <= MEMORY_BUDGET
+
+
+def frequencies_at_budget(price: tuple[int, int]) -> int:
+    """The most frequencies that a ``(fixed, per frequency)`` price admits."""
+    fixed, per = price
+    n = (MEMORY_BUDGET - fixed) // per
+    assert fixed + n * per <= MEMORY_BUDGET < fixed + (n + 1) * per
+    return n
+
+
+@pytest.mark.parametrize("flags", [[], ["--touchstone"]])
+def test_transform_frequencies_at_the_budget(tmp_path, flags):
+    # with --touchstone, rings 14 at N = 60: one formatted 1262-port record is most of the price
+    lat = HEX14_N60 if flags else {"kind": "square", "lambda_h_mm": 15.0, "n_scan": 24}
+    cfg = json.loads(write_config(tmp_path, lattice=lat).read_text())
+    recip, shape = cli._require_lattice(cfg)
+    ports = 2 * lattice.aperture_size(shape) if flags else 0
+    price = cli._transform_price(recip.n_scan, cli._require_model(cfg), ports)
+    n = frequencies_at_budget(price)
+    sweep = {"start": 3, "stop": 20, "points": n}
+    assert cli._parse_frequencies(sweep, "sweep.freq_ghz", price, "").size == n  # one under is admitted
+    path = write_config(tmp_path, lattice=lat, sweep={"freq_ghz": {**sweep, "points": n + 1}})
+    proc = run_limited(["transform", "--config", str(path), "--out", str(tmp_path / "o"), *flags])
+    assert proc.returncode == 2, proc.stderr
+    assert f"error: sweep.freq_ghz: the run would hold {price[0] + (n + 1) * price[1]} bytes" in proc.stderr
+    assert f"above the budget of {MEMORY_BUDGET}" in proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -395,25 +439,130 @@ def test_pattern_frequencies_bounded_before_allocating(tmp_path):
     proc = run_limited(["pattern", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert proc.returncode == 2, proc.stderr
     assert "pattern.freq_ghz" in proc.stderr and "pattern.theta_step_deg" in proc.stderr
-    assert f"{PATTERN_ROW_CAP:.0e}" in proc.stderr
+    assert str(MEMORY_BUDGET) in proc.stderr
     assert not (tmp_path / "o").exists()
 
 
-def test_pattern_just_under_the_row_cap_runs_in_bounded_memory(tmp_path):
-    # one element, 3 cuts of 3601 theta samples: 10804 rows and weights per frequency
-    per_point = 3 * 3601 + 1
-    points = PATTERN_ROW_CAP // per_point
+def test_pattern_frequencies_at_the_budget(tmp_path):
+    # one element, 3 cuts of 3601 theta samples: 10803 rows per frequency
     single = {"kind": "triangular", "lambda_h_mm": 15.0, "n_scan": 24, "aperture": {"shape": "hexagon", "rings": 0}}
-    for n, code in [(points, 0), (points + 1, 2)]:
-        pattern = {"freq_ghz": {"start": 3, "stop": 20, "points": n}, "theta_step_deg": 0.05}
-        cfg = write_config(tmp_path, lattice=single, pattern=pattern)
-        out = tmp_path / f"o{n}"
-        # a 1 GiB address space: the rows of a run at the cap need about 0.25 GB
-        proc = run_limited(["pattern", "--config", str(cfg), "--out", str(out)], limit=1024**3)
+    price = cli._pattern_price(1, 3, 3601)
+    n = frequencies_at_budget(price)
+    sweep = {"start": 3, "stop": 20, "points": n}
+    assert cli._parse_frequencies(sweep, "pattern.freq_ghz", price, "").size == n  # one under is admitted
+    pattern = {"freq_ghz": {**sweep, "points": n + 1}, "theta_step_deg": 0.05}
+    cfg = write_config(tmp_path, lattice=single, pattern=pattern)
+    proc = run_limited(["pattern", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert proc.returncode == 2, proc.stderr
+    assert f"error: pattern.freq_ghz: the run would hold {price[0] + (n + 1) * price[1]} bytes" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_pattern_cut_at_the_budget(tmp_path):
+    # a row of elements cut at 1 degree steps (181 theta samples): the cut's phase matrix grows with the elements
+    def fixed(elements):
+        return cli._pattern_price(elements, 1, 181)[0]
+
+    n = (MEMORY_BUDGET - fixed(0)) // (fixed(1) - fixed(0))
+    assert fixed(n) <= MEMORY_BUDGET < fixed(n + 1)
+    cli._check_budget(fixed(n), "pattern.theta_step_deg", "")  # one under is admitted
+    aperture = {"shape": "rectangle", "n1": [0, n], "n2": [0, 0]}
+    row = {"kind": "square", "lambda_h_mm": 15.0, "n_scan": 24, "aperture": aperture}
+    cfg = write_config(tmp_path, lattice=row, pattern={"freq_ghz": [9.0], "cuts": ["E"], "theta_step_deg": 1.0})
+    proc = run_limited(["pattern", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert proc.returncode == 2, proc.stderr
+    assert f"error: pattern.theta_step_deg: the run would hold {fixed(n + 1)} bytes" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def sparse_snp(path: Path, size: int) -> Path:
+    """A ``size``-byte Touchstone file whose data fail at the first token; the rest is a hole, never written."""
+    with open(path, "w") as fh:
+        fh.write("# GHz S RI R 50\nx\n")
+        fh.truncate(size)
+    return path
+
+
+def test_metrics_file_size_at_the_budget(tmp_path):
+    cfg = write_config(tmp_path)  # a 3 x 3 rectangle (18 dual-pol ports) and 2 scans
+    record = 2 * (1 + 2 * 18**2)  # the fewest bytes one record takes
+
+    def price(size):
+        return cli._metrics_price(size, 18, 9, 2)
+
+    over = record * (frequencies_at_budget((price(0), price(record) - price(0))) + 1)
+    assert price(over - 1) <= MEMORY_BUDGET < price(over)
+    # one byte under is admitted, and the read fails at the first token without allocating
+    for size, code in [(over, 2), (over - 1, 4)]:
+        src = sparse_snp(tmp_path / f"m{size}.s18p", size)
+        proc = run_limited(["metrics", "--config", str(cfg), "--out", str(tmp_path / "o"), "--snp", str(src)])
         assert proc.returncode == code, proc.stderr
-    with open(tmp_path / f"o{points}" / "pattern.csv") as fh:
-        assert sum(1 for _ in fh) == 3 + 3 * 3601 * points
-    assert "pattern.freq_ghz" in proc.stderr and not (tmp_path / f"o{points + 1}").exists()
+        message = f"error: {src}: the run would hold {price(size)} bytes" if code == 2 else "data token 'x'"
+        assert message in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_convert_port_count_at_the_budget(tmp_path):
+    def price(ports):
+        return cli._FIXED_BYTES + ports**2 * cli._TEXT_ENTRY_BYTES
+
+    ports = math.isqrt((MEMORY_BUDGET - cli._FIXED_BYTES) // cli._TEXT_ENTRY_BYTES)
+    assert price(ports) <= MEMORY_BUDGET < price(ports + 1)
+    # one port under is admitted, and the read fails at the first token without allocating
+    for p, code in [(ports + 1, 2), (ports, 4)]:
+        src = sparse_snp(tmp_path / f"in.s{p}p", 2 * (1 + 2 * p * p))
+        dst = tmp_path / f"out.s{p}p"
+        proc = run_limited(["convert", str(src), str(dst)])
+        assert proc.returncode == code, proc.stderr
+        message = f"error: {src}: the run would hold {price(p)} bytes" if code == 2 else "data token 'x'"
+        assert message in proc.stderr and not dst.exists()
+
+
+def traced_peak(argv) -> int:
+    """The tracemalloc peak of one in-process command, which must succeed."""
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0, argv
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_each_price_covers_the_traced_peak_of_a_small_run(tmp_path, capsys):
+    def rect(n: int, n_scan: int) -> dict:
+        aperture = {"shape": "rectangle", "n1": [0, n - 1], "n2": [0, n - 1]}
+        return {"kind": "square", "lambda_h_mm": 15.0, "n_scan": n_scan, "aperture": aperture}
+
+    seeded = {"kind": "seeded_random", "seed": 3, "smoothness": 10}
+    constant = {"kind": "constant", "gamma": [0.25, 0.0], "band_ghz": [3, 20]}
+    pattern = {"freq_ghz": {"start": 3, "stop": 20, "points": 8}, "theta_step_deg": 0.1}  # 3 cuts of 1801 samples
+    # the grids are most of the first and third runs' prices, one 128-port record most of the second's
+    runs = [(rect(4, 32), seeded, 12), (rect(8, 16), constant, 2), (rect(4, 32), constant, 12)]
+    for i, (lat, model, points) in enumerate(runs):
+        sweep = {"scans": ["broadside", "E60", "D45"], "freq_ghz": {"start": 3, "stop": 20, "points": points}}
+        cfg = write_config(tmp_path, lattice=lat, model=model, sweep=sweep, pattern=pattern)
+        loaded = json.loads(cfg.read_text())
+        recip, shape = cli._require_lattice(loaded)
+        fixed, per = cli._transform_price(recip.n_scan, cli._require_model(loaded), 2 * lattice.aperture_size(shape))
+        out = tmp_path / f"o{i}"
+        peak = traced_peak(["transform", "--config", str(cfg), "--out", str(out), "--touchstone", "--gamma"])
+        assert peak <= fixed + points * per, (lat, model)
+    src = out / "finite_array.s32p"
+    assert traced_peak(["metrics", "--config", str(cfg), "--out", str(out)]) <= cli._metrics_price(
+        src.stat().st_size, 32, 16, 3
+    )
+    fixed, per = cli._pattern_price(16, 3, 1801)
+    assert traced_peak(["pattern", "--config", str(cfg), "--out", str(out)]) <= fixed + 8 * per
+    # one cut of 361 samples over 1600 elements: the phase matrix is most of the price
+    one_cut = {"freq_ghz": [9.0], "cuts": ["E"], "theta_step_deg": 0.5}
+    cfg = write_config(tmp_path, lattice=rect(40, 32), pattern=one_cut)
+    fixed, per = cli._pattern_price(1600, 1, 361)
+    assert traced_peak(["pattern", "--config", str(cfg), "--out", str(out)]) <= fixed + per
+    rng = np.random.default_rng(4)
+    big = tmp_path / "big.s96p"  # a record of 96 ports, about 2.4 MB of price
+    big.write_text(snp.write_touchstone(snp.NetworkData([1e9, 2e9], 0.01 * rng.standard_normal((2, 96, 96))), "ma"))
+    peak = traced_peak(["convert", str(big), str(tmp_path / "big_db.s96p"), "--format", "db"])
+    assert peak <= cli._FIXED_BYTES + 96**2 * cli._TEXT_ENTRY_BYTES
 
 
 HEX2 = {"kind": "triangular", "lambda_h_mm": 15.0, "n_scan": 24, "aperture": {"shape": "hexagon", "rings": 2}}
@@ -483,6 +632,35 @@ def test_n_scan_follows_the_integer_rule(tmp_path, capsys, n_scan, ok):
         assert f"error: lattice.n_scan: expected an even integer >= 2, got {int(n_scan)}" in captured.err
 
 
+HUGE_POINTS = {"start": 3, "stop": 20, "points": 10**400}
+LATTICE_COMMANDS = ("lattice", "transform", "pattern")
+
+
+@pytest.mark.parametrize(
+    "command, overrides, field",
+    [
+        *[(command, {"lattice": {**HEX2, "n_scan": 10**400}}, "lattice.n_scan") for command in LATTICE_COMMANDS],
+        ("transform", {"sweep": {"freq_ghz": HUGE_POINTS}}, "sweep.freq_ghz"),
+        ("pattern", {"lattice": HEX2, "pattern": {"freq_ghz": HUGE_POINTS}}, "pattern.freq_ghz"),
+    ],
+)
+def test_integers_beyond_the_float_range_exit_2_naming_the_field(tmp_path, capsys, command, overrides, field):
+    # each once exited 1 with "int too large to convert to float"
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"error: {field}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integer_beyond_the_digit_limit_exit_2(tmp_path, capsys):
+    # Python's int() reads at most 4300 digits by default; json.loads raised a plain ValueError (exit 1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"lattice": {"kind": "square", "lambda_h_mm": 15, "n_scan": 1' + "0" * 5000 + "}}")
+    assert cli.main(["lattice", "--config", str(cfg)]) == 2
+    assert "error: config is not valid JSON: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("step, last", [(0.2, 90.0), (0.01, 90.0), (0.03, 90.0), (7.0, 85.0)])
 def test_pattern_theta_grid_stays_within_90(tmp_path, step, last):
     # each of these steps once drifted or stepped past 90 and exited 4
@@ -521,6 +699,21 @@ def test_convert_bad_file_exit_4(tmp_path, capsys):
     src = tmp_path / "bad.s1p"
     src.write_text("not touchstone at all\n")
     assert cli.main(["convert", str(src), str(tmp_path / "o.s1p")]) == 4
+
+
+def test_convert_missing_input_exit_2_before_writing(tmp_path, capsys):
+    dst = tmp_path / "out" / "o.s4p"
+    assert cli.main(["convert", str(tmp_path / "nothere.s4p"), str(dst)]) == 2
+    assert f"error: convert input: file not found: {tmp_path / 'nothere.s4p'}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_convert_directory_input_exit_2_before_writing(tmp_path, capsys):
+    src = tmp_path / "dir.s4p"
+    src.mkdir()
+    assert cli.main(["convert", str(src), str(tmp_path / "out" / "o.s4p")]) == 2
+    assert f"error: convert input: file not found: {src}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_convert_fault_in_the_last_record_leaves_no_output(tmp_path, capsys):
@@ -699,8 +892,9 @@ def test_config_round_trip():
         "n_scan": 24,
         "aperture": {"shape": "hexagon", "rings": 2},
     }
-    basis, n_scan, shape = cli._require_lattice({"lattice": cfg})
-    assert basis.kind == "triangular" and n_scan == 24
+    recip, shape = cli._require_lattice({"lattice": cfg})
+    basis = recip.basis
+    assert basis.kind == "triangular" and recip.n_scan == 24
     assert basis.lambda_h == pytest.approx(15e-3, rel=1e-15)
     assert isinstance(shape, lattice.HexagonAperture) and shape.rings == 2
 
@@ -766,7 +960,7 @@ def test_model_band_must_hold_two_numbers(band):
 @pytest.mark.parametrize("seed", [1, 5, 99])
 def test_seeded_random_config_defaults_passive(seed):
     # defaults: level 0.8, cross_pol_level 1.0; these seeds reached 1.36-1.51
-    grid = lattice.reciprocal_basis(lattice.make_basis("triangular", 15e-3), 24)
+    grid = lattice.ReciprocalBasis(lattice.make_basis("triangular", 15e-3), 24)
     model = cli._require_model({"model": {"kind": "seeded_random", "seed": seed}})
     freqs = np.linspace(3e9, 20e9, 18)
     g = {pair: synthmodel.sample_grid(model, grid, freqs, pair).grid for pair in spectral.POL_PAIRS}

@@ -262,7 +262,7 @@ def test_uniform_5x5_beamwidth_and_sidelobe():
 
 def assembled_demo(kind="square", n=24, nfreq=6, cross=0.5, shape=None):
     basis = lat.make_basis(kind, 15 * MM)
-    recip = lat.reciprocal_basis(basis, n)
+    recip = lat.ReciprocalBasis(basis, n)
     model = synthmodel.demo_model(cross_pol_level=cross)
     freqs = np.linspace(3e9, 20e9, nfreq)
     sets = {

@@ -12,7 +12,7 @@ MM = 1e-3
 
 def scan_setup(kind="square", n=24):
     basis = lat.make_basis(kind, 15 * MM)
-    recip = lat.reciprocal_basis(basis, n)
+    recip = lat.ReciprocalBasis(basis, n)
     return basis, recip, recip
 
 

@@ -14,7 +14,7 @@ BAND = (3e9, 20e9)
 
 def demo_grid(kind="square", n=8):
     basis = lat.make_basis(kind, 15 * MM)
-    recip = lat.reciprocal_basis(basis, n)
+    recip = lat.ReciprocalBasis(basis, n)
     return basis, recip
 
 
