@@ -100,7 +100,7 @@ class ReciprocalBasis:
         try:
             scale = 2 * math.pi / n_scan
         except OverflowError:
-            raise LatticeError(f"expected an integer within the float range, got {len(str(n_scan))} digits") from None
+            raise LatticeError(f"expected an integer in the float range, got {n_scan.bit_length()} bits") from None
         cell = self.basis.cell_matrix
         rows = scale * np.linalg.inv(cell)
         err = np.abs(rows @ cell - scale * np.eye(2)).max()
