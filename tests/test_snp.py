@@ -505,21 +505,36 @@ def test_records_reject_a_bad_format_before_any_file_is_opened(tmp_path):
     assert not path.exists()
 
 
+def _convert_peak_records(tmp_path, ports, nfreq, seed):
+    """Peak traced bytes of `convert` from each format to DB, in units of one record's values."""
+    net = random_network(ports, nfreq=nfreq, seed=seed)
+    record = (1 + 2 * ports * ports) * 8  # one record's values
+    peaks = {}
+    for fmt in ("ri", "ma", "db"):
+        src, dst = tmp_path / f"in.s{ports}p", tmp_path / f"out.s{ports}p"
+        src.write_text(snp.write_touchstone(net, fmt))
+        # each record is read, then formatted (columns, Python floats, text) and written, before the next
+        tracemalloc.start()
+        try:
+            assert cli.main(["convert", str(src), str(dst), "--format", "db"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks[fmt] = peak / record
+    return peaks
+
+
 def test_streamed_convert_peak_memory_is_a_few_records(tmp_path):
-    for ports, nfreq in [(32, 60), (64, 40)]:
-        net = random_network(ports, nfreq=nfreq, seed=6 if ports == 32 else 5)
-        record = (1 + 2 * ports * ports) * 8  # one record's values
-        for fmt in ("ri", "ma", "db"):
-            src, dst = tmp_path / f"in.s{ports}p", tmp_path / f"out.s{ports}p"
-            src.write_text(snp.write_touchstone(net, fmt))
-            # each record is read, then formatted (columns, Python floats, text) and written, before the next
-            tracemalloc.start()
-            try:
-                assert cli.main(["convert", str(src), str(dst), "--format", "db"]) == 0
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak <= 20 * record, f"{ports} ports, {fmt}: peak {peak / record:.1f} records, S is {nfreq} records"
+    peaks = _convert_peak_records(tmp_path, 32, 60, seed=6)
+    for fmt, peak in peaks.items():
+        assert peak <= 20, f"{fmt}: peak {peak:.1f} records, S is 60 records"
+
+
+def test_read_and_convert_peak_memory_is_bounded_by_s(tmp_path):
+    # about 6.6 MB of text for 2.6 MB of S; the streamed convert holds a few records, not S
+    peaks = _convert_peak_records(tmp_path, 64, 40, seed=5)
+    for fmt, peak in peaks.items():
+        assert peak <= 20, f"{fmt}: peak {peak:.1f} records, S is 40 records"
 
 
 def test_metrics_snp_read_peak_memory_is_the_probed_rows_and_a_few_records(tmp_path):
