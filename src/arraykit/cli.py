@@ -25,6 +25,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -315,8 +316,9 @@ def _check_budget(nbytes: int, where: str, set_by: str) -> None:
 
 def _transform_price(n_scan: int, model: synthmodel.ModelSpec, ports: int) -> tuple[int, int]:
     """``(fixed bytes, bytes per frequency)`` of ``transform``: the grids, and one S record of ``ports`` formatted."""
-    # per scan point and frequency: 4 gamma grids, 4 coupling sets and one CSV's rows, about 245 B, and 40 B per
-    # seeded-random term while sampling; one frequency more covers the CSV index columns made once per grid
+    # per scan point and frequency: 4 gamma grids, 4 coupling sets and one CSV's rows, about 250 B, and 40 B per
+    # seeded-random term while sampling; one frequency more covers the Python floats of the block being formatted,
+    # 64 B per scan point, so a whole grid's at F = 1 (traced peak 313 B per scan point at N = 512, F = 1)
     terms = model.smoothness if isinstance(model, synthmodel.SeededRandomModel) else 0
     per = n_scan**2 * (256 + 40 * terms)
     return _FIXED_BYTES + ports**2 * _TEXT_ENTRY_BYTES + per, per
@@ -338,34 +340,22 @@ def _metrics_price(size: int, ports: int, elements: int, scans: int) -> int:
 # --- output helpers -------------------------------------------------------------
 
 
-def _write_lines(path: Path, rows: list[str], cfg_hash: str) -> None:
-    """The two header lines, then ``rows``, joined a batch of rows at a time, never as one whole text."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# arraykit {__version__}\n# config_sha256={cfg_hash}\n")
-        for start in range(0, len(rows), _WRITE_BATCH_ROWS):
-            fh.write("\n".join(rows[start : start + _WRITE_BATCH_ROWS]) + "\n")
+def _write_lines(path: Path, header: str, chunks: Iterable[str]) -> int:
+    """Write ``header`` and then each newline-ended chunk to ``path``; return the chunk count.
 
-
-def _write_touchstone(path: Path, source, fmt: str) -> int:
-    """Write a :class:`snp.NetworkData` or a record stream record by record; return the record count.
-
-    A bad ``fmt``, or a source whose header cannot be read, fails before any
-    file or directory is made. The records go to a temporary file beside
-    ``path``, which replaces ``path`` only once every record is written, so
-    a failure part way leaves no output and any earlier file at ``path``
+    The text goes to a temporary file beside ``path``, made with its parent
+    directories, which replaces ``path`` only once every chunk is written,
+    so a failure part way leaves no output and any earlier file at ``path``
     unchanged.
     """
-    items = snp.touchstone_records(source, fmt)
-    header = next(items)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     count = 0
     try:
         with open(tmp, "w", newline="\n") as fh:
             fh.write(header)
-            for count, record in enumerate(items, 1):
-                fh.write(record)
+            for count, chunk in enumerate(chunks, 1):
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -373,10 +363,10 @@ def _write_touchstone(path: Path, source, fmt: str) -> int:
     return count
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _table(rows: list[str], cfg_hash: str) -> tuple[str, Iterator[str]]:
+    """The two header lines, and ``rows`` joined a batch of rows at a time, never as one whole text."""
+    header = f"# arraykit {__version__}\n# config_sha256={cfg_hash}\n"
+    return header, ("\n".join(rows[i : i + _WRITE_BATCH_ROWS]) + "\n" for i in range(0, len(rows), _WRITE_BATCH_ROWS))
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -406,7 +396,7 @@ def cmd_lattice(args) -> int:
     text = "\n".join(lines)
     print(text)
     if args.out:
-        _write_lines(_out_dir(args) / "lattice_report.txt", lines, _config_hash(cfg))
+        _write_lines(Path(args.out) / "lattice_report.txt", *_table(lines, _config_hash(cfg)))
     return 0
 
 
@@ -440,20 +430,21 @@ def cmd_transform(args) -> int:
         delta = max(np.abs(sets[p].coeffs - spectral.gamma_to_coupling(g).coeffs).max() for p, g in grids.items())
         print(f"oracle check: max |direct - fft| = {delta:.3e}")
 
-    out = _out_dir(args)
+    out = Path(args.out or ".")
     cfg_hash = _config_hash(cfg)
     for pair, cset in sets.items():
         path = out / f"coupling_{pair}.csv"
-        _write_lines(path, spectral.coupling_csv_rows(cset), cfg_hash)
+        _write_lines(path, *_table(spectral.coupling_csv_rows(cset), cfg_hash))
         print(f"wrote {path}")
     if args.gamma:
         for pair, g in grids.items():
             path = out / f"gamma_{pair}.csv"
-            _write_lines(path, spectral.gamma_csv_rows(g), cfg_hash)
+            _write_lines(path, *_table(spectral.gamma_csv_rows(g), cfg_hash))
             print(f"wrote {path}")
     if args.touchstone:
         path = out / f"finite_array.s{ports}p"
-        _write_touchstone(path, spectral.smatrix_records(sets, lattice.enumerate_aperture(shape)), "ri")
+        records = snp.touchstone_records(spectral.smatrix_records(sets, lattice.enumerate_aperture(shape)), "ri")
+        _write_lines(path, next(records), records)
         print(f"wrote {path} ({ports} ports, {freqs.size} frequencies)")
     return 0
 
@@ -493,21 +484,20 @@ def cmd_metrics(args) -> int:
     read = metrics.probed_ports(pm, basis, aperture, pol)
     freqs, rows = _read_rows(Path(snp_path), ports, read)
 
-    out = _out_dir(args)
+    out = Path(args.out or ".")
     cfg_hash = _config_hash(cfg)
     # one sweep feeds every table
-    sweeps = metrics.sweep_rows(freqs, rows, read, ports, pm, basis, aperture, taper, scans, pol)
+    sweeps = metrics.sweep_rows(freqs, rows, read, pm, basis, aperture, taper, scans, pol)
     tables = {"vswr.csv": metrics.vswr_table_rows(sweeps), "gain.csv": metrics.gain_table_rows(sweeps, efficiency)}
     if dual:
         tables["coupling.csv"] = metrics.coupling_table_rows(sweeps)
     for name, rows in tables.items():
-        _write_lines(out / name, rows, cfg_hash)
+        _write_lines(out / name, *_table(rows, cfg_hash))
         print(f"wrote {out / name}")
     if not dual:
         print("single-polarization network: orthogonal coupling table skipped")
     if args.gnuplot:
-        stub = _gnuplot_stub(list(tables))
-        (out / "plots.gp").write_text(stub)
+        _write_lines(out / "plots.gp", _gnuplot_stub(list(tables)), ())
         print(f"wrote {out / 'plots.gp'}")
     return 0
 
@@ -586,9 +576,8 @@ def cmd_pattern(args) -> int:
         for f, w in zip(freqs, weights)
         for cut, phi in zip(cuts, cut_phis)
     ]
-    out = _out_dir(args)
-    path = out / "pattern.csv"
-    _write_lines(path, metrics.pattern_table_rows(pats), _config_hash(cfg))
+    path = Path(args.out or ".") / "pattern.csv"
+    _write_lines(path, *_table(metrics.pattern_table_rows(pats), _config_hash(cfg)))
     print(f"wrote {path}")
     return 0
 
@@ -604,7 +593,9 @@ def cmd_convert(args) -> int:
     ports = snp.touchstone_port_count(args.input)
     _check_budget(_FIXED_BYTES + ports**2 * _TEXT_ENTRY_BYTES, args.input, "its name")
     with open(args.input) as fh:
-        count = _write_touchstone(out, snp.read_records(fh, ports), args.format)
+        # the header first, so that a bad format or an unreadable header fails before any file is made
+        records = snp.touchstone_records(snp.read_records(fh, ports), args.format)
+        count = _write_lines(out, next(records), records)
     print(f"wrote {out} ({ports} ports, {count} frequencies, {args.format.upper()})")
     return 0
 

@@ -249,7 +249,6 @@ def sweep_rows(
     frequencies: np.ndarray,
     rows: np.ndarray,
     read: list[int],
-    port_count: int,
     port_map: PortMap,
     basis: LatticeBasis,
     aperture,
@@ -260,14 +259,14 @@ def sweep_rows(
     """Evaluate every metric over frequency for each labeled scan, from the S rows a sweep reads.
 
     ``read`` is :func:`probed_ports` of the same map, aperture and pol, and
-    ``rows`` their S rows, shape (F, len(read), P) for ``port_count`` P, so
-    no other row of S is needed. ``scans`` is a list of labels understood
+    ``rows`` their S rows, shape (F, len(read), P), so no other row of S is
+    needed. ``scans`` is a list of labels understood
     by :func:`parse_scan_label`. Each scan's (F, P) weights come from one
     batched call (the linear scan phase is frequency dependent), and the
     outgoing waves are formed once, at the probed port and, for a dual-pol
     map, at its opposite-pol port. An empty scan list yields an empty result.
     """
-    _check_ports(read, port_count)
+    _check_ports(read, rows.shape[2])
     pol = str(pol).lower()
     weights_at = weight_function(basis, list(aperture), port_map, taper, pol)
 
@@ -293,9 +292,7 @@ def sweep(
     """:func:`sweep_rows` over the rows of ``net`` that :func:`probed_ports` names."""
     aperture = list(aperture)
     read = probed_ports(port_map, basis, aperture, pol)
-    return sweep_rows(
-        net.frequencies, _rows(net, read), read, net.port_count, port_map, basis, aperture, taper, scans, pol
-    )
+    return sweep_rows(net.frequencies, _rows(net, read), read, port_map, basis, aperture, taper, scans, pol)
 
 
 # --- CSV tables -----------------------------------------------------------------

@@ -435,8 +435,8 @@ def terminate_port(net: NetworkData, k: int, gamma_load: complex) -> NetworkData
 def _table_rows(header: str, template: str, blocks) -> list[str]:
     """``header`` then one ``template % row`` line per row.
 
-    Each block is a tuple of equal-length columns (lists, or
-    ``itertools.repeat`` for a constant column) holding one frequency or one
+    Each block is a tuple of equal-length columns (lists, or iterators such
+    as ``itertools.repeat`` for a constant column) holding one frequency or one
     sweep, so no more than a block's values are ever turned into Python
     objects at once.
     """

@@ -18,7 +18,7 @@ to the signed integer ``i - N/2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -26,6 +26,7 @@ import numpy as np
 from .lattice import LatticeBasis, ReciprocalBasis, aperture_spread
 from .snp import NetworkData, PortMap, _table_rows, network_from_records
 
+# each pol pair is "ab": a the observed polarization (matrix row), b the excited one (matrix column)
 POL_PAIRS = ("xx", "xy", "yx", "yy")
 
 
@@ -46,15 +47,10 @@ def _check_pair(pol_pair: str) -> str:
 
 @dataclass(frozen=True)
 class ActiveGammaGrid:
-    """Per-frequency N x N active reflection samples for one pol pair.
-
-    ``pol_pair`` is "ab" with a the observed polarization (matrix row) and
-    b the excited polarization (matrix column); co-pol pairs are "xx"/"yy".
-    """
+    """Per-frequency N x N active reflection samples for one pol pair."""
 
     frequencies: np.ndarray
     grid: np.ndarray  # (F, N, N) complex, axis index i <-> m = i - N/2
-    pol_pair: str
 
     def __post_init__(self):
         f = np.asarray(self.frequencies, dtype=float)
@@ -67,7 +63,6 @@ class ActiveGammaGrid:
         g.setflags(write=False)
         object.__setattr__(self, "frequencies", f)
         object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "pol_pair", _check_pair(self.pol_pair))
 
     @property
     def n(self) -> int:
@@ -80,7 +75,6 @@ class CouplingSet:
 
     frequencies: np.ndarray
     coeffs: np.ndarray  # (F, N, N) complex, axis index i <-> n = i - N/2
-    pol_pair: str
 
     def __post_init__(self):
         f = np.asarray(self.frequencies, dtype=float)
@@ -91,7 +85,6 @@ class CouplingSet:
         c.setflags(write=False)
         object.__setattr__(self, "frequencies", f)
         object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "pol_pair", _check_pair(self.pol_pair))
 
     @property
     def n(self) -> int:
@@ -142,7 +135,7 @@ def gamma_to_coupling(g: ActiveGammaGrid, method: str = "fft") -> CouplingSet:
         coeffs = _idft2_centered_direct(g.grid)
     else:
         raise ValueError(f"method must be 'fft' or 'direct', got {method!r}")
-    return CouplingSet(g.frequencies, coeffs, g.pol_pair)
+    return CouplingSet(g.frequencies, coeffs)
 
 
 def coupling_to_gamma(c: CouplingSet, k_t, basis: LatticeBasis) -> np.ndarray:
@@ -166,7 +159,7 @@ def reconstruct_gamma_grid(c: CouplingSet, recip: ReciprocalBasis) -> ActiveGamm
     """Evaluate the forward sum on every scan-grid point of ``recip`` (round-trip check)."""
     if recip.n_scan != c.n:
         raise GridShapeError(f"scan grid N={recip.n_scan} does not match coupling N={c.n}")
-    return ActiveGammaGrid(c.frequencies, coupling_to_gamma(c, recip.points, recip.basis), c.pol_pair)
+    return ActiveGammaGrid(c.frequencies, coupling_to_gamma(c, recip.points, recip.basis))
 
 
 def parseval_mismatch(g: ActiveGammaGrid, c: CouplingSet) -> float:
@@ -273,9 +266,10 @@ def assemble_finite_smatrix(
 def _grid_blocks(frequencies: np.ndarray, grids: np.ndarray):
     """Per-frequency columns (freq, i1 - N/2, i2 - N/2, re, im) of an (F, N, N) array."""
     n = grids.shape[1]
-    idx = np.arange(n) - n // 2
-    first, second = np.repeat(idx, n).tolist(), np.tile(idx, n).tolist()
+    idx = range(-(n // 2), n - n // 2)
     for f_hz, mat in zip(frequencies.tolist(), grids):
+        # the index columns are repeated, not held: no Python int per grid point
+        first, second = chain.from_iterable(map(repeat, idx, repeat(n))), chain.from_iterable(repeat(idx, n))
         yield repeat(f_hz), first, second, mat.real.ravel().tolist(), mat.imag.ravel().tolist()
 
 

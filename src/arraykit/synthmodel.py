@@ -200,7 +200,7 @@ def eval_gamma(model: ModelSpec, pol_pair: str, k_t, f):
 def sample_grid(model: ModelSpec, recip: ReciprocalBasis, frequencies, pol_pair: str) -> ActiveGammaGrid:
     """Fill every scan-grid point of ``recip`` (visible or not) at each frequency, in one model evaluation."""
     freqs = np.asarray(frequencies, dtype=float)
-    return ActiveGammaGrid(freqs, eval_gamma(model, pol_pair, recip.points, freqs), pol_pair)
+    return ActiveGammaGrid(freqs, eval_gamma(model, pol_pair, recip.points, freqs))
 
 
 def demo_model(band: tuple[float, float] = (3e9, 20e9), cross_pol_level: float = 0.5) -> ScanPolyModel:

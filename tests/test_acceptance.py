@@ -102,7 +102,7 @@ def test_criterion_05_degenerate_chain():
         sets = {}
         for pair in spectral.POL_PAIRS:
             val = gamma0 if pair in ("xx", "yy") else 0.0
-            g = spectral.ActiveGammaGrid(freqs, np.full((4, n, n), val, complex), pair)
+            g = spectral.ActiveGammaGrid(freqs, np.full((4, n, n), val, complex))
             c = spectral.gamma_to_coupling(g)
             off = c.coeffs.copy()
             off[:, n // 2, n // 2] = 0

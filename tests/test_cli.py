@@ -738,6 +738,45 @@ def test_convert_fault_in_the_last_record_leaves_no_output(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.s3p", "old.s3p", "out"]
 
 
+def test_fault_part_way_through_a_table_keeps_the_earlier_table(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(3)
+    s = 0.05 * (rng.standard_normal((800, 9, 9)) + 1j * rng.standard_normal((800, 9, 9)))
+    src = tmp_path / "in.s9p"
+    src.write_text(snp.write_touchstone(snp.NetworkData(np.linspace(3e9, 20e9, 800), s), "ri"))
+    argv = ["metrics", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out"), "--snp", str(src)]
+    assert cli.main(argv) == 0
+    before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    gain_table_rows = metrics.gain_table_rows
+
+    def faulty(*args):
+        rows = gain_table_rows(*args)  # 1601 rows: 800 frequencies for each of 2 scans, and the column names
+        rows[1500] = None  # not a string, in the second batch of 1024 rows
+        return rows
+
+    monkeypatch.setattr(metrics, "gain_table_rows", faulty)
+    assert cli.main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+    # the first batch was written before the fault; the complete gain.csv is kept and no temporary file is left
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
+    assert sorted(before) == ["gain.csv", "vswr.csv"]
+
+
+def test_transform_touchstone_fault_part_way_leaves_no_output(tmp_path, capsys, monkeypatch):
+    smatrix_records = spectral.smatrix_records
+
+    def faulty(*args):
+        records = smatrix_records(*args)
+        yield next(records)  # the header
+        yield next(records)
+        raise RuntimeError("fault after the first record")
+
+    monkeypatch.setattr(spectral, "smatrix_records", faulty)
+    out = tmp_path / "out"
+    assert cli.main(["transform", "--config", str(write_config(tmp_path)), "--out", str(out), "--touchstone"]) == 1
+    assert "error: fault after the first record" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == [f"coupling_{pair}.csv" for pair in spectral.POL_PAIRS]
+
+
 def test_snp_size_is_checked_before_a_record_buffer_is_allocated(tmp_path):
     # the name asks for 20000 ports: one record of 8e8 values, a 6.4 GB buffer, from a 28-byte file
     src = tmp_path / "x.s20000p"

@@ -321,7 +321,7 @@ def test_sweep_chain_constant_gamma():
     sets = {}
     for pair in spectral.POL_PAIRS:
         val = gamma0 if pair in ("xx", "yy") else 0.0
-        g = spectral.ActiveGammaGrid(freqs, np.full((4, n, n), val, complex), pair)
+        g = spectral.ActiveGammaGrid(freqs, np.full((4, n, n), val, complex))
         sets[pair] = spectral.gamma_to_coupling(g)
     basis = lat.make_basis("triangular", 15 * MM)
     aperture = lat.enumerate_aperture(lat.HexagonAperture(1))
@@ -433,7 +433,7 @@ def test_sweep_rows_of_streamed_records_equal_the_sweep_bit_for_bit(kind, pols):
     records = snp.read_records(text, net.port_count)
     next(records)
     freqs, rows = snp.stack_records(((f_hz, s[read]) for f_hz, s in records), (len(read), net.port_count))
-    got = metrics.sweep_rows(freqs, rows, read, net.port_count, pm, basis, aperture, taper, scans, pol)
+    got = metrics.sweep_rows(freqs, rows, read, pm, basis, aperture, taper, scans, pol)
     want = metrics.sweep(snp.parse_touchstone(text, net.port_count), pm, basis, aperture, taper, scans, pol=pol)
     for g, w in zip(got, want, strict=True):
         assert (g.label, g.theta_deg) == (w.label, w.theta_deg)
@@ -442,7 +442,7 @@ def test_sweep_rows_of_streamed_records_equal_the_sweep_bit_for_bit(kind, pols):
         assert (g.coupling is None) == (w.coupling is None) == (len(pols) == 1)
         assert g.coupling is None or g.coupling.tobytes() == w.coupling.tobytes()
     with pytest.raises(metrics.MetricError, match="outside"):
-        metrics.sweep_rows(freqs, rows, [net.port_count], net.port_count, pm, basis, aperture, taper, scans, pol)
+        metrics.sweep_rows(freqs, rows, [net.port_count], pm, basis, aperture, taper, scans, pol)
 
 
 def reference_table_rows(header, sweeps, columns):

@@ -16,10 +16,10 @@ def scan_setup(kind="square", n=24):
     return basis, recip, recip
 
 
-def random_gamma(n=8, nfreq=3, seed=0, pair="xx"):
+def random_gamma(n=8, nfreq=3, seed=0):
     rng = np.random.default_rng(seed)
     g = 0.4 * (rng.standard_normal((nfreq, n, n)) + 1j * rng.standard_normal((nfreq, n, n)))
-    return spectral.ActiveGammaGrid(np.linspace(3e9, 20e9, nfreq), g, pair)
+    return spectral.ActiveGammaGrid(np.linspace(3e9, 20e9, nfreq), g)
 
 
 # --- scan grid ---------------------------------------------------------------
@@ -53,7 +53,7 @@ def test_scan_grid_points_exact():
 def test_constant_gamma_gives_delta_coupling():
     n = 8
     gamma0 = 0.3 - 0.1j
-    g = spectral.ActiveGammaGrid([1e9], np.full((1, n, n), gamma0), "xx")
+    g = spectral.ActiveGammaGrid([1e9], np.full((1, n, n), gamma0))
     c = spectral.gamma_to_coupling(g)
     center = c.coefficient(0, 0, 0)
     assert center == pytest.approx(gamma0, abs=1e-14)
@@ -66,7 +66,7 @@ def test_single_mode_gamma_gives_single_coefficient():
     n = 8
     m = np.arange(-n // 2, n // 2)
     grid = np.exp(-2j * np.pi * m[:, None] / n) * np.ones((1, n, n))
-    g = spectral.ActiveGammaGrid([1e9], grid, "xx")
+    g = spectral.ActiveGammaGrid([1e9], grid)
     c = spectral.gamma_to_coupling(g)
     assert c.coefficient(0, 1, 0) == pytest.approx(1.0, abs=1e-12)
     rest = c.coeffs.copy()
@@ -141,7 +141,7 @@ def test_coupling_to_gamma_single_term():
     basis, _, _ = scan_setup("square", 8)
     coeffs = np.zeros((1, 8, 8), complex)
     coeffs[0, 4, 4] = 0.3
-    c = spectral.CouplingSet([1e9], coeffs, "xx")
+    c = spectral.CouplingSet([1e9], coeffs)
     for kt in ([0.0, 0.0], [100.0, -47.0], [5000.0, 900.0]):
         assert spectral.coupling_to_gamma(c, kt, basis)[0] == pytest.approx(0.3, abs=1e-15)
 
@@ -150,7 +150,7 @@ def test_coupling_to_gamma_zero_kt_is_plain_sum():
     basis, _, _ = scan_setup("triangular", 6)
     rng = np.random.default_rng(3)
     coeffs = rng.standard_normal((1, 6, 6)) + 1j * rng.standard_normal((1, 6, 6))
-    c = spectral.CouplingSet([1e9], coeffs, "xx")
+    c = spectral.CouplingSet([1e9], coeffs)
     got = spectral.coupling_to_gamma(c, [0.0, 0.0], basis)[0]
     assert got == pytest.approx(coeffs.sum(), rel=1e-12)
 
@@ -172,18 +172,16 @@ def test_conjugate_symmetric_gamma_gives_real_coupling():
         for b, m2 in enumerate(m):
             am, bm = ((-m1 + n // 2) % n), ((-m2 + n // 2) % n)
             g[0, a, b] = 0.5 * (base[0, a, b] + np.conj(base[0, am, bm]))
-    grid = spectral.ActiveGammaGrid([1e9], g, "xx")
+    grid = spectral.ActiveGammaGrid([1e9], g)
     c = spectral.gamma_to_coupling(grid)
     assert np.abs(c.coeffs.imag).max() < 1e-10
 
 
 def test_gamma_grid_validation():
     with pytest.raises(spectral.GridShapeError):
-        spectral.ActiveGammaGrid([1e9], np.zeros((2, 4, 4), complex), "xx")
+        spectral.ActiveGammaGrid([1e9], np.zeros((2, 4, 4), complex))
     with pytest.raises(spectral.GridShapeError):
-        spectral.ActiveGammaGrid([1e9], np.zeros((1, 4, 6), complex), "xx")
-    with pytest.raises(ValueError):
-        spectral.ActiveGammaGrid([1e9], np.zeros((1, 4, 4), complex), "zz")
+        spectral.ActiveGammaGrid([1e9], np.zeros((1, 4, 6), complex))
 
 
 # --- finite-array assembly ----------------------------------------------------
@@ -194,7 +192,7 @@ def constant_sets(gamma0, n=8, nfreq=2, cross=0.0):
     out = {}
     for pair in spectral.POL_PAIRS:
         val = gamma0 if pair in ("xx", "yy") else cross
-        grid = spectral.ActiveGammaGrid(f, np.full((nfreq, n, n), val, complex), pair)
+        grid = spectral.ActiveGammaGrid(f, np.full((nfreq, n, n), val, complex))
         out[pair] = spectral.gamma_to_coupling(grid)
     return out
 
@@ -270,6 +268,12 @@ def test_assembly_pols_follow_the_pair_keys(keys):
         spectral.assemble_finite_smatrix({k: c for k in keys}, [(0, 0)])
 
 
+def test_assembly_rejects_an_unknown_pair_key():
+    c = spectral.gamma_to_coupling(random_gamma(n=4, nfreq=1))
+    with pytest.raises(ValueError, match="pol_pair must be one of"):
+        spectral.assemble_finite_smatrix({"zz": c}, [(0, 0)])
+
+
 @pytest.mark.parametrize("dual", [False, True])
 def test_assembly_rejects_port_map_over_other_elements(dual):
     # same port count and pols as the aperture needs, but not its elements
@@ -321,7 +325,7 @@ def test_assembly_matches_block_scatter_reference(kind, shape, pairs):
     aperture = lat.enumerate_aperture(shape)
     keys = spectral.POL_PAIRS if pairs in ("dual", "shuffled") else (pairs,)
     sets = {
-        pair: spectral.gamma_to_coupling(random_gamma(n=12, nfreq=3, seed=20 + i, pair=pair))
+        pair: spectral.gamma_to_coupling(random_gamma(n=12, nfreq=3, seed=20 + i))
         for i, pair in enumerate(keys)
     }
     pols = ("x", "y") if len(keys) == 4 else (pairs[0],)
@@ -367,7 +371,7 @@ def test_csv_rows_match_fstring_loop():
     g = random_gamma(n=6, nfreq=3, seed=3)
     grid = g.grid.copy()
     grid[0, 0, :4] = [0.0, -0.0 - 0.0j, 1e-300 - 1e300j, 123456789.0]
-    g = spectral.ActiveGammaGrid(np.array([3e9, 7.123456789012e9, 2e10]), grid, "xy")
+    g = spectral.ActiveGammaGrid(np.array([3e9, 7.123456789012e9, 2e10]), grid)
     c = spectral.gamma_to_coupling(g)
     assert spectral.gamma_csv_rows(g) == reference_grid_rows("freq_hz,m1,m2,re,im", g.frequencies, g.grid)
     assert spectral.coupling_csv_rows(c) == reference_grid_rows("freq_hz,n1,n2,re,im", c.frequencies, c.coeffs)

@@ -121,7 +121,7 @@ def reference_sample_grid(model, grid, frequencies, pol_pair):
     out = np.empty((freqs.size, grid.n_scan, grid.n_scan), dtype=complex)
     for i, f in enumerate(freqs):
         out[i] = synthmodel.eval_gamma(model, pol_pair, grid.points, float(f))
-    return spectral.ActiveGammaGrid(freqs, out, pol_pair)
+    return spectral.ActiveGammaGrid(freqs, out)
 
 
 @pytest.mark.parametrize("kind", lat.LATTICE_KINDS)
