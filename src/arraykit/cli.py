@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import __version__, excitation, lattice, metrics, snp, spectral, synthmodel
-from .constants import DEFAULT_N_SCAN, MEMORY_BUDGET
+from .constants import C0, DEFAULT_N_SCAN, MEMORY_BUDGET
 
 
 DEFAULT_FREQ_GHZ = {"start": 3, "stop": 20, "points": 171}
@@ -146,29 +146,21 @@ def _block(cfg: dict, name: str) -> dict:
     return block
 
 
-def _sweep_scans(cfg: dict, pol: str) -> list[str]:
-    """Scan labels of the sweep block, each checked by :func:`metrics.parse_scan_label`."""
+def _sweep_scans(cfg: dict, pol: str) -> list[tuple[str, float, float]]:
+    """The sweep block's scans as ``(label, theta_deg, phi_deg)``, each parsed once by :func:`metrics.parse_scan_label`."""
     block = _block(cfg, "sweep")
     if "scans" in block:
-        scans = block["scans"]
-        if not (isinstance(scans, list) and scans and all(isinstance(s, str) for s in scans)):
+        labels = block["scans"]
+        if not (isinstance(labels, list) and labels and all(isinstance(s, str) for s in labels)):
             raise ConfigError("sweep.scans: expected a non-empty list of labels")
-        for i, label in enumerate(scans):
-            _scan_label(label, pol, f"sweep.scans[{i}]")
-        return scans
+        return [_scan_label(label, pol, f"sweep.scans[{i}]") for i, label in enumerate(labels)]
     if "theta_deg" in block or "phi_deg" in block:
-        thetas = block.get("theta_deg", [0.0])
-        phis = block.get("phi_deg", [0.0])
-        try:
-            if not (isinstance(thetas, list) and isinstance(phis, list) and thetas and phis):
-                raise TypeError
-            scans = [f"T{_angle_text(t)}P{_angle_text(p)}" for t in thetas for p in phis]
-        except (TypeError, ValueError):
-            raise ConfigError("sweep.theta_deg/phi_deg: expected non-empty lists of numbers") from None
-        for label in scans:
-            _scan_label(label, pol, "sweep.theta_deg/phi_deg")
-        return scans
-    return ["broadside", "E60", "H60", "D60"]
+        where = "sweep.theta_deg/phi_deg"
+        thetas, phis = block.get("theta_deg", [0.0]), block.get("phi_deg", [0.0])
+        if not (isinstance(thetas, list) and isinstance(phis, list) and thetas and phis):
+            raise ConfigError(f"{where}: expected non-empty lists of numbers")
+        return [_scan_label(f"T{_angle_text(t)}P{_angle_text(p)}", pol, where) for t in thetas for p in phis]
+    return [metrics.parse_scan_label(label, pol) for label in ("broadside", "E60", "H60", "D60")]
 
 
 def _excitation_block(cfg: dict) -> tuple[excitation.TaperSpec, str]:
@@ -264,6 +256,7 @@ def _require_model(cfg: dict) -> synthmodel.ModelSpec:
     if not isinstance(band_ghz, (list, tuple)) or len(band_ghz) != 2:
         raise ConfigError(f"model.band_ghz: expected two numbers [f_min, f_max], got {band_ghz!r}")
     band = tuple(_config_hz(x, "model.band_ghz") for x in band_ghz)
+    default_k_ref = 2 * math.pi * band[1] / C0  # the free-space wavenumber at the top of the band
     try:
         if kind == "constant":
             re, im = d["gamma"]
@@ -273,14 +266,14 @@ def _require_model(cfg: dict) -> synthmodel.ModelSpec:
                 tuple((_config_hz(f, f"model.{key}"), complex(num(re, key), num(im, key))) for f, re, im in d[key])
                 for key in ("alpha", "beta")
             )
-            k_ref = num(d.get("k_ref", 2 * math.pi * band[1] / 3.0e8), "k_ref")
+            k_ref = num(d.get("k_ref", default_k_ref), "k_ref")
             cross = num(d.get("cross_pol_level", 0.0), "cross_pol_level")
             return synthmodel.ScanPolyModel(alpha, beta, k_ref, band, cross)
         if kind == "seeded_random":
             return synthmodel.SeededRandomModel(
                 seed=_config_int(d["seed"], "model.seed"),
                 smoothness=_config_int(d.get("smoothness", 3), "model.smoothness"),
-                k_ref=num(d.get("k_ref", 2 * math.pi * band[1] / 3.0e8), "k_ref"),
+                k_ref=num(d.get("k_ref", default_k_ref), "k_ref"),
                 band=band,
                 level=num(d.get("level", 0.8), "level"),
                 cross_pol_level=num(d.get("cross_pol_level", 1.0), "cross_pol_level"),
@@ -482,12 +475,13 @@ def cmd_metrics(args) -> int:
     aperture = lattice.enumerate_aperture(shape)  # no larger than the file's port count
     pm = snp.PortMap.lexicographic(aperture) if dual else snp.PortMap.lexicographic(aperture, pols=(pol,))
     read = metrics.probed_ports(pm, basis, aperture, pol)
+    weights_at = excitation.weight_function(basis, aperture, pm, taper, pol)
     freqs, rows = _read_rows(Path(snp_path), ports, read)
 
     out = Path(args.out or ".")
     cfg_hash = _config_hash(cfg)
     # one sweep feeds every table
-    sweeps = metrics.sweep_rows(freqs, rows, read, pm, basis, aperture, taper, scans, pol)
+    sweeps = metrics.sweep_rows(freqs, rows, read, weights_at, scans)
     tables = {"vswr.csv": metrics.vswr_table_rows(sweeps), "gain.csv": metrics.gain_table_rows(sweeps, efficiency)}
     if dual:
         tables["coupling.csv"] = metrics.coupling_table_rows(sweeps)

@@ -245,38 +245,25 @@ def probed_ports(port_map: PortMap, basis: LatticeBasis, aperture, pol: str = "x
     return [port_map.port_of(element, p) for p in (pol, other) if p in port_map.pols]
 
 
-def sweep_rows(
-    frequencies: np.ndarray,
-    rows: np.ndarray,
-    read: list[int],
-    port_map: PortMap,
-    basis: LatticeBasis,
-    aperture,
-    taper: TaperSpec,
-    scans,
-    pol: str = "x",
-) -> list[ScanSweep]:
-    """Evaluate every metric over frequency for each labeled scan, from the S rows a sweep reads.
+def sweep_rows(frequencies: np.ndarray, rows: np.ndarray, read: list[int], weights_at, scans) -> list[ScanSweep]:
+    """Evaluate every metric over frequency for each scan, from the S rows a sweep reads.
 
-    ``read`` is :func:`probed_ports` of the same map, aperture and pol, and
+    ``read`` is :func:`probed_ports` of the sweep's map, aperture and pol,
     ``rows`` their S rows, shape (F, len(read), P), so no other row of S is
-    needed. ``scans`` is a list of labels understood
-    by :func:`parse_scan_label`. Each scan's (F, P) weights come from one
-    batched call (the linear scan phase is frequency dependent), and the
-    outgoing waves are formed once, at the probed port and, for a dual-pol
-    map, at its opposite-pol port. An empty scan list yields an empty result.
+    needed, and ``weights_at`` the :func:`excitation.weight_function` of the
+    same map, aperture and pol. ``scans`` holds ``(label, theta_deg,
+    phi_deg)`` triples as :func:`parse_scan_label` returns them. Each scan's
+    (F, P) weights come from one batched call (the linear scan phase is
+    frequency dependent), and the outgoing waves are formed once, at the
+    probed port and, for a dual-pol map, at its opposite-pol port. An empty
+    scan list yields an empty result.
     """
     _check_ports(read, rows.shape[2])
-    pol = str(pol).lower()
-    weights_at = weight_function(basis, list(aperture), port_map, taper, pol)
-
     out: list[ScanSweep] = []
-    for label in scans:
-        name, theta, phi = parse_scan_label(label, pol)
-        weights = weights_at(scan_wavevectors(theta, phi, frequencies))
-        a, b = _probe(rows, weights, read)
+    for label, theta, phi in scans:
+        a, b = _probe(rows, weights_at(scan_wavevectors(theta, phi, frequencies)), read)
         coupling = np.abs(b[:, 1]) / np.abs(a) if len(read) == 2 else None
-        out.append(ScanSweep(name, theta, frequencies, b[:, 0] / a, coupling))
+        out.append(ScanSweep(label, theta, frequencies, b[:, 0] / a, coupling))
     return out
 
 
@@ -289,10 +276,12 @@ def sweep(
     scans,
     pol: str = "x",
 ) -> list[ScanSweep]:
-    """:func:`sweep_rows` over the rows of ``net`` that :func:`probed_ports` names."""
+    """:func:`sweep_rows` over the rows of ``net`` that :func:`probed_ports` names, for scan labels."""
     aperture = list(aperture)
     read = probed_ports(port_map, basis, aperture, pol)
-    return sweep_rows(net.frequencies, _rows(net, read), read, port_map, basis, aperture, taper, scans, pol)
+    rows = _rows(net, read)
+    weights_at = weight_function(basis, aperture, port_map, taper, pol)
+    return sweep_rows(net.frequencies, rows, read, weights_at, [parse_scan_label(label, pol) for label in scans])
 
 
 # --- CSV tables -----------------------------------------------------------------

@@ -135,29 +135,24 @@ class PortMap:
 def _parse_option_line(line: str) -> tuple[float, str, float]:
     """Return (frequency scale, value format, z_ref) from a '#' option line."""
     unit_scale, fmt, z_ref = _UNIT_SCALE["ghz"], "ma", 50.0
-    tokens = line[1:].lower().split()
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
+    tokens = iter(line[1:].lower().split())
+    for tok in tokens:
         if tok in _UNIT_SCALE:
             unit_scale = _UNIT_SCALE[tok]
         elif tok in _FORMATS:
             fmt = tok
-        elif tok == "s":
-            pass
         elif tok in ("y", "z", "h", "g"):
             raise TouchstoneError(f"unsupported parameter type {tok.upper()!r}; only S-parameters are handled")
         elif tok == "r":
-            if i + 1 >= len(tokens):
+            value = next(tokens, None)
+            if value is None:
                 raise TouchstoneError("option line 'R' without an impedance value")
             try:
-                z_ref = float(tokens[i + 1])
+                z_ref = float(value)
             except ValueError:
-                raise TouchstoneError(f"bad reference impedance {tokens[i + 1]!r}") from None
-            i += 1
-        else:
+                raise TouchstoneError(f"bad reference impedance {value!r}") from None
+        elif tok != "s":
             raise TouchstoneError(f"unrecognized option token {tok!r}")
-        i += 1
     return unit_scale, fmt, z_ref
 
 
@@ -225,7 +220,7 @@ def _records(lines: Iterable[str], p: int) -> Iterator:
     # tokens are converted in file order, so a bad token is reported before any later line is read
     values = map(float, itertools.chain.from_iterable(data_tokens()))
     n = 2 * p * p
-    count, prev = 0, 0.0
+    count, prev, head = 0, 0.0, None
     try:
         head = next(values, None)
         if option is None:
@@ -240,14 +235,7 @@ def _records(lines: Iterable[str], p: int) -> Iterator:
                 warnings.warn("ignoring trailing noise-parameter data in 2-port file", stacklevel=2)
                 collections.deque(values, maxlen=0)  # still converted, so a bad token there is reported
                 break
-            try:
-                rec = np.fromiter(values, dtype=float, count=n)
-            except TouchstoneError:
-                raise
-            except ValueError:
-                if bad_token() is not None:
-                    raise
-                raise TouchstoneError(f"frequency record at {head!r} has fewer than {n} S values") from None
+            rec = np.fromiter(values, dtype=float, count=n)
             f_hz = head * unit_scale
             if not math.isfinite(f_hz):
                 raise NetworkError(f"frequency record at {head!r} has a frequency that is not finite in Hz")
@@ -272,11 +260,11 @@ def _records(lines: Iterable[str], p: int) -> Iterator:
             head = next(values, None)
     except (TouchstoneError, NetworkError):
         raise
-    except ValueError:
+    except ValueError:  # a token that is not a number, or the values ran out part way through a record
         tok = bad_token()
-        if tok is None:
-            raise
-        raise TouchstoneError(f"non-numeric data token {tok!r}") from None
+        if tok is not None:
+            raise TouchstoneError(f"non-numeric data token {tok!r}") from None
+        raise TouchstoneError(f"frequency record at {head!r} has fewer than {n} S values") from None
     if not count:
         raise TouchstoneError("no frequency records found")
 
@@ -343,19 +331,14 @@ def read_touchstone(path: str | Path) -> NetworkData:
 
 
 def _value_columns(s: np.ndarray, fmt: str) -> np.ndarray:
-    """The two written columns of each S entry, shape ``s.shape + (2,)``."""
-    vals = np.empty(s.shape + (2,))
+    """The two written columns of each S entry, in written order once raveled."""
     if fmt == "ri":
-        vals[..., 0], vals[..., 1] = s.real, s.imag
-    else:
-        mag = np.abs(s)
-        if fmt == "ma":
-            vals[..., 0] = mag
-        else:
-            with np.errstate(divide="ignore"):
-                vals[..., 0] = np.where(mag > 0, 20.0 * np.log10(mag), -1000.0)
-        vals[..., 1] = np.degrees(np.angle(s))
-    return vals
+        return np.ascontiguousarray(s, dtype=complex).view(float)
+    mag = np.abs(s)
+    if fmt == "db":
+        with np.errstate(divide="ignore"):
+            mag = np.where(mag > 0, 20.0 * np.log10(mag), -1000.0)
+    return np.stack((mag, np.degrees(np.angle(s))), axis=-1)
 
 
 def touchstone_records(net: NetworkData | Iterable, fmt: str = "ri") -> Iterator[str]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import C0
 from .lattice import ReciprocalBasis
 from .spectral import POL_PAIRS, ActiveGammaGrid
 
@@ -211,7 +212,7 @@ def demo_model(band: tuple[float, float] = (3e9, 20e9), cross_pol_level: float =
     cross-pol peaks on the diagonal plane. A demonstration shape only.
     """
     lo, hi = _check_band(band)
-    k_ref = 2 * math.pi * hi / 3.0e8
+    k_ref = 2 * math.pi * hi / C0
     alpha = ((lo, 0.5 + 0j), (min(lo * 4 / 3, hi), 0.32 + 0j), (hi, 0.10 + 0j))
     beta = ((lo, 0.25 + 0j), (hi, 0.25 + 0j))
     return ScanPolyModel(alpha=alpha, beta=beta, k_ref=k_ref, band=(lo, hi), cross_pol_level=cross_pol_level)

@@ -879,13 +879,43 @@ def test_metrics_bad_scan_label_exit_2(tmp_path, capsys, label):
 
 
 @pytest.mark.parametrize(
-    "theta,phi",
-    [([0, 95], [0]), ([30], ["x"]), ([30], [float("nan")]), ([90.0000001], [0]), ("60", [0]), ([30], "45"), ([], [0]), ([30], [])],
+    "theta,phi,msg",
+    # the ids of the first eight cases are those of the test's earlier form, which had no msg parameter
+    [
+        pytest.param([0, 95], [0], "scan label 'T95P0': theta must lie in [0, 90] degrees", id="theta0-phi0"),
+        pytest.param([30], ["x"], "expected a finite number, got 'x'", id="theta1-phi1"),
+        pytest.param([30], [float("nan")], "expected a finite number, got nan", id="theta2-phi2"),
+        pytest.param([90.0000001], [0], "scan label 'T90.0000001P0': theta must lie", id="theta3-phi3"),
+        pytest.param("60", [0], "expected non-empty lists of numbers", id="60-phi4"),
+        pytest.param([30], "45", "expected non-empty lists of numbers", id="theta5-45"),
+        pytest.param([], [0], "expected non-empty lists of numbers", id="theta6-phi6"),
+        pytest.param([30], [], "expected non-empty lists of numbers", id="theta7-phi7"),
+        pytest.param([float("nan")], [0], "expected a finite number, got nan", id="theta-nan"),
+        pytest.param([1e400], [0], "expected a finite number, got inf", id="theta-1e400"),
+        pytest.param([True], [0], "expected a finite number, got True", id="theta-true"),
+        pytest.param(["abc"], [0], "expected a finite number, got 'abc'", id="theta-text"),
+    ],
 )
-def test_metrics_bad_theta_phi_sweep_exit_2(tmp_path, capsys, theta, phi):
+def test_metrics_bad_theta_phi_sweep_exit_2(tmp_path, capsys, theta, phi, msg):
     cfg = write_config(tmp_path, sweep={"theta_deg": theta, "phi_deg": phi})
     assert cli.main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "empty")]) == 2
-    assert "sweep.theta_deg/phi_deg" in capsys.readouterr().err
+    assert f"error: sweep.theta_deg/phi_deg: {msg}" in capsys.readouterr().err
+
+
+def test_metrics_parses_each_scan_label_once(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, sweep={"scans": ["broadside", "E60", "H30", "T20P10"], "freq_ghz": [4, 9]})
+    out = tmp_path / "out"
+    assert cli.main(["transform", "--config", str(cfg), "--out", str(out), "--touchstone"]) == 0
+    calls = []
+    parse = metrics.parse_scan_label
+
+    def counted(*args):
+        calls.append(args[0])
+        return parse(*args)
+
+    monkeypatch.setattr(metrics, "parse_scan_label", counted)
+    assert cli.main(["metrics", "--config", str(cfg), "--out", str(out)]) == 0
+    assert calls == ["broadside", "E60", "H30", "T20P10"]
 
 
 def test_metrics_empty_scans_exit_2_without_tables(tmp_path, capsys):

@@ -433,7 +433,9 @@ def test_sweep_rows_of_streamed_records_equal_the_sweep_bit_for_bit(kind, pols):
     records = snp.read_records(text, net.port_count)
     next(records)
     freqs, rows = snp.stack_records(((f_hz, s[read]) for f_hz, s in records), (len(read), net.port_count))
-    got = metrics.sweep_rows(freqs, rows, read, pm, basis, aperture, taper, scans, pol)
+    weights_at = exc.weight_function(basis, aperture, pm, taper, pol)
+    parsed = [metrics.parse_scan_label(label, pol) for label in scans]
+    got = metrics.sweep_rows(freqs, rows, read, weights_at, parsed)
     want = metrics.sweep(snp.parse_touchstone(text, net.port_count), pm, basis, aperture, taper, scans, pol=pol)
     for g, w in zip(got, want, strict=True):
         assert (g.label, g.theta_deg) == (w.label, w.theta_deg)
@@ -442,7 +444,7 @@ def test_sweep_rows_of_streamed_records_equal_the_sweep_bit_for_bit(kind, pols):
         assert (g.coupling is None) == (w.coupling is None) == (len(pols) == 1)
         assert g.coupling is None or g.coupling.tobytes() == w.coupling.tobytes()
     with pytest.raises(metrics.MetricError, match="outside"):
-        metrics.sweep_rows(freqs, rows, [net.port_count], pm, basis, aperture, taper, scans, pol)
+        metrics.sweep_rows(freqs, rows, [net.port_count], weights_at, parsed)
 
 
 def reference_table_rows(header, sweeps, columns):
