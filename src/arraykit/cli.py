@@ -294,7 +294,7 @@ def _require_model(cfg: dict) -> synthmodel.ModelSpec:
 # the sizes its config or input file gives. The fixed part covers the parser, config and small arrays.
 _FIXED_BYTES = 1 << 20  # about 0.3 MB
 _ELEMENT_BYTES = 512  # per aperture element: its indices, position and port-map entries, about 250 B
-_TEXT_ENTRY_BYTES = 256  # per S entry of one record, read or assembled and then formatted as text, about 190 B
+_TEXT_ENTRY_BYTES = 256  # per S entry of one record, read or assembled and then formatted as text, about 170 B
 _PORT_FREQ_BYTES = 128  # per port and frequency: one scan's weights (about 60 B), and the S rows metrics keeps
 _ROW_BYTES = 128  # per CSV row of metrics or pattern, with the values it is formatted from, about 120 B
 
@@ -310,8 +310,8 @@ def _check_budget(nbytes: int, where: str, set_by: str) -> None:
 def _transform_price(n_scan: int, model: synthmodel.ModelSpec, ports: int) -> tuple[int, int]:
     """``(fixed bytes, bytes per frequency)`` of ``transform``: the grids, and one S record of ``ports`` formatted."""
     # per scan point and frequency: 4 gamma grids, 4 coupling sets and one CSV's rows, about 250 B, and 40 B per
-    # seeded-random term while sampling; one frequency more covers the Python floats of the block being formatted,
-    # 64 B per scan point, so a whole grid's at F = 1 (traced peak 313 B per scan point at N = 512, F = 1)
+    # seeded-random term while sampling; the CSV rows are formatted a chunk at a time, so even one frequency is
+    # covered (traced peak 248 B per scan point at N = 512, F = 1)
     terms = model.smoothness if isinstance(model, synthmodel.SeededRandomModel) else 0
     per = n_scan**2 * (256 + 40 * terms)
     return _FIXED_BYTES + ports**2 * _TEXT_ENTRY_BYTES + per, per

@@ -19,7 +19,7 @@ from .constants import C0, DB_FLOOR, VSWR_CAP
 # build_plan is not called here; it stays importable as metrics.build_plan, the name perfbench traces
 from .excitation import ExcitationPlan, TaperSpec, build_plan, plane_phi, scan_wavevectors, weight_function  # noqa: F401
 from .lattice import LatticeBasis, centermost_index
-from .snp import NetworkData, PortMap, _table_rows
+from .snp import NetworkData, PortMap
 
 
 class MetricError(ValueError):
@@ -285,6 +285,20 @@ def sweep(
 
 
 # --- CSV tables -----------------------------------------------------------------
+
+
+def _table_rows(header: str, template: str, blocks) -> list[str]:
+    """``header`` then one ``template % row`` line per row.
+
+    Each block is a tuple of equal-length columns (lists, or iterators such
+    as ``itertools.repeat`` for a constant column) holding one frequency or one
+    sweep, so no more than a block's values are ever turned into Python
+    objects at once.
+    """
+    rows = [header]
+    for columns in blocks:
+        rows += map(template.__mod__, zip(*columns))
+    return rows
 
 
 def _sweep_rows(value_header: str, value_template: str, sweeps: list[ScanSweep], values) -> list[str]:

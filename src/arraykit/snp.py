@@ -330,6 +330,103 @@ def read_touchstone(path: str | Path) -> NetworkData:
         return parse_touchstone(fh, ports)
 
 
+# --- exact '%.12e' text --------------------------------------------------------------
+# A value v with 10**e <= |v| < 10**(e + 1), |e| <= 99, times the correctly rounded 10**(12 - e) is m, within
+# 2.3e-3 of the exact |v| * 10**(12 - e) (two roundings of 2**-53 relative below 1e13). So when m lies in
+# [1e12, 1e13) and is not within 0.01 of a half, rint(m) is the correctly rounded 13-digit mantissa that
+# '%.12e' prints. Any other value is written by '%.12e' itself.
+
+_E12_WIDTH = 20  # bytes of the longest '%.12e' text of a finite double, as '-2.225073858507e-308'
+_E12_CHUNK = 1024  # rows laid out at a time by _e12_text
+_POW10 = np.array([float(f"1e{k}") for k in range(-87, 112)])  # 10**(12 - e) at index j = 99 - e
+
+
+def _words(*choices: bytes) -> np.ndarray:
+    """Every 4-byte word whose i-th byte is one of ``choices[i]``, as uint32, the first byte varying slowest."""
+    columns = np.meshgrid(*(np.frombuffer(c, np.uint8) for c in choices), indexing="ij")
+    return np.stack(columns, axis=-1).view(np.uint32).ravel()
+
+
+# The text is written as five 4-byte words: the sign, lead digit, point and second digit; two groups of four
+# digits; the last three digits and "e"; the exponent's sign, its two digits and a NUL. The tables are built
+# from arrays: joining 10 000 bytes objects would raise every command's peak memory by about 1 MB.
+_DIGITS = b"0123456789"
+_LEAD = _words(b"\0-", _DIGITS, b".", _DIGITS)
+_FOUR = _words(_DIGITS, _DIGITS, _DIGITS, _DIGITS)
+_THREE_E = _words(_DIGITS, _DIGITS, _DIGITS, b"e")
+_EXPONENT = np.concatenate(  # by j = 99 - e: +99 down to +00, then -01 to -99
+    (_words(b"+", _DIGITS[::-1], _DIGITS[::-1], b"\0"), _words(b"-", _DIGITS, _DIGITS, b"\0")[1:])
+)
+
+
+def _e12_fields(values: np.ndarray, fields: np.ndarray) -> None:
+    """Write ``'%.12e' % v`` of each float64 ``v`` of ``values`` (n,) into its row of ``fields`` (n, 20) uint8.
+
+    Each row's bytes must be contiguous. A text shorter than 20 bytes is NUL padded, so dropping
+    every NUL of the rows leaves the texts in order. The scratch arrays take 43 B per value.
+    """
+    k = values.shape[0]
+    a, e, m = np.empty((3, k))
+    j, q = np.empty((2, k), np.int64)
+    ok, zero, tmp = np.empty((3, k), bool)
+    words = fields.view(np.uint32)
+    # log10(0) is -inf and its index cast is clipped below; a value that is not finite fails the checks
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.abs(values, out=a)
+        np.floor(np.log10(a, out=e), out=e)
+        np.copyto(j, np.subtract(99.0, e, out=e), casting="unsafe")
+        # an exponent beyond +-99 takes the scale of +-99, which puts m outside [1e12, 1e13) below
+        _POW10.take(j, out=m, mode="clip")
+        np.multiply(m, a, out=m)
+        np.equal(a, 0.0, out=zero)
+        r = np.rint(m, out=a)
+        # ok: m in [1e12, 1e13) and rint(m) < 1e13, or a zero; and |m - rint(m)| < 0.49
+        np.greater_equal(m, 1e12, out=ok)
+        ok |= zero
+        ok &= np.less(r, 1e13, out=tmp)
+        ok &= np.less(np.abs(np.subtract(m, r, out=m), out=m), 0.49, out=tmp)
+    left = np.logical_not(ok, out=ok)  # the values left to '%.12e'
+    np.copyto(r, 0.0, where=left)  # and written as 0 first
+    np.copyto(q, r, casting="unsafe")
+    # r = AB CDEF GHIJ KLM, written as the words "[-]A.B", "CDEF", "GHIJ", "KLMe"; e and m hold digit groups now
+    rest, group = e.view(np.int64), m.view(np.int64)
+    for word, table, size in ((3, _THREE_E, 1000), (2, _FOUR, 10_000), (1, _FOUR, 10_000)):
+        np.floor_divide(q, size, out=rest)
+        words[:, word] = table[np.subtract(q, np.multiply(rest, size, out=group), out=group)]
+        q, rest = rest, q
+    q += np.multiply(np.signbit(values, out=tmp), 100, out=group)
+    words[:, 0] = _LEAD[q]
+    np.copyto(j, 99, where=zero)
+    words[:, 4] = _EXPONENT.take(j, mode="clip")
+    if left.any():
+        rows = np.flatnonzero(left)
+        texts = np.array([b"%.12e" % x for x in values[rows].tolist()], dtype=f"S{_E12_WIDTH}")
+        fields[rows] = texts.view(np.uint8).reshape(-1, _E12_WIDTH)
+
+
+def _e12_text(head: str, columns: list[np.ndarray], rows: int) -> str:
+    """``head``, then the ``columns`` side by side row by row, as ASCII text with every NUL byte dropped.
+
+    A float64 column (rows,) is written as the ``'%.12e'`` text of each value; a uint8 column
+    (rows, w), or (w,) for the same bytes in every row, is copied. The rows are laid out
+    ``_E12_CHUNK`` at a time in one buffer, so besides the text only one chunk's bytes are held.
+    """
+    widths = [_E12_WIDTH if c.dtype == np.float64 else c.shape[-1] for c in columns]
+    step = min(rows, _E12_CHUNK)
+    buf = np.empty((step, sum(widths)), np.uint8)
+    pieces = [head]
+    for lo in range(0, rows, step):
+        chunk, at = buf[: min(step, rows - lo)], 0
+        for column, width in zip(columns, widths):
+            if column.dtype == np.float64:
+                _e12_fields(column[lo : lo + step], chunk[:, at : at + width])
+            else:
+                chunk[:, at : at + width] = column if column.ndim == 1 else column[lo : lo + step]
+            at += width
+        pieces.append(chunk.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(pieces)
+
+
 def _value_columns(s: np.ndarray, fmt: str) -> np.ndarray:
     """The two written columns of each S entry, in written order once raveled."""
     if fmt == "ri":
@@ -347,11 +444,12 @@ def touchstone_records(net: NetworkData | Iterable, fmt: str = "ri") -> Iterator
     ``net`` is a :class:`NetworkData` or a record stream, such as those of
     :func:`read_records` and :func:`spectral.smatrix_records`; a stream's
     records are formatted as they arrive. Values are written with 13
-    significant digits so that a parse of the output reproduces every S
-    entry to better than 1e-9 relative in all three formats; frequencies are
-    written exactly (shortest round-trip float representation). Rows wrap at
-    four S values per line for 3+ ports. Every item ends with a newline.
-    ``fmt`` is checked before the iterator is returned.
+    significant digits, exactly as ``'%.12e'`` writes them, so that a parse
+    of the output reproduces every S entry to better than 1e-9 relative in
+    all three formats; frequencies are written exactly (shortest round-trip
+    float representation). Rows wrap at four S values per line for 3+ ports.
+    Every item ends with a newline. ``fmt`` is checked before the iterator
+    is returned.
     """
     fmt = fmt.lower()
     if fmt not in _FORMATS:
@@ -365,11 +463,15 @@ def touchstone_records(net: NetworkData | Iterable, fmt: str = "ri") -> Iterator
         p, z_ref = next(records)
         # one line for 1- and 2-port records, else each matrix row wrapped at four pairs
         widths = [p * p] if p <= 2 else [min(4, p - start) for start in range(0, p, 4)] * p
-        record = "%r " + "\n  ".join(" ".join(["%.12e %.12e"] * w) for w in widths) + "\n"
+        seps = np.full(2 * p * p, b" ", dtype="S3")
+        seps[np.cumsum(widths) * 2 - 1] = b"\n  "
+        seps[-1] = b"\n"
+        seps = seps.view(np.uint8).reshape(-1, 3)
         yield f"! {p}-port S-parameter data\n# Hz S {fmt.upper()} R {z_ref:.9g}\n"
         for f_hz, s in records:
             # the v1 two-port quirk: S11 S21 S12 S22
-            yield record % (f_hz, *_value_columns(s.T if p == 2 else s, fmt).ravel().tolist())
+            values = _value_columns(s.T if p == 2 else s, fmt).ravel()
+            yield _e12_text("%r " % f_hz, [values, seps], values.size)
 
     return items()
 
@@ -410,20 +512,3 @@ def terminate_port(net: NetworkData, k: int, gamma_load: complex) -> NetworkData
         s_new = s + (g * s[:, :, k][:, :, None] * s[:, k, :][:, None, :]) / den[:, None, None]
     keep = [i for i in range(p) if i != k]
     return NetworkData(net.frequencies, s_new[np.ix_(range(len(net.frequencies)), keep, keep)], net.z_ref)
-
-
-# --- CSV rows ----------------------------------------------------------------
-
-
-def _table_rows(header: str, template: str, blocks) -> list[str]:
-    """``header`` then one ``template % row`` line per row.
-
-    Each block is a tuple of equal-length columns (lists, or iterators such
-    as ``itertools.repeat`` for a constant column) holding one frequency or one
-    sweep, so no more than a block's values are ever turned into Python
-    objects at once.
-    """
-    rows = [header]
-    for columns in blocks:
-        rows += map(template.__mod__, zip(*columns))
-    return rows

@@ -18,13 +18,12 @@ to the signed integer ``i - N/2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Iterator, Mapping
 
 import numpy as np
 
 from .lattice import LatticeBasis, ReciprocalBasis, aperture_spread
-from .snp import NetworkData, PortMap, _table_rows, network_from_records
+from .snp import _E12_CHUNK, NetworkData, PortMap, _e12_text, network_from_records
 
 # each pol pair is "ab": a the observed polarization (matrix row), b the excited one (matrix column)
 POL_PAIRS = ("xx", "xy", "yx", "yy")
@@ -263,21 +262,37 @@ def assemble_finite_smatrix(
 # --- CSV serialization --------------------------------------------------------
 
 
-def _grid_blocks(frequencies: np.ndarray, grids: np.ndarray):
-    """Per-frequency columns (freq, i1 - N/2, i2 - N/2, re, im) of an (F, N, N) array."""
-    n = grids.shape[1]
-    idx = range(-(n // 2), n - n // 2)
-    for f_hz, mat in zip(frequencies.tolist(), grids):
-        # the index columns are repeated, not held: no Python int per grid point
-        first, second = chain.from_iterable(map(repeat, idx, repeat(n))), chain.from_iterable(repeat(idx, n))
-        yield repeat(f_hz), first, second, mat.real.ravel().tolist(), mat.imag.ravel().tolist()
+def _padded(texts: list[bytes]) -> np.ndarray:
+    """The ``texts`` as the rows of one uint8 array, each NUL padded to the longest."""
+    a = np.array(texts, dtype="S")
+    return a.view(np.uint8).reshape(a.size, a.itemsize)
+
+
+def _grid_rows(header: str, frequencies: np.ndarray, grids: np.ndarray) -> list[str]:
+    """``header``, then the rows "freq_hz,i1 - N/2,i2 - N/2,re,im" of an (F, N, N) array.
+
+    The rows are formatted ``_E12_CHUNK`` at a time, so besides the rows only one chunk's text is held.
+    """
+    f, n = grids.shape[:2]
+    lead = _padded([b"%.9e," % f_hz for f_hz in frequencies.tolist()])
+    axis = _padded([b"%d," % i for i in range(-(n // 2), n - n // 2)])
+    re, im = grids.real.reshape(-1), grids.imag.reshape(-1)
+    comma, newline = np.frombuffer(b",", np.uint8), np.frombuffer(b"\n", np.uint8)
+    rows = [header]
+    for lo in range(0, f * n * n, _E12_CHUNK):
+        hi = min(lo + _E12_CHUNK, f * n * n)
+        at, point = np.divmod(np.arange(lo, hi), n * n)
+        i1, i2 = np.divmod(point, n)
+        columns = [lead[at], axis[i1], axis[i2], re[lo:hi], comma, im[lo:hi], newline]
+        rows += _e12_text("", columns, hi - lo).splitlines()
+    return rows
 
 
 def gamma_csv_rows(g: ActiveGammaGrid) -> list[str]:
     """Rows "freq_hz,m1,m2,re,im" (header included)."""
-    return _table_rows("freq_hz,m1,m2,re,im", "%.9e,%d,%d,%.12e,%.12e", _grid_blocks(g.frequencies, g.grid))
+    return _grid_rows("freq_hz,m1,m2,re,im", g.frequencies, g.grid)
 
 
 def coupling_csv_rows(c: CouplingSet) -> list[str]:
     """Rows "freq_hz,n1,n2,re,im" (header included)."""
-    return _table_rows("freq_hz,n1,n2,re,im", "%.9e,%d,%d,%.12e,%.12e", _grid_blocks(c.frequencies, c.coeffs))
+    return _grid_rows("freq_hz,n1,n2,re,im", c.frequencies, c.coeffs)

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -296,6 +297,77 @@ def test_round_trip_property(seed, ports, fmt):
     net = random_network(ports, nfreq=3, seed=seed)
     back = snp.parse_touchstone(snp.write_touchstone(net, fmt), ports)
     np.testing.assert_allclose(back.s, net.s, rtol=1e-9, atol=1e-30)
+
+
+# --- exact '%.12e' text ---------------------------------------------------------
+
+
+def e12_texts(values) -> list[str]:
+    """The text the formatting kernel writes for each value, read back from its NUL padded field."""
+    values = np.asarray(values, dtype=float)
+    fields = np.full((values.size, snp._E12_WIDTH), 0xFF, np.uint8)  # a byte left unwritten fails to decode
+    snp._e12_fields(values, fields)
+    return [bytes(row).replace(b"\0", b"").decode("ascii") for row in fields]
+
+
+def e12_edge_values() -> list[float]:
+    """Zeros, the extremes of the double range, the ends of the two-digit exponents, and 14-digit ties."""
+    edges = [0.0, 5e-324, 2.2250738585072014e-308, sys.float_info.max, 1e99, 1e-99, 1e100, 1e-100]
+    edges += [10000000000000.5, 9999999999999.5, 0.5, 1.0, 10.0, 1000.0]
+    for k in range(-101, 101):
+        # 9.9999999999995e{k} carries into the next decade; each "...5" is halfway between two 13-digit texts
+        for text in ("9.9999999999995", "1.0000000000005", "1.2345678901235", "5.0000000000005", "1"):
+            v = float(f"{text}e{k}")
+            edges += [v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)]
+    return edges + [-v for v in edges]
+
+
+def test_e12_fields_match_percent_format_on_edge_values():
+    values = e12_edge_values()
+    assert e12_texts(values) == ["%.12e" % v for v in values]
+
+
+def test_e12_fields_match_percent_format_over_every_two_digit_exponent():
+    rng = np.random.default_rng(12)
+    values = rng.standard_normal(100_000) * 10.0 ** rng.integers(-110, 111, 100_000)
+    assert e12_texts(values) == ["%.12e" % v for v in values.tolist()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=400), scaled=st.floats(-1e6, 1e6))
+def test_e12_fields_match_percent_format_on_any_finite_double(bits, scaled):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    values = np.append(values[np.isfinite(values)], scaled)
+    assert e12_texts(values) == ["%.12e" % v for v in values.tolist()]
+
+
+def reference_records(net: snp.NetworkData, fmt: str) -> str:
+    """Touchstone text from the per-record '%' template that formatted every value through Python."""
+    p = net.port_count
+    widths = [p * p] if p <= 2 else [min(4, p - start) for start in range(0, p, 4)] * p
+    record = "%r " + "\n  ".join(" ".join(["%.12e %.12e"] * w) for w in widths) + "\n"
+    text = f"! {p}-port S-parameter data\n# Hz S {fmt.upper()} R {net.z_ref:.9g}\n"
+    for f_hz, s in zip(net.frequencies.tolist(), net.s):
+        s = s.T if p == 2 else s  # S11 S21 S12 S22
+        mag = np.abs(s)
+        if fmt == "db":
+            with np.errstate(divide="ignore"):
+                mag = np.where(mag > 0, 20.0 * np.log10(mag), -1000.0)
+        columns = np.stack((s.real, s.imag) if fmt == "ri" else (mag, np.degrees(np.angle(s))), axis=-1)
+        text += record % (f_hz, *columns.ravel().tolist())
+    return text
+
+
+@pytest.mark.parametrize("fmt", ["ri", "ma", "db"])
+@pytest.mark.parametrize("ports", [1, 2, 3, 38])
+def test_records_match_the_percent_template(ports, fmt):
+    net = random_network(ports, nfreq=5, seed=ports + 11)
+    s = np.array(net.s)
+    # 0 is -1000 dB; -0.0 - 0.0j has the angle -180; the tiny and huge entries need three-digit exponents
+    special = [0.0, complex(-0.0, -0.0), 1e-120 - 1e120j, 1e120, complex(-0.0, 1e-120)]
+    s.reshape(-1)[np.linspace(0, s.size - 1, len(special)).astype(int)] = special
+    net = snp.NetworkData(net.frequencies, s, net.z_ref)
+    assert snp.write_touchstone(net, fmt) == reference_records(net, fmt)
 
 
 # --- agreement with the reference loops ----------------------------------------

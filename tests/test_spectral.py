@@ -375,3 +375,12 @@ def test_csv_rows_match_fstring_loop():
     c = spectral.gamma_to_coupling(g)
     assert spectral.gamma_csv_rows(g) == reference_grid_rows("freq_hz,m1,m2,re,im", g.frequencies, g.grid)
     assert spectral.coupling_csv_rows(c) == reference_grid_rows("freq_hz,n1,n2,re,im", c.frequencies, c.coeffs)
+
+
+def test_csv_rows_across_chunks_match_fstring_loop():
+    # 20 frequencies of 8 x 8 points: 1280 rows, so a formatting chunk ends inside a frequency block;
+    # the transposed grid is not contiguous
+    g = random_gamma(n=8, nfreq=20, seed=4)
+    g = spectral.ActiveGammaGrid(g.frequencies, g.grid.transpose(0, 2, 1))
+    assert spectral.gamma_csv_rows(g) == reference_grid_rows("freq_hz,m1,m2,re,im", g.frequencies, g.grid)
+    assert spectral.gamma_csv_rows(spectral.ActiveGammaGrid(np.array([]), np.zeros((0, 4, 4)))) == ["freq_hz,m1,m2,re,im"]
