@@ -327,7 +327,7 @@ def _metrics_price(size: int, ports: int, elements: int, scans: int) -> int:
     """Bytes ``metrics`` holds: one record read, then each frequency's kept rows, weights and table rows."""
     freqs = size // (2 * (1 + 2 * ports * ports))  # each of a record's values takes a character and a separator
     per = ports * _PORT_FREQ_BYTES + 3 * scans * _ROW_BYTES
-    return _FIXED_BYTES + elements * _ELEMENT_BYTES + 64 * ports**2 + freqs * per  # a record read: about 40 B per entry
+    return _FIXED_BYTES + elements * _ELEMENT_BYTES + 64 * ports**2 + freqs * per  # a record read: about 50 B per entry
 
 
 # --- output helpers -------------------------------------------------------------

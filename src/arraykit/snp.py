@@ -8,21 +8,25 @@ out of scope. Noise-parameter records trailing 2-port data are skipped with
 a warning.
 
 Touchstone I/O goes one record at a time. :func:`read_records` is the one
-reader: it takes the text or any iterable of its lines (an open file will
-do) and yields the header ``(port_count, z_ref)`` and then each record's
+reader: it takes the text, an open text file or any iterable of its lines,
+and yields the header ``(port_count, z_ref)`` and then each record's
 frequency and (P, P) S, converting every token and checking each record as
-it arrives, so it never holds the text, its line list or more than one
-record of values. :func:`parse_touchstone` stacks those records into a
-:class:`NetworkData`, which holds S once. :func:`touchstone_records` formats
-a record stream, or a :class:`NetworkData`, one record at a time: converting
-a file holds one record, and writing an assembled network one frequency's
-S. :func:`touchstone_port_count` checks a file's size against its ``.sNp``
+it arrives, so it never holds a line list or more than one record of
+values. After the option line it converts a text a few KiB at a time, one
+numpy call per block of whole lines; a block with a token that is not a
+number is read again line by line and token by token, so every error, and
+the order of errors, is what the lines read one at a time give.
+:func:`parse_touchstone` stacks those records into a :class:`NetworkData`,
+which holds S once. :func:`touchstone_records` formats a record stream, or
+a :class:`NetworkData`, one record at a time: converting a file holds one
+record, and writing an assembled network one frequency's S.
+:func:`touchstone_port_count` checks a file's size against its ``.sNp``
 name before any record buffer is sized from that name.
 """
 
 from __future__ import annotations
 
-import collections
+import io
 import itertools
 import math
 import re
@@ -55,8 +59,8 @@ class NetworkData:
     ``frequencies`` is a strictly increasing array of Hz; ``s`` has shape
     (F, P, P) with ``s[f, i, j]`` the wave out of port i per unit wave into
     port j; ``z_ref`` is the single real reference impedance. Both arrays
-    are read-only; ``s`` need not be contiguous (a parsed ``s`` is a view of
-    the file's values, with the frequencies interleaved between records).
+    are read-only; ``s`` need not be contiguous, but a parsed ``s`` is one
+    fresh C-contiguous stack of the file's records (:func:`stack_records`).
     """
 
     frequencies: np.ndarray
@@ -156,17 +160,51 @@ def _parse_option_line(line: str) -> tuple[float, str, float]:
     return unit_scale, fmt, z_ref
 
 
+class _TextLines:
+    """``readline`` and ``read`` over a str with CRLF and lone CR read as LF, as a text file reads them.
+
+    Unlike ``io.StringIO``, which holds 4 bytes per character once read, it keeps only the str.
+    """
+
+    newlines = "\n"  # universal newlines, as a text file opened by default reports them once read
+
+    def __init__(self, text: str):
+        self._text, self._at = text.replace("\r\n", "\n").replace("\r", "\n"), 0
+
+    def readline(self) -> str:
+        end = self._text.find("\n", self._at) + 1 or len(self._text)
+        line, self._at = self._text[self._at : end], end
+        return line
+
+    def read(self, size: int) -> str:
+        chunk = self._text[self._at : self._at + size]
+        self._at += len(chunk)
+        return chunk
+
+
 def read_records(lines: str | Iterable[str], port_count: int) -> Iterator:
     """Touchstone v1 content as a record stream, converted one record at a time.
 
     The first item is the header ``(port_count, z_ref)``; every further item
     is one record, ``(frequency in Hz, S)`` with S a (P, P) complex array.
-    ``lines`` is the text or any iterable of its lines (an open text file
-    will do; line ends and ``!`` comments are stripped). The port count is
-    not inferable from v1 content and must be supplied (``.sNp`` naming
-    convention). Tokens are converted in file order into one buffer of
-    ``2*P*P`` values per record, and each record is checked as it arrives,
-    so a consumer that keeps part of each record holds no more than that.
+    ``lines`` is the text, an open text file, or any other iterable of its
+    lines (line ends and ``!`` comments are stripped). The port count is not
+    inferable from v1 content and must be supplied (``.sNp`` naming
+    convention). Each record's frequency and ``2*P*P`` values go into one
+    fresh buffer, and each record is checked as it arrives, so a consumer
+    that keeps part of each record holds no more than that.
+
+    Text and open text files are read line by line up to the option line,
+    then in blocks of whole lines: each block has its ``!`` comments removed
+    and is converted by one numpy call, which reads numbers exactly as
+    ``float`` does. A block holding a token that is not a number, as any
+    option line or v2 keyword is, is read again line by line and token by
+    token, carrying over the record it fills, so every error, and the order
+    of errors, is that of reading the lines one at a time. A ``str`` is
+    split at LF, CRLF and lone CR, the line ends of a text file opened with
+    universal newlines (the default), so it parses as the same bytes read
+    from a file; a file opened with other newlines is read line by line
+    throughout.
 
     Raises
     ------
@@ -180,18 +218,43 @@ def read_records(lines: str | Iterable[str], port_count: int) -> Iterator:
     """
     if port_count < 1:
         raise TouchstoneError(f"port_count must be >= 1, got {port_count}")
-    if isinstance(lines, str):
-        # split where a text file's lines end (\n, \r\n, lone \r), so a string parses as its file does
-        lines = lines.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    return _records(lines, port_count)
+    return _records(_TextLines(lines) if isinstance(lines, str) else lines, port_count)
+
+
+_BLOCK_CHARS = 4096  # characters read at a time after the option line; 16 KiB adds a record to a 64-port read's peak
+_COMMENT = re.compile(r"![^\r\n]*")
+_LINE_END = re.compile(r"\r\n?|\n")  # only a file opened with newline="" keeps its CRs in the text
+
+
+def _leading_numbers(tokens: list[str]) -> list[float]:
+    """The values of ``tokens`` up to the first that is not a number."""
+    values = []
+    for tok in tokens:
+        try:
+            values.append(float(tok))
+        except ValueError:
+            break
+    return values
+
+
+def _block_values(block: str) -> np.ndarray | None:
+    """The values of a block of whole lines, or None if one of its tokens is not a number.
+
+    An option line or a v2 keyword starts with such a token (``#`` or ``[``), so a block holding
+    either is read line by line as well.
+    """
+    try:
+        return np.array((_COMMENT.sub("", block) if "!" in block else block).split(), dtype=float)
+    except ValueError:
+        return None
 
 
 def _records(lines: Iterable[str], p: int) -> Iterator:
     option = None
-    tokens: list[str] = []  # the data line being converted
 
-    def data_tokens() -> Iterator[list[str]]:
-        nonlocal option, tokens
+    def line_values(lines: Iterable[str]) -> Iterator[list[float]]:
+        """The values of each data line in turn; a bad token is raised once the values before it are taken."""
+        nonlocal option
         for raw in lines:
             line = raw.split("!", 1)[0].strip()
             if not line:
@@ -206,36 +269,72 @@ def _records(lines: Iterable[str], p: int) -> Iterator:
             if option is None:
                 raise TouchstoneError("data encountered before the '#' option line")
             tokens = line.split()
-            yield tokens
+            values = _leading_numbers(tokens)
+            yield values
+            if len(values) < len(tokens):
+                raise TouchstoneError(f"non-numeric data token {tokens[len(values)]!r}")
 
-    def bad_token() -> str | None:
-        """The first token of the current line that is not a number."""
-        for tok in tokens:
-            try:
-                float(tok)
-            except ValueError:
-                return tok
-        return None
+    def to_option_line() -> Iterator[str]:
+        """A text's lines up to and including its option line."""
+        while option is None and (line := lines.readline()):
+            yield line
 
-    # tokens are converted in file order, so a bad token is reported before any later line is read
-    values = map(float, itertools.chain.from_iterable(data_tokens()))
+    def value_chunks() -> Iterator:
+        """The values in file order: line by line up to the option line, then a block of whole lines at a time."""
+        if not isinstance(lines, (io.TextIOBase, _TextLines)):
+            yield from line_values(lines)
+            return
+        yield from line_values(to_option_line())
+        if getattr(lines, "newlines", None) is None:  # opened with newline="\n", "\r" or "\r\n": its own line ends
+            yield from line_values(lines)
+            return
+        pending: list[str] = []  # the text read after the last line end
+        while True:
+            chunk = lines.read(_BLOCK_CHARS)
+            cut = chunk.rfind("\n") + 1
+            if chunk and not cut:  # inside a line longer than a block
+                pending.append(chunk)
+                continue
+            pending.append(chunk[:cut])
+            block, pending = "".join(pending), [chunk[cut:]]
+            values = _block_values(block)
+            if values is None:
+                yield from line_values(_LINE_END.split(block))
+            else:
+                yield values
+            if not chunk:
+                return
+
     n = 2 * p * p
-    count, prev, head = 0, 0.0, None
-    try:
-        head = next(values, None)
-        if option is None:
-            raise TouchstoneError("missing '#' option line")
-        unit_scale, fmt, z_ref = option
-        if not z_ref > 0:
-            raise NetworkError(f"z_ref must be positive, got {z_ref}")
-        yield p, z_ref
-        while head is not None:
-            if p == 2 and count and head < prev / unit_scale:
-                # 2-port noise-parameter section: frequency restarts below S data
-                warnings.warn("ignoring trailing noise-parameter data in 2-port file", stacklevel=2)
-                collections.deque(values, maxlen=0)  # still converted, so a bad token there is reported
-                break
-            rec = np.fromiter(values, dtype=float, count=n)
+    chunks = (v for v in value_chunks() if len(v))
+    first = next(chunks, None)  # the header follows the first value, or the end of a content without one
+    if option is None:
+        raise TouchstoneError("missing '#' option line")
+    unit_scale, fmt, z_ref = option
+    if not z_ref > 0:
+        raise NetworkError(f"z_ref must be positive, got {z_ref}")
+    yield p, z_ref
+    if first is not None:
+        chunks = itertools.chain([first], chunks)
+    count, prev, got = 0, 0.0, 0
+    for chunk in chunks:
+        at = 0
+        while at < len(chunk):
+            if not got:  # a record starts
+                head = float(chunk[at])
+                if p == 2 and count and head < prev / unit_scale:
+                    # 2-port noise-parameter section: frequency restarts below S data
+                    warnings.warn("ignoring trailing noise-parameter data in 2-port file", stacklevel=2)
+                    for _ in chunks:  # still converted, so a bad token there is reported
+                        pass
+                    return
+                rec = np.empty(1 + n)
+            take = min(1 + n - got, len(chunk) - at)
+            rec[got : got + take] = chunk[at : at + take]
+            got, at = got + take, at + take
+            if got <= n:  # the record is not full yet
+                continue
+            got = 0
             f_hz = head * unit_scale
             if not math.isfinite(f_hz):
                 raise NetworkError(f"frequency record at {head!r} has a frequency that is not finite in Hz")
@@ -243,28 +342,23 @@ def _records(lines: Iterable[str], p: int) -> Iterator:
                 if count:
                     raise TouchstoneError(f"frequencies not strictly increasing at {f_hz} Hz")
                 raise NetworkError("frequencies must be positive and strictly increasing")
+            s = rec[1:]
             if fmt != "ri":
                 # (magnitude or dB, degrees) -> (real, imaginary) in place, through one temporary
-                a, b = rec[0::2], rec[1::2]
+                a, b = s[0::2], s[1::2]
                 with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are caught below
                     if fmt == "db":
                         np.power(10.0, np.divide(a, 20.0, out=a), out=a)
                     ang = np.radians(b)
                     np.multiply(a, np.sin(ang, out=b), out=b)
                     np.multiply(a, np.cos(ang, out=ang), out=a)
-            if not np.isfinite(rec).all():
+            if not np.isfinite(s).all():
                 raise NetworkError("s contains non-finite entries")
-            s = rec.view(complex).reshape(p, p)
+            s = s.view(complex).reshape(p, p)
             yield f_hz, s.T if p == 2 else s  # the v1 two-port quirk: S11 S21 S12 S22
             count, prev = count + 1, f_hz
-            head = next(values, None)
-    except (TouchstoneError, NetworkError):
-        raise
-    except ValueError:  # a token that is not a number, or the values ran out part way through a record
-        tok = bad_token()
-        if tok is not None:
-            raise TouchstoneError(f"non-numeric data token {tok!r}") from None
-        raise TouchstoneError(f"frequency record at {head!r} has fewer than {n} S values") from None
+    if got:
+        raise TouchstoneError(f"frequency record at {head!r} has fewer than {n} S values")
     if not count:
         raise TouchstoneError("no frequency records found")
 
@@ -324,7 +418,7 @@ def touchstone_port_count(path: str | Path) -> int:
 
 
 def read_touchstone(path: str | Path) -> NetworkData:
-    """Read a ``.sNp`` file line by line; the port count comes from the extension."""
+    """Read a ``.sNp`` file record by record (see :func:`read_records`); the port count comes from the extension."""
     ports = touchstone_port_count(path)
     with open(path) as fh:
         return parse_touchstone(fh, ports)

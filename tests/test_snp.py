@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -688,6 +689,85 @@ def test_touchstone_port_count_checks_the_file_size(tmp_path):
         snp.touchstone_port_count(path)
     with pytest.raises(snp.TouchstoneError, match="cannot infer port count"):
         snp.touchstone_port_count(tmp_path / "x.txt")
+
+
+# --- block reading against line-by-line reading ------------------------------------
+
+# tokens that float() reads (underscores, Unicode digits, inf/nan, overflow) or rejects; '#' and '[' inside a token
+EDGE_TOKENS = ["1_0", "1__0", "١٢", "１.５", "inf", "-Infinity", "nan", "1e400", "-0", "+.5e+3",
+               "0x10", "1e", ".", "bogus", "1#2", "[1]"]
+SEPARATORS = [" ", "  ", "\t", " \x0c ", "\x0b", "\x1f", "\u2028", "\xa0", "\r"]
+COMMENT_TEXT = st.text(alphabet="ab 12.e#[!\t\r\x0c\x0b\x85", max_size=12)
+
+
+@st.composite
+def touchstone_texts(draw) -> tuple[str, int]:
+    """A v1 file with LF line ends and lone CRs: drawn tokens, comments and stray keyword lines, laid out at random."""
+    ports = draw(st.sampled_from([1, 2, 3]))
+    fmt = draw(st.sampled_from(["RI", "MA", "DB"]))
+    templates = st.sampled_from(["%r", "%.3e", "%g", "%+.6f"])
+    value = st.builds(lambda template, v: template % v, templates, st.floats(-2, 2))
+    tokens = []
+    for k in range(draw(st.integers(0, 4))):
+        tokens += [f"{1.0 + k:g}"] + [draw(value) for _ in range(2 * ports * ports)]
+    if ports == 2 and draw(st.booleans()):  # a noise section: its frequency restarts below the S data
+        tokens += ["0.5", "2.3", "0.5", "10.0", "0.2", "0.75", "2.4", "0.6", "11", "0.3"]
+    for _ in range(draw(st.integers(0, 2))):
+        if tokens:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(EDGE_TOKENS + ["0.5", "1"]))
+    lines = ["! drawn file", f"# GHz S {fmt} R 50"]
+    if draw(st.integers(0, 19)) == 0:  # data before the option line
+        lines.insert(0, "1 2 3")
+    at = 0
+    while at < len(tokens):
+        roll = draw(st.integers(0, 19))
+        if roll == 0:
+            lines.append(draw(st.sampled_from(["# MHz S RI R 50", "[Version] 2.0", " \t[Number of Ports] 2"])))
+        elif roll <= 3:
+            lines.append(draw(st.sampled_from(["", " \t", "!"])) + "! " + draw(COMMENT_TEXT))
+        take = len(tokens) - at if roll == 19 else draw(st.integers(1, 9))  # sometimes all that is left on one line
+        line = draw(st.sampled_from(["", " ", "\t"]))
+        line += "".join(tok + draw(st.sampled_from(SEPARATORS)) for tok in tokens[at : at + take])
+        if draw(st.booleans()):
+            line += "! " + draw(COMMENT_TEXT)
+        lines.append(line)
+        at += take
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n! last\n"])), ports
+
+
+def read_outcome(lines, ports):
+    """Every item ``read_records`` yields, bit for bit, then the exception it raises, and the warnings."""
+    items = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            for item in snp.read_records(lines, ports):
+                items.append(item if not items else (type(item[0]), repr(item[0]), item[1].shape, item[1].tobytes()))
+        except (snp.TouchstoneError, snp.NetworkError) as exc:
+            items.append((type(exc), str(exc)))
+    return items, [str(w.message) for w in caught]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    drawn=touchstone_texts(),
+    block=st.integers(1, 64),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    opened=st.sampled_from([None, "", "\n"]),
+)
+def test_block_reading_matches_line_by_line_reading(drawn, block, newline, opened):
+    text, ports = drawn
+    # a lone CR ends a line read with universal newlines (opened with None or ""), not one opened with "\n"
+    universal = read_outcome(iter(text.replace("\r", "\n").split("\n")), ports)
+    lf_only = read_outcome(iter(text.split("\n")), ports)
+    raw = text.replace("\n", newline)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(snp, "_BLOCK_CHARS", block)
+        path = Path(tmp) / f"drawn.s{ports}p"
+        path.write_bytes(raw.encode("utf-8"))
+        with open(path, encoding="utf-8", newline=opened) as fh:
+            assert read_outcome(fh, ports) == (lf_only if opened == "\n" else universal)
+        assert read_outcome(raw, ports) == universal
 
 
 # --- NetworkData validation ---------------------------------------------------
