@@ -309,11 +309,11 @@ def _check_budget(nbytes: int, where: str, set_by: str) -> None:
 
 def _transform_price(n_scan: int, model: synthmodel.ModelSpec, ports: int) -> tuple[int, int]:
     """``(fixed bytes, bytes per frequency)`` of ``transform``: the grids, and one S record of ``ports`` formatted."""
-    # per scan point and frequency: 4 gamma grids, 4 coupling sets and one CSV's rows, about 250 B, and 40 B per
-    # seeded-random term while sampling; the CSV rows are formatted a chunk at a time, so even one frequency is
-    # covered (traced peak 248 B per scan point at N = 512, F = 1)
+    # per scan point and frequency: 4 gamma grids, 4 coupling sets and one 1024-row chunk's text, about 165 B, and
+    # 40 B per seeded-random term while sampling; each CSV is written a chunk at a time, so even one frequency is
+    # covered (traced peak 161 B per scan point at N = 512, F = 1)
     terms = model.smoothness if isinstance(model, synthmodel.SeededRandomModel) else 0
-    per = n_scan**2 * (256 + 40 * terms)
+    per = n_scan**2 * (192 + 40 * terms)
     return _FIXED_BYTES + ports**2 * _TEXT_ENTRY_BYTES + per, per
 
 
@@ -356,10 +356,15 @@ def _write_lines(path: Path, header: str, chunks: Iterable[str]) -> int:
     return count
 
 
+def _header(cfg_hash: str) -> str:
+    """The two header lines that start every table: the version and the config's hash."""
+    return f"# arraykit {__version__}\n# config_sha256={cfg_hash}\n"
+
+
 def _table(rows: list[str], cfg_hash: str) -> tuple[str, Iterator[str]]:
     """The two header lines, and ``rows`` joined a batch of rows at a time, never as one whole text."""
-    header = f"# arraykit {__version__}\n# config_sha256={cfg_hash}\n"
-    return header, ("\n".join(rows[i : i + _WRITE_BATCH_ROWS]) + "\n" for i in range(0, len(rows), _WRITE_BATCH_ROWS))
+    batches = range(0, len(rows), _WRITE_BATCH_ROWS)
+    return _header(cfg_hash), ("\n".join(rows[i : i + _WRITE_BATCH_ROWS]) + "\n" for i in batches)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -425,15 +430,13 @@ def cmd_transform(args) -> int:
 
     out = Path(args.out or ".")
     cfg_hash = _config_hash(cfg)
-    for pair, cset in sets.items():
-        path = out / f"coupling_{pair}.csv"
-        _write_lines(path, *_table(spectral.coupling_csv_rows(cset), cfg_hash))
-        print(f"wrote {path}")
+    tables = {f"coupling_{pair}.csv": cset for pair, cset in sets.items()}
     if args.gamma:
-        for pair, g in grids.items():
-            path = out / f"gamma_{pair}.csv"
-            _write_lines(path, *_table(spectral.gamma_csv_rows(g), cfg_hash))
-            print(f"wrote {path}")
+        tables.update((f"gamma_{pair}.csv", g) for pair, g in grids.items())
+    for name, data in tables.items():  # each CSV is written a chunk of rows at a time, as it is formatted
+        path = out / name
+        _write_lines(path, _header(cfg_hash), spectral.csv_chunks(data))
+        print(f"wrote {path}")
     if args.touchstone:
         path = out / f"finite_array.s{ports}p"
         records = snp.touchstone_records(spectral.smatrix_records(sets, lattice.enumerate_aperture(shape)), "ri")

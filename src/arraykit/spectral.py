@@ -268,31 +268,34 @@ def _padded(texts: list[bytes]) -> np.ndarray:
     return a.view(np.uint8).reshape(a.size, a.itemsize)
 
 
-def _grid_rows(header: str, frequencies: np.ndarray, grids: np.ndarray) -> list[str]:
-    """``header``, then the rows "freq_hz,i1 - N/2,i2 - N/2,re,im" of an (F, N, N) array.
+def csv_chunks(data: ActiveGammaGrid | CouplingSet) -> Iterator[str]:
+    """The CSV text of a gamma grid ("freq_hz,m1,m2,re,im") or a coupling set ("freq_hz,n1,n2,re,im").
 
-    The rows are formatted ``_E12_CHUNK`` at a time, so besides the rows only one chunk's text is held.
+    Yields the header line, then the rows "freq_hz,i1 - N/2,i2 - N/2,re,im" of the (F, N, N) array
+    ``_E12_CHUNK`` at a time, each text newline-ended, so besides the array only one chunk's text is held.
     """
+    if isinstance(data, ActiveGammaGrid):
+        header, grids = "freq_hz,m1,m2,re,im\n", data.grid
+    else:
+        header, grids = "freq_hz,n1,n2,re,im\n", data.coeffs
     f, n = grids.shape[:2]
-    lead = _padded([b"%.9e," % f_hz for f_hz in frequencies.tolist()])
+    lead = _padded([b"%.9e," % f_hz for f_hz in data.frequencies.tolist()])
     axis = _padded([b"%d," % i for i in range(-(n // 2), n - n // 2)])
     re, im = grids.real.reshape(-1), grids.imag.reshape(-1)
     comma, newline = np.frombuffer(b",", np.uint8), np.frombuffer(b"\n", np.uint8)
-    rows = [header]
+    yield header
     for lo in range(0, f * n * n, _E12_CHUNK):
         hi = min(lo + _E12_CHUNK, f * n * n)
         at, point = np.divmod(np.arange(lo, hi), n * n)
         i1, i2 = np.divmod(point, n)
-        columns = [lead[at], axis[i1], axis[i2], re[lo:hi], comma, im[lo:hi], newline]
-        rows += _e12_text("", columns, hi - lo).splitlines()
-    return rows
+        yield _e12_text("", [lead[at], axis[i1], axis[i2], re[lo:hi], comma, im[lo:hi], newline], hi - lo)
 
 
 def gamma_csv_rows(g: ActiveGammaGrid) -> list[str]:
-    """Rows "freq_hz,m1,m2,re,im" (header included)."""
-    return _grid_rows("freq_hz,m1,m2,re,im", g.frequencies, g.grid)
+    """Rows "freq_hz,m1,m2,re,im" (header included): the lines of :func:`csv_chunks`."""
+    return [row for chunk in csv_chunks(g) for row in chunk.splitlines()]
 
 
 def coupling_csv_rows(c: CouplingSet) -> list[str]:
-    """Rows "freq_hz,n1,n2,re,im" (header included)."""
-    return _grid_rows("freq_hz,n1,n2,re,im", c.frequencies, c.coeffs)
+    """Rows "freq_hz,n1,n2,re,im" (header included): the lines of :func:`csv_chunks`."""
+    return [row for chunk in csv_chunks(c) for row in chunk.splitlines()]

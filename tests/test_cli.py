@@ -112,6 +112,54 @@ def test_transform_oracle_reports_delta(tmp_path, capsys):
     assert delta < 1e-10
 
 
+def test_transform_streams_each_csv_as_the_row_api_gives_it(tmp_path, monkeypatch):
+    # 5 frequencies of 24 x 24 points: 2880 rows, so a 1024-row chunk ends inside a frequency block
+    path = write_config(tmp_path, model={"kind": "seeded_random", "seed": 3, "smoothness": 3})
+    cfg = json.loads(path.read_text())
+    recip, _ = cli._require_lattice(cfg)
+    model = cli._require_model(cfg)
+    freqs = cli._parse_frequencies(cfg["sweep"]["freq_ghz"], "sweep.freq_ghz", (0, 0), "")
+    expected = {}
+    for pair in spectral.POL_PAIRS:
+        g = synthmodel.sample_grid(model, recip, freqs, pair)
+        expected[f"gamma_{pair}.csv"] = spectral.gamma_csv_rows(g)
+        expected[f"coupling_{pair}.csv"] = spectral.coupling_csv_rows(spectral.gamma_to_coupling(g))
+    for name in ("gamma_csv_rows", "coupling_csv_rows"):
+        monkeypatch.setattr(spectral, name, lambda *args: pytest.fail("transform built a CSV's row list"))
+    out = tmp_path / "out"
+    assert cli.main(["transform", "--config", str(path), "--out", str(out), "--gamma"]) == 0
+    for name, rows in expected.items():
+        assert len(rows) == 1 + 5 * 24 * 24
+        header, _ = cli._table(rows, cli._config_hash(cfg))
+        assert (out / name).read_bytes() == (header + "\n".join(rows) + "\n").encode(), name
+
+
+def test_grid_csv_of_no_frequencies_is_its_header(tmp_path):
+    header = cli._header("0" * 16)
+    for data, columns in [
+        (spectral.ActiveGammaGrid(np.array([]), np.zeros((0, 4, 4))), "freq_hz,m1,m2,re,im\n"),
+        (spectral.CouplingSet(np.array([]), np.zeros((0, 4, 4))), "freq_hz,n1,n2,re,im\n"),
+    ]:
+        assert list(spectral.csv_chunks(data)) == [columns]
+        assert cli._write_lines(tmp_path / "t.csv", header, spectral.csv_chunks(data)) == 1
+        assert (tmp_path / "t.csv").read_text() == header + columns
+
+
+def test_grid_csv_is_written_holding_one_chunk_of_text(tmp_path):
+    # one 171 x 24 x 24 coupling CSV, as the benchmark's rings-2 transform writes it; held as one list of its
+    # 98 496 rows, the text took about 11 MB above the grid
+    rng = np.random.default_rng(8)
+    coeffs = rng.standard_normal((171, 24, 24)) + 1j * rng.standard_normal((171, 24, 24))
+    c = spectral.CouplingSet(np.linspace(3e9, 20e9, 171), coeffs)
+    tracemalloc.start()
+    try:
+        cli._write_lines(tmp_path / "coupling_xx.csv", cli._header("0" * 16), spectral.csv_chunks(c))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20, peak
+
+
 def test_transform_oversized_aperture_exit_3(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
