@@ -12,10 +12,11 @@ reader: it takes the text, an open text file or any iterable of its lines,
 and yields the header ``(port_count, z_ref)`` and then each record's
 frequency and (P, P) S, converting every token and checking each record as
 it arrives, so it never holds a line list or more than one record of
-values. After the option line it converts a text a few KiB at a time, one
-numpy call per block of whole lines; a block with a token that is not a
-number is read again line by line and token by token, so every error, and
-the order of errors, is what the lines read one at a time give.
+values. Every input takes one path: after the option line, whole lines are
+converted a few KiB of text at a time, one numpy call per batch; a batch
+with a token that is not a number is read again line by line and token by
+token, so every error, and the order of errors, is what the lines read one
+at a time give. The reference impedance must be finite and positive.
 :func:`parse_touchstone` stacks those records into a :class:`NetworkData`,
 which holds S once. :func:`touchstone_records` formats a record stream, or
 a :class:`NetworkData`, one record at a time: converting a file holds one
@@ -26,7 +27,6 @@ name before any record buffer is sized from that name.
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 import re
@@ -52,15 +52,25 @@ class NetworkError(ValueError):
     """Inconsistent network data or port bookkeeping."""
 
 
+def _checked_z_ref(z_ref) -> float:
+    """A reference impedance as a float, once it is positive and finite."""
+    if not z_ref > 0:
+        raise NetworkError(f"z_ref must be positive, got {z_ref}")
+    if z_ref == math.inf:
+        raise NetworkError(f"z_ref must be finite, got {z_ref}")
+    return float(z_ref)
+
+
 @dataclass(frozen=True)
 class NetworkData:
     """Frequency-domain scattering matrices for a P-port network.
 
     ``frequencies`` is a strictly increasing array of Hz; ``s`` has shape
     (F, P, P) with ``s[f, i, j]`` the wave out of port i per unit wave into
-    port j; ``z_ref`` is the single real reference impedance. Both arrays
-    are read-only; ``s`` need not be contiguous, but a parsed ``s`` is one
-    fresh C-contiguous stack of the file's records (:func:`stack_records`).
+    port j; ``z_ref`` is the single real reference impedance, finite and
+    positive. Both arrays are read-only; ``s`` need not be contiguous, but a
+    parsed ``s`` is one fresh C-contiguous stack of the file's records
+    (:func:`stack_records`).
     """
 
     frequencies: np.ndarray
@@ -80,13 +90,12 @@ class NetworkData:
             raise NetworkError(f"s must have shape (F, P, P) matching {f.size} frequencies, got {s.shape}")
         if not np.all(np.isfinite(s)):
             raise NetworkError("s contains non-finite entries")
-        if not self.z_ref > 0:
-            raise NetworkError(f"z_ref must be positive, got {self.z_ref}")
+        z_ref = _checked_z_ref(self.z_ref)
         f.setflags(write=False)
         s.setflags(write=False)
         object.__setattr__(self, "frequencies", f)
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "z_ref", float(self.z_ref))
+        object.__setattr__(self, "z_ref", z_ref)
 
     @property
     def port_count(self) -> int:
@@ -160,26 +169,13 @@ def _parse_option_line(line: str) -> tuple[float, str, float]:
     return unit_scale, fmt, z_ref
 
 
-class _TextLines:
-    """``readline`` and ``read`` over a str with CRLF and lone CR read as LF, as a text file reads them.
-
-    Unlike ``io.StringIO``, which holds 4 bytes per character once read, it keeps only the str.
-    """
-
-    newlines = "\n"  # universal newlines, as a text file opened by default reports them once read
-
-    def __init__(self, text: str):
-        self._text, self._at = text.replace("\r\n", "\n").replace("\r", "\n"), 0
-
-    def readline(self) -> str:
-        end = self._text.find("\n", self._at) + 1 or len(self._text)
-        line, self._at = self._text[self._at : end], end
-        return line
-
-    def read(self, size: int) -> str:
-        chunk = self._text[self._at : self._at + size]
-        self._at += len(chunk)
-        return chunk
+def _str_lines(text: str) -> Iterator[str]:
+    """The lines of a str, split at LF, CRLF and lone CR as a text file opened by default splits them."""
+    text, at = text.replace("\r\n", "\n").replace("\r", "\n"), 0
+    while at < len(text):
+        end = text.find("\n", at) + 1 or len(text)
+        yield text[at:end]
+        at = end
 
 
 def read_records(lines: str | Iterable[str], port_count: int) -> Iterator:
@@ -188,23 +184,24 @@ def read_records(lines: str | Iterable[str], port_count: int) -> Iterator:
     The first item is the header ``(port_count, z_ref)``; every further item
     is one record, ``(frequency in Hz, S)`` with S a (P, P) complex array.
     ``lines`` is the text, an open text file, or any other iterable of its
-    lines (line ends and ``!`` comments are stripped). The port count is not
-    inferable from v1 content and must be supplied (``.sNp`` naming
-    convention). Each record's frequency and ``2*P*P`` values go into one
-    fresh buffer, and each record is checked as it arrives, so a consumer
-    that keeps part of each record holds no more than that.
+    lines, with or without their line ends; ``!`` comments run to the end of
+    their line. The port count is not inferable from v1 content and must be
+    supplied (``.sNp`` naming convention). Each record's frequency and
+    ``2*P*P`` values go into one fresh buffer, and each record is checked as
+    it arrives, so a consumer that keeps part of each record holds no more
+    than that.
 
-    Text and open text files are read line by line up to the option line,
-    then in blocks of whole lines: each block has its ``!`` comments removed
-    and is converted by one numpy call, which reads numbers exactly as
-    ``float`` does. A block holding a token that is not a number, as any
-    option line or v2 keyword is, is read again line by line and token by
-    token, carrying over the record it fills, so every error, and the order
-    of errors, is that of reading the lines one at a time. A ``str`` is
-    split at LF, CRLF and lone CR, the line ends of a text file opened with
-    universal newlines (the default), so it parses as the same bytes read
-    from a file; a file opened with other newlines is read line by line
-    throughout.
+    Every input is read the same way, by its own lines: a file's as its
+    ``newline=`` setting splits them, an iterable's as given, and a ``str``
+    split at LF, CRLF and lone CR, as a text file opened by default splits
+    them, so it parses as the same bytes read from such a file. The lines
+    up to the option line are read one at a time; after it, whole lines are
+    gathered into batches of a few KiB of text, and each batch, its ``!``
+    comments cut, is converted by one numpy call, which reads numbers
+    exactly as ``float`` does. A batch holding a token that is not a
+    number, as any option line or v2 keyword is, is read again line by line
+    and token by token, carrying over the record it fills, so every error,
+    and the order of errors, is that of reading the lines one at a time.
 
     Raises
     ------
@@ -213,17 +210,16 @@ def read_records(lines: str | Iterable[str], port_count: int) -> Iterator:
         type, a non-numeric token, non-monotone frequencies, a final record
         short of ``2*P*P`` values, or no record at all.
     NetworkError
-        A reference impedance or a first frequency that is not positive, or
-        a frequency or S entry that is not finite.
+        A reference impedance that is not finite and positive, a first
+        frequency that is not positive, or a frequency or S entry that is
+        not finite.
     """
     if port_count < 1:
         raise TouchstoneError(f"port_count must be >= 1, got {port_count}")
-    return _records(_TextLines(lines) if isinstance(lines, str) else lines, port_count)
+    return _records(_str_lines(lines) if isinstance(lines, str) else lines, port_count)
 
 
-_BLOCK_CHARS = 4096  # characters read at a time after the option line; 16 KiB adds a record to a 64-port read's peak
-_COMMENT = re.compile(r"![^\r\n]*")
-_LINE_END = re.compile(r"\r\n?|\n")  # only a file opened with newline="" keeps its CRs in the text
+_BLOCK_CHARS = 4096  # characters of whole lines converted at a time; 16 KiB adds a record to a 64-port read's peak
 
 
 def _leading_numbers(tokens: list[str]) -> list[float]:
@@ -237,14 +233,18 @@ def _leading_numbers(tokens: list[str]) -> list[float]:
     return values
 
 
-def _block_values(block: str) -> np.ndarray | None:
-    """The values of a block of whole lines, or None if one of its tokens is not a number.
+def _batch_values(batch: list[str]) -> np.ndarray | None:
+    """The values of a batch of whole lines, or None if one of its tokens is not a number.
 
-    An option line or a v2 keyword starts with such a token (``#`` or ``[``), so a block holding
-    either is read line by line as well.
+    An option line or a v2 keyword starts with such a token (``#`` or ``[``), so a batch holding
+    either is read line by line as well. The lines are joined with a space, as a line need not end
+    with a line end.
     """
+    text = " ".join(batch)
+    if "!" in text:
+        text = " ".join(line.split("!", 1)[0] for line in batch)
     try:
-        return np.array((_COMMENT.sub("", block) if "!" in block else block).split(), dtype=float)
+        return np.array(text.split(), dtype=float)
     except ValueError:
         return None
 
@@ -274,36 +274,26 @@ def _records(lines: Iterable[str], p: int) -> Iterator:
             if len(values) < len(tokens):
                 raise TouchstoneError(f"non-numeric data token {tokens[len(values)]!r}")
 
-    def to_option_line() -> Iterator[str]:
-        """A text's lines up to and including its option line."""
-        while option is None and (line := lines.readline()):
-            yield line
+    def batch_values(batch: list[str]) -> Iterator:
+        """A batch's values in one array, or line by line when one of its tokens is not a number."""
+        values = _batch_values(batch)
+        yield from line_values(batch) if values is None else (values,)
 
     def value_chunks() -> Iterator:
-        """The values in file order: line by line up to the option line, then a block of whole lines at a time."""
-        if not isinstance(lines, (io.TextIOBase, _TextLines)):
-            yield from line_values(lines)
-            return
-        yield from line_values(to_option_line())
-        if getattr(lines, "newlines", None) is None:  # opened with newline="\n", "\r" or "\r\n": its own line ends
-            yield from line_values(lines)
-            return
-        pending: list[str] = []  # the text read after the last line end
-        while True:
-            chunk = lines.read(_BLOCK_CHARS)
-            cut = chunk.rfind("\n") + 1
-            if chunk and not cut:  # inside a line longer than a block
-                pending.append(chunk)
-                continue
-            pending.append(chunk[:cut])
-            block, pending = "".join(pending), [chunk[cut:]]
-            values = _block_values(block)
-            if values is None:
-                yield from line_values(_LINE_END.split(block))
-            else:
-                yield values
-            if not chunk:
-                return
+        """The values in input order: line by line up to the option line, then a batch of whole lines at a time."""
+        rest = iter(lines)
+        for line in rest:
+            yield from line_values((line,))
+            if option is not None:
+                break
+        batch, size = [], 0
+        for line in rest:
+            batch.append(line)
+            size += len(line)
+            if size >= _BLOCK_CHARS:
+                yield from batch_values(batch)
+                batch, size = [], 0
+        yield from batch_values(batch)
 
     n = 2 * p * p
     chunks = (v for v in value_chunks() if len(v))
@@ -311,9 +301,7 @@ def _records(lines: Iterable[str], p: int) -> Iterator:
     if option is None:
         raise TouchstoneError("missing '#' option line")
     unit_scale, fmt, z_ref = option
-    if not z_ref > 0:
-        raise NetworkError(f"z_ref must be positive, got {z_ref}")
-    yield p, z_ref
+    yield p, _checked_z_ref(z_ref)
     if first is not None:
         chunks = itertools.chain([first], chunks)
     count, prev, got = 0, 0.0, 0
@@ -541,8 +529,9 @@ def touchstone_records(net: NetworkData | Iterable, fmt: str = "ri") -> Iterator
     significant digits, exactly as ``'%.12e'`` writes them, so that a parse
     of the output reproduces every S entry to better than 1e-9 relative in
     all three formats; frequencies are written exactly (shortest round-trip
-    float representation). Rows wrap at four S values per line for 3+ ports.
-    Every item ends with a newline. ``fmt`` is checked before the iterator
+    float representation), and so is ``z_ref``: its ``%.9g`` text when that
+    reads back as the same float, else its repr. Rows wrap at four S values
+    per line for 3+ ports. Every item ends with a newline. ``fmt`` is checked before the iterator
     is returned.
     """
     fmt = fmt.lower()
@@ -561,7 +550,9 @@ def touchstone_records(net: NetworkData | Iterable, fmt: str = "ri") -> Iterator
         seps[np.cumsum(widths) * 2 - 1] = b"\n  "
         seps[-1] = b"\n"
         seps = seps.view(np.uint8).reshape(-1, 3)
-        yield f"! {p}-port S-parameter data\n# Hz S {fmt.upper()} R {z_ref:.9g}\n"
+        z_text = f"{z_ref:.9g}"
+        z_text = z_text if float(z_text) == z_ref else repr(float(z_ref))
+        yield f"! {p}-port S-parameter data\n# Hz S {fmt.upper()} R {z_text}\n"
         for f_hz, s in records:
             # the v1 two-port quirk: S11 S21 S12 S22
             values = _value_columns(s.T if p == 2 else s, fmt).ravel()

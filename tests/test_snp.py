@@ -554,6 +554,29 @@ def test_parse_from_open_file_equals_string(ports, fmt, tmp_path):
         assert got.z_ref == want.z_ref
 
 
+def test_clean_input_never_reaches_the_token_path(tmp_path, monkeypatch):
+    # 40 records of 3 ports, a comment on every data line: several 4096-character batches
+    text = snp.write_touchstone(oracle_network(3, nfreq=40, seed=5), "ri")
+    lines = [line if line[:1] in "!#" else line + " ! row" for line in text.splitlines()]
+    want = snp.parse_touchstone(lines, 3)
+    assert want.frequencies.size == 40
+
+    def token_path(tokens):
+        raise AssertionError(f"read token by token: {tokens}")
+
+    monkeypatch.setattr(snp, "_leading_numbers", token_path)
+    got = [snp.parse_touchstone(form, 3) for form in ("\n".join(lines), lines, [line + "\n" for line in lines])]
+    for newline in ("\n", "\r\n"):
+        path = tmp_path / "clean.s3p"
+        path.write_bytes("".join(line + newline for line in lines).encode())
+        for opened in (None, "", "\n"):
+            with open(path, newline=opened) as fh:
+                got.append(snp.parse_touchstone(fh, 3))
+    for net in got:
+        assert net.frequencies.tobytes() == want.frequencies.tobytes()
+        assert net.s.tobytes() == want.s.tobytes()
+
+
 @pytest.mark.parametrize("fmt", ["ri", "ma", "db"])
 @pytest.mark.parametrize("ports", [1, 2, 3, 38])
 def test_records_join_to_text_and_convert_writes_it(ports, fmt, tmp_path):
@@ -679,6 +702,31 @@ def test_records_are_checked_as_they_arrive():
         snp.parse_touchstone("# GHz S RI R 50\n! nothing\n", 1)
 
 
+@pytest.mark.parametrize("z_text, written", [("50", "50"), ("75.123456789012", "75.123456789012")])
+def test_z_ref_survives_read_write_read(z_text, written, tmp_path):
+    text = f"# GHz S RI R {z_text}\n1.0 0.1 0.2\n"
+    net = snp.parse_touchstone(text, 1)
+    assert snp.write_touchstone(net).splitlines()[1] == f"# Hz S RI R {written}"
+    assert snp.parse_touchstone(snp.write_touchstone(net), 1).z_ref == net.z_ref == float(z_text)
+    src, dst = tmp_path / "in.s1p", tmp_path / "out.s1p"
+    src.write_text(text)
+    assert cli.main(["convert", str(src), str(dst), "--format", "ma"]) == 0
+    assert snp.read_touchstone(dst).z_ref == float(z_text)
+
+
+def test_infinite_z_ref_is_rejected(tmp_path, capsys):
+    text = "# GHz S RI R inf\n1.0 0.1 0.2\n"
+    with pytest.raises(snp.NetworkError, match="z_ref must be finite, got inf"):
+        snp.parse_touchstone(text, 1)
+    with pytest.raises(snp.NetworkError, match="z_ref must be finite, got inf"):
+        snp.NetworkData([1e9], np.zeros((1, 1, 1), complex), z_ref=math.inf)
+    src, dst = tmp_path / "in.s1p", tmp_path / "out.s1p"
+    src.write_text(text)
+    assert cli.main(["convert", str(src), str(dst)]) == 4
+    assert "z_ref must be finite, got inf" in capsys.readouterr().err
+    assert not dst.exists()
+
+
 def test_touchstone_port_count_checks_the_file_size(tmp_path):
     path = tmp_path / "x.s3p"
     path.write_text("#\n1 " + " ".join(["0"] * 18))  # the shortest 3-port file: 19 values in 39 bytes
@@ -758,8 +806,11 @@ def read_outcome(lines, ports):
 def test_block_reading_matches_line_by_line_reading(drawn, block, newline, opened):
     text, ports = drawn
     # a lone CR ends a line read with universal newlines (opened with None or ""), not one opened with "\n"
-    universal = read_outcome(iter(text.replace("\r", "\n").split("\n")), ports)
-    lf_only = read_outcome(iter(text.split("\n")), ports)
+    universal_lines, lf_lines = text.replace("\r", "\n").split("\n"), text.split("\n")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(snp, "_batch_values", lambda batch: None)  # the reference: every line read token by token
+        universal = read_outcome(iter(universal_lines), ports)
+        lf_only = read_outcome(iter(lf_lines), ports)
     raw = text.replace("\n", newline)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(snp, "_BLOCK_CHARS", block)
@@ -768,6 +819,10 @@ def test_block_reading_matches_line_by_line_reading(drawn, block, newline, opene
         with open(path, encoding="utf-8", newline=opened) as fh:
             assert read_outcome(fh, ports) == (lf_only if opened == "\n" else universal)
         assert read_outcome(raw, ports) == universal
+        # lists of lines without line ends, as the reference reads them, and with them
+        for lines, want in ((universal_lines, universal), (lf_lines, lf_only)):
+            assert read_outcome(lines, ports) == want
+            assert read_outcome([line + newline for line in lines], ports) == want
 
 
 # --- NetworkData validation ---------------------------------------------------
