@@ -532,7 +532,8 @@ def touchstone_records(net: NetworkData | Iterable, fmt: str = "ri") -> Iterator
     float representation), and so is ``z_ref``: its ``%.9g`` text when that
     reads back as the same float, else its repr. Rows wrap at four S values
     per line for 3+ ports. Every item ends with a newline. ``fmt`` is checked before the iterator
-    is returned.
+    is returned, and a stream's ``z_ref`` that is not positive and finite raises
+    :class:`NetworkError` at the first ``next``, before any text.
     """
     fmt = fmt.lower()
     if fmt not in _FORMATS:
@@ -544,6 +545,7 @@ def touchstone_records(net: NetworkData | Iterable, fmt: str = "ri") -> Iterator
 
     def items() -> Iterator[str]:
         p, z_ref = next(records)
+        z_ref = _checked_z_ref(z_ref)
         # one line for 1- and 2-port records, else each matrix row wrapped at four pairs
         widths = [p * p] if p <= 2 else [min(4, p - start) for start in range(0, p, 4)] * p
         seps = np.full(2 * p * p, b" ", dtype="S3")
@@ -551,7 +553,7 @@ def touchstone_records(net: NetworkData | Iterable, fmt: str = "ri") -> Iterator
         seps[-1] = b"\n"
         seps = seps.view(np.uint8).reshape(-1, 3)
         z_text = f"{z_ref:.9g}"
-        z_text = z_text if float(z_text) == z_ref else repr(float(z_ref))
+        z_text = z_text if float(z_text) == z_ref else repr(z_ref)
         yield f"! {p}-port S-parameter data\n# Hz S {fmt.upper()} R {z_text}\n"
         for f_hz, s in records:
             # the v1 two-port quirk: S11 S21 S12 S22

@@ -44,6 +44,20 @@ def _check_pair(pol_pair: str) -> str:
     return pair
 
 
+def _freeze_grid(obj, name: str) -> None:
+    """Convert ``obj.frequencies`` and the (F, N, N) array ``obj.<name>``, check them and make both read-only."""
+    f = np.asarray(obj.frequencies, dtype=float)
+    a = np.asarray(getattr(obj, name), dtype=complex)
+    if f.ndim != 1 or a.ndim != 3 or a.shape[0] != f.size or a.shape[1] != a.shape[2]:
+        raise GridShapeError(f"{name} must be (F, N, N) with F={f.size}, got {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise GridShapeError(f"{name} contains non-finite values")
+    f.setflags(write=False)
+    a.setflags(write=False)
+    object.__setattr__(obj, "frequencies", f)
+    object.__setattr__(obj, name, a)
+
+
 @dataclass(frozen=True)
 class ActiveGammaGrid:
     """Per-frequency N x N active reflection samples for one pol pair."""
@@ -52,16 +66,7 @@ class ActiveGammaGrid:
     grid: np.ndarray  # (F, N, N) complex, axis index i <-> m = i - N/2
 
     def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=float)
-        g = np.asarray(self.grid, dtype=complex)
-        if f.ndim != 1 or g.ndim != 3 or g.shape[0] != f.size or g.shape[1] != g.shape[2]:
-            raise GridShapeError(f"grid must be (F, N, N) with F={f.size}, got {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise GridShapeError("grid contains non-finite values")
-        f.setflags(write=False)
-        g.setflags(write=False)
-        object.__setattr__(self, "frequencies", f)
-        object.__setattr__(self, "grid", g)
+        _freeze_grid(self, "grid")
 
     @property
     def n(self) -> int:
@@ -76,14 +81,7 @@ class CouplingSet:
     coeffs: np.ndarray  # (F, N, N) complex, axis index i <-> n = i - N/2
 
     def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=float)
-        c = np.asarray(self.coeffs, dtype=complex)
-        if f.ndim != 1 or c.ndim != 3 or c.shape[0] != f.size or c.shape[1] != c.shape[2]:
-            raise GridShapeError(f"coeffs must be (F, N, N) with F={f.size}, got {c.shape}")
-        f.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "frequencies", f)
-        object.__setattr__(self, "coeffs", c)
+        _freeze_grid(self, "coeffs")
 
     @property
     def n(self) -> int:
@@ -105,26 +103,25 @@ def _idft2_centered_fft(grid: np.ndarray) -> np.ndarray:
 def _idft2_centered_direct(grid: np.ndarray) -> np.ndarray:
     """Centered inverse 2-D DFT as the literal double sum (oracle path).
 
-    Independent of the FFT route: evaluates
-    (1/N^2) * sum_m grid[m1, m2] * exp(2j*pi*(n1*m1 + n2*m2)/N) per output
-    index. O(N^4) per frequency; intended for verification, not production.
+    Independent of the FFT route: with ``E[n, m] = exp(2j*pi*n*m/N)`` over the
+    centered indices, (1/N^2) * sum_m grid[m1, m2] * exp(2j*pi*(n1*m1 + n2*m2)/N)
+    is the matrix product ``E @ grid @ E.T / N^2`` per frequency, evaluated in
+    BLAS rather than by a fast transform. For verification, not production.
     """
     n = grid.shape[-1]
     m = np.arange(-(n // 2), n // 2)
-    out = np.empty_like(grid, dtype=complex)
-    for i1, n1 in enumerate(m):
-        phase1 = np.exp(2j * np.pi * n1 * m / n)
-        for i2, n2 in enumerate(m):
-            kernel = np.outer(phase1, np.exp(2j * np.pi * n2 * m / n))
-            out[..., i1, i2] = (grid * kernel).sum(axis=(-2, -1)) / (n * n)
+    e = np.exp(2j * np.pi * np.outer(m, m) / n)
+    out = e @ grid @ e.T
+    out /= n * n
     return out
 
 
 def gamma_to_coupling(g: ActiveGammaGrid, method: str = "fft") -> CouplingSet:
     """Invert sampled active reflection into coupling coefficients.
 
-    ``method`` selects the fast transform ("fft") or the literal double-sum
-    oracle ("direct"); the two agree to better than 1e-10.
+    ``method`` selects the fast transform ("fft"), which writes every
+    output, or the literal double sum in matrix form ("direct"), the oracle
+    that checks it; the two agree to better than 1e-10.
     """
     if g.n % 2 != 0:
         raise GridShapeError(f"grid size must be even, got {g.n}")

@@ -99,17 +99,24 @@ def test_transform_constant_model_delta_coupling(tmp_path):
 
 
 def test_transform_oracle_reports_delta(tmp_path, capsys):
+    # --oracle only checks: every file is the FFT path's, byte for byte, and the direct double sum agrees with it
     cfg = write_config(
         tmp_path,
-        sweep={"scans": ["broadside"], "freq_ghz": {"start": 3, "stop": 20, "points": 2}},
-        lattice={"kind": "square", "lambda_h_mm": 15.0, "n_scan": 8},
+        model={"kind": "seeded_random", "seed": 5},
+        sweep={"scans": ["broadside"], "freq_ghz": {"start": 3, "stop": 20, "points": 3}},
     )
-    out = tmp_path / "out"
-    assert cli.main(["transform", "--config", str(cfg), "--out", str(out), "--oracle"]) == 0
+    plain, checked = tmp_path / "plain", tmp_path / "checked"
+    flags = ["--touchstone", "--gamma"]
+    assert cli.main(["transform", "--config", str(cfg), "--out", str(plain), *flags]) == 0
+    assert cli.main(["transform", "--config", str(cfg), "--out", str(checked), *flags, "--oracle"]) == 0
     text = capsys.readouterr().out
     line = [l for l in text.splitlines() if l.startswith("oracle check")][0]
     delta = float(line.split("=")[1])
     assert delta < 1e-10
+    names = sorted(p.name for p in plain.iterdir())
+    assert names == sorted(p.name for p in checked.iterdir()) and len(names) == 9
+    for name in names:
+        assert (checked / name).read_bytes() == (plain / name).read_bytes(), name
 
 
 def test_transform_streams_each_csv_as_the_row_api_gives_it(tmp_path, monkeypatch):
@@ -1000,6 +1007,57 @@ def test_convert_output_name_must_give_the_input_port_count(tmp_path, capsys):
 
 
 # --- config block readers --------------------------------------------------------
+
+
+SCAN_POLY = {"kind": "scan_poly", "alpha": [[3, 0.5, 0], [20, 0.1, 0]], "beta": [[3, 0.25, 0], [20, 0.25, 0]]}
+# (command, config overrides, the field its error names): a block set to None is left out, and the first
+# case's config is not an object
+CONFIG_ERRORS = [
+    ("lattice", None, "config root"),
+    ("transform", {"sweep": {"freq_ghz": {"start": 3, "stop": 20, "points": "abc"}}}, "sweep.freq_ghz.points"),
+    ("transform", {"sweep": {"freq_ghz": {"start": 3, "stop": 1e300, "points": 4}}}, "sweep.freq_ghz.stop"),
+    ("transform", {"sweep": {"freq_ghz": {"start": 3, "stop": 20}}}, "sweep.freq_ghz"),
+    ("transform", {"sweep": {"freq_ghz": {"start": 3, "stop": 20, "points": 0}}}, "sweep.freq_ghz"),
+    ("transform", {"sweep": {"freq_ghz": [5, 4]}}, "sweep.freq_ghz"),
+    ("transform", {"sweep": {"freq_ghz": 5}}, "sweep.freq_ghz"),
+    ("metrics", {"excitation": {"pol": "z"}}, "excitation.pol"),
+    ("metrics", {"excitation": {"taper": 17}}, "excitation.taper"),
+    ("metrics", {"excitation": {"taper": {"kind": "gaussian", "w0_mm": -1}}}, "excitation.taper.w0_mm"),
+    ("pattern", {"excitation": {"taper": {"kind": "cosine"}}}, "excitation.taper.kind"),
+    ("transform", {"lattice": None}, "lattice"),
+    ("metrics", {"lattice": {**HEX2, "aperture": 5}}, "lattice.aperture"),
+    ("metrics", {"lattice": {**HEX2, "aperture": {"shape": "hexagon", "rings": -1}}}, "lattice.aperture"),
+    ("metrics", {"lattice": {**HEX2, "aperture": {"shape": "circle"}}}, "lattice.aperture.shape"),
+    ("transform", {"model": None}, "model"),
+    ("transform", {"model": {**SCAN_POLY, "k_ref": -1}}, "model"),
+    ("transform", {"model": {**SCAN_POLY, "alpha": [[20, 0.1, 0], [3, 0.5, 0]]}}, "model"),
+    ("transform", {"model": {"kind": "seeded_random", "seed": 1, "smoothness": 0}}, "model"),
+    ("transform", {"model": {"kind": "demo", "cross_pol_level": -1}}, "model"),
+    ("transform", {"model": {"kind": "demo", "band_ghz": [20, 3]}}, "model"),
+    ("pattern", {"pattern": {"cuts": []}}, "pattern.cuts"),
+    ("pattern", {"pattern": {"theta_step_deg": 0}}, "pattern.theta_step_deg"),
+    ("metrics", {"metrics": {"efficiency": 2}}, "metrics.efficiency"),
+    ("metrics", {"metrics": {"snp": "missing.s18p"}}, "metrics.snp"),
+]
+
+
+@pytest.mark.parametrize("command, overrides, field", CONFIG_ERRORS)
+def test_each_config_error_exits_2_naming_its_field(tmp_path, capsys, command, overrides, field):
+    cfg = write_config(tmp_path, **(overrides or {}))
+    loaded = json.loads(cfg.read_text())
+    cfg.write_text(json.dumps({k: v for k, v in loaded.items() if v is not None} if overrides else [loaded]))
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith((f"error: {field}:", f"error: {field} "))
+
+
+def test_metrics_default_scans(tmp_path):
+    cfg = write_config(tmp_path, sweep={"freq_ghz": {"start": 3, "stop": 20, "points": 2}})
+    out = tmp_path / "out"
+    assert cli.main(["transform", "--config", str(cfg), "--out", str(out), "--touchstone"]) == 0
+    assert cli.main(["metrics", "--config", str(cfg), "--out", str(out)]) == 0
+    for name in ("vswr.csv", "gain.csv", "coupling.csv"):
+        planes = [r.split(",")[1] for r in read_data_lines(out / name)[1:]]
+        assert planes == [label for label in ("broadside", "E60", "H60", "D60") for _ in range(2)], name
 
 
 def test_config_round_trip():

@@ -727,6 +727,14 @@ def test_infinite_z_ref_is_rejected(tmp_path, capsys):
     assert not dst.exists()
 
 
+@pytest.mark.parametrize("z_ref, msg", [(math.inf, "finite"), (-5.0, "positive"), (0.0, "positive"), (math.nan, "positive")])
+def test_written_z_ref_is_checked_before_any_text(z_ref, msg):
+    # a caller's own record stream: "R inf" or "R -5" in the header would make a file that read_records rejects
+    items = snp.touchstone_records(iter([(1, z_ref), (1e9, np.zeros((1, 1)))]))
+    with pytest.raises(snp.NetworkError, match=f"z_ref must be {msg}"):
+        next(items)
+
+
 def test_touchstone_port_count_checks_the_file_size(tmp_path):
     path = tmp_path / "x.s3p"
     path.write_text("#\n1 " + " ".join(["0"] * 18))  # the shortest 3-port file: 19 values in 39 bytes

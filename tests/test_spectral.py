@@ -184,6 +184,17 @@ def test_gamma_grid_validation():
         spectral.ActiveGammaGrid([1e9], np.zeros((1, 4, 6), complex))
 
 
+@pytest.mark.parametrize("cls, name", [(spectral.ActiveGammaGrid, "grid"), (spectral.CouplingSet, "coeffs")])
+def test_grid_containers_reject_non_finite_values(cls, name):
+    # a NaN would be written as "nan" into the CSVs and into a .sNp that read_records rejects
+    values = np.zeros((1, 4, 4), complex)
+    values[0, 1, 2] = complex(0.0, np.nan)
+    with pytest.raises(spectral.GridShapeError, match=f"{name} contains non-finite values"):
+        cls([1e9], values)
+    with pytest.raises(spectral.GridShapeError, match=rf"{name} must be \(F, N, N\)"):
+        cls([1e9], np.zeros((1, 4, 6), complex))
+
+
 # --- finite-array assembly ----------------------------------------------------
 
 
