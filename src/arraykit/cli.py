@@ -24,6 +24,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -308,12 +309,15 @@ def _check_budget(nbytes: int, where: str, set_by: str) -> None:
 
 
 def _transform_price(n_scan: int, model: synthmodel.ModelSpec, ports: int) -> tuple[int, int]:
-    """``(fixed bytes, bytes per frequency)`` of ``transform``: the grids, and one S record of ``ports`` formatted."""
-    # per scan point and frequency: 4 gamma grids, 4 coupling sets and one 1024-row chunk's text, about 165 B, and
-    # 40 B per seeded-random term while sampling; each CSV is written a chunk at a time, so even one frequency is
-    # covered (traced peak 161 B per scan point at N = 512, F = 1)
+    """``(fixed bytes, bytes per frequency)`` of ``transform``: one pol pair's grids, and one S record of ``ports`` formatted."""
+    # per scan point and frequency, one pol pair at a time: its sampled grid with the model's evaluation temporaries,
+    # its coupling set, a 16-frequency inverse FFT chunk and one 1024-row chunk's text, and with --touchstone the
+    # coupling windows of the earlier pairs, each as large as the grid when the aperture spans it: about 115 B at most
+    # (traced at N = 128, F = 17, an aperture spanning the grid), 72 B without --touchstone; and 40 B per
+    # seeded-random term while sampling. The extra frequency covers a sweep shorter than one FFT chunk (traced peak
+    # 80 B per scan point at N = 512, F = 1)
     terms = model.smoothness if isinstance(model, synthmodel.SeededRandomModel) else 0
-    per = n_scan**2 * (192 + 40 * terms)
+    per = n_scan**2 * (128 + 40 * terms)
     return _FIXED_BYTES + ports**2 * _TEXT_ENTRY_BYTES + per, per
 
 
@@ -361,10 +365,14 @@ def _header(cfg_hash: str) -> str:
     return f"# arraykit {__version__}\n# config_sha256={cfg_hash}\n"
 
 
+def _joined(batches: Iterable[list[str]]) -> Iterator[str]:
+    """Each batch of rows as one newline-ended text, joined when it is reached."""
+    return map(lambda rows: "\n".join(rows) + "\n", batches)
+
+
 def _table(rows: list[str], cfg_hash: str) -> tuple[str, Iterator[str]]:
     """The two header lines, and ``rows`` joined a batch of rows at a time, never as one whole text."""
-    batches = range(0, len(rows), _WRITE_BATCH_ROWS)
-    return _header(cfg_hash), ("\n".join(rows[i : i + _WRITE_BATCH_ROWS]) + "\n" for i in batches)
+    return _header(cfg_hash), _joined(rows[i : i + _WRITE_BATCH_ROWS] for i in range(0, len(rows), _WRITE_BATCH_ROWS))
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -399,6 +407,13 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    """Sample the model and write each pol pair's coupling CSV (and gamma CSV), then the ``.sNp`` with ``--touchstone``.
+
+    Everything the config determines, the budget and the aperture fit is
+    checked before any pair is sampled. The pairs are then done one at a
+    time by :func:`_transform_pair`, so one grid and one coupling set are
+    held at once; the ``.sNp`` is gathered from the pairs' coupling windows.
+    """
     cfg = _load_config(args.config)
     recip, shape = _require_lattice(cfg, need_aperture=args.touchstone)
     model = _require_model(cfg)
@@ -420,28 +435,48 @@ def cmd_transform(args) -> int:
         )
     if shape is not None:
         spectral.check_aperture_fits(shape, recip.n_scan)  # from the shape's parameters, before enumerating it
-    grids = {pair: synthmodel.sample_grid(model, recip, freqs, pair) for pair in spectral.POL_PAIRS}
-
-    sets = {pair: spectral.gamma_to_coupling(g) for pair, g in grids.items()}
-    if args.oracle:
-        delta = max(np.abs(spectral.gamma_to_coupling(g, "direct").coeffs - sets[p].coeffs).max() for p, g in grids.items())
-        print(f"oracle check: max |direct - fft| = {delta:.3e}")
 
     out = Path(args.out or ".")
-    cfg_hash = _config_hash(cfg)
-    tables = {f"coupling_{pair}.csv": cset for pair, cset in sets.items()}
-    if args.gamma:
-        tables.update((f"gamma_{pair}.csv", g) for pair, g in grids.items())
-    for name, data in tables.items():  # each CSV is written a chunk of rows at a time, as it is formatted
-        path = out / name
-        _write_lines(path, _header(cfg_hash), spectral.csv_chunks(data))
-        print(f"wrote {path}")
+    header = _header(_config_hash(cfg))
+    deltas, windows = [], {}
+    for pair in spectral.POL_PAIRS:  # one pair's grid and set are held at a time, and only the window is kept
+        delta, window = _transform_pair(args, model, recip, freqs, pair, out, header, shape)
+        deltas.append(delta)
+        if args.touchstone:
+            windows[pair] = window
+    if args.oracle:
+        print(f"oracle check: max |direct - fft| = {max(deltas):.3e}")
     if args.touchstone:
         path = out / f"finite_array.s{ports}p"
-        records = snp.touchstone_records(spectral.smatrix_records(sets, lattice.enumerate_aperture(shape)), "ri")
+        records = snp.touchstone_records(spectral.smatrix_records(windows, lattice.enumerate_aperture(shape)), "ri")
         _write_lines(path, next(records), records)
         print(f"wrote {path} ({ports} ports, {freqs.size} frequencies)")
     return 0
+
+
+def _transform_pair(args, model, recip, freqs, pair: str, out: Path, header: str, shape):
+    """Sample and invert one pol pair, and write its coupling CSV, then its gamma CSV with ``--gamma``.
+
+    Returns the pair's ``--oracle`` delta (0.0 without it) and, with
+    ``--touchstone``, the window of its coupling set that the aperture's S
+    reads (else None). The whole set is dropped before the gamma CSV is
+    written, and the grid on return.
+    """
+    g = synthmodel.sample_grid(model, recip, freqs, pair)
+    cset = spectral.gamma_to_coupling(g)
+    delta = float(np.abs(spectral.gamma_to_coupling(g, "direct").coeffs - cset.coeffs).max()) if args.oracle else 0.0
+    _write_grid_csv(out / f"coupling_{pair}.csv", header, cset)
+    window = spectral.coupling_window(cset, shape) if args.touchstone else None
+    del cset
+    if args.gamma:
+        _write_grid_csv(out / f"gamma_{pair}.csv", header, g)
+    return delta, window
+
+
+def _write_grid_csv(path: Path, header: str, data) -> None:
+    """Write a gamma grid's or a coupling set's CSV a chunk of rows at a time, as it is formatted."""
+    _write_lines(path, header, spectral.csv_chunks(data))
+    print(f"wrote {path}")
 
 
 def cmd_metrics(args) -> int:
@@ -567,13 +602,17 @@ def cmd_pattern(args) -> int:
     weights = excitation.weight_function(basis, aperture, port_map, taper, pol)(
         excitation.scan_wavevectors(theta0, phi0, freqs)
     )
-    pats = [
+    pats = (
         metrics.array_factor_pattern(pos, w, float(f), theta, phi, area, label=str(cut))
         for f, w in zip(freqs, weights)
         for cut, phi in zip(cuts, cut_phis)
-    ]
+    )
+    # the first pattern before --out is made: a zero excitation is zero at every frequency, so it fails here;
+    # the exhausted list iterator lets go of that pattern once it is written
+    pats = chain(iter([next(pats)]), pats)
     path = Path(args.out or ".") / "pattern.csv"
-    _write_lines(path, *_table(metrics.pattern_table_rows(pats), _config_hash(cfg)))
+    # one pattern (one cut at one frequency) is computed, formatted and written at a time
+    _write_lines(path, _header(_config_hash(cfg)), _joined(metrics.pattern_table_blocks(pats)))
     print(f"wrote {path}")
     return 0
 

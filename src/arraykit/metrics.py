@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -287,18 +288,25 @@ def sweep(
 # --- CSV tables -----------------------------------------------------------------
 
 
-def _table_rows(header: str, template: str, blocks) -> list[str]:
-    """``header`` then one ``template % row`` line per row.
+def _table_blocks(header: str, template: str, blocks) -> Iterator[list[str]]:
+    """``[header]``, then one list of ``template % row`` lines per block, each formatted when it is reached.
 
     Each block is a tuple of equal-length columns (lists, or iterators such
-    as ``itertools.repeat`` for a constant column) holding one frequency or one
-    sweep, so no more than a block's values are ever turned into Python
-    objects at once.
+    as ``itertools.repeat`` for a constant column) holding one frequency, one
+    sweep or one pattern, so no more than a block's values are ever turned
+    into Python objects at once, and a consumer that writes each list before
+    taking the next holds one block's rows.
     """
-    rows = [header]
-    for columns in blocks:
-        rows += map(template.__mod__, zip(*columns))
-    return rows
+    def lines(columns) -> list[str]:
+        return list(map(template.__mod__, zip(*columns)))
+
+    # map, unlike a generator, keeps no reference to the block or the list it last produced
+    return chain([[header]], map(lines, blocks))
+
+
+def _table_rows(header: str, template: str, blocks) -> list[str]:
+    """The lines of :func:`_table_blocks`, as one list."""
+    return list(chain.from_iterable(_table_blocks(header, template, blocks)))
 
 
 def _sweep_rows(value_header: str, value_template: str, sweeps: list[ScanSweep], values) -> list[str]:
@@ -330,7 +338,17 @@ def coupling_table_rows(sweeps: list[ScanSweep]) -> list[str]:
     return _sweep_rows("coupling_db", "%.9e", sweeps, lambda sw: (db20(sw.coupling),))
 
 
+def pattern_table_blocks(patterns: Iterable[Pattern]) -> Iterator[list[str]]:
+    """The rows of :func:`pattern_table_rows`: the header's list, then one list per pattern.
+
+    ``patterns`` may be a generator: each pattern is taken and its rows are
+    formatted only when the previous list has been consumed, so a writer
+    holds one pattern and its rows at a time.
+    """
+    blocks = map(lambda p: (repeat(p.frequency), repeat(p.label), p.theta_deg.tolist(), p.gain_dbi.tolist()), patterns)
+    return _table_blocks("freq_hz,plane,theta_deg,gain_dbi", "%.9e,%s,%g,%.9e", blocks)
+
+
 def pattern_table_rows(patterns: list[Pattern]) -> list[str]:
-    """Rows "freq_hz,plane,theta_deg,gain_dbi" (header included)."""
-    blocks = ((repeat(p.frequency), repeat(p.label), p.theta_deg.tolist(), p.gain_dbi.tolist()) for p in patterns)
-    return _table_rows("freq_hz,plane,theta_deg,gain_dbi", "%.9e,%s,%g,%.9e", blocks)
+    """Rows "freq_hz,plane,theta_deg,gain_dbi" (header included): the lines of :func:`pattern_table_blocks`."""
+    return list(chain.from_iterable(pattern_table_blocks(patterns)))

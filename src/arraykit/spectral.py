@@ -12,7 +12,9 @@ Finite-array scattering matrices follow from translation invariance: the
 entry between elements p and q depends only on the index difference p - q.
 
 Arrays here use centered indexing: array index ``i`` along a grid axis maps
-to the signed integer ``i - N/2``.
+to the signed integer ``i - N/2``. A finite aperture reads only the index
+differences within its spread, so the centred window of a coupling set
+(:func:`coupling_window`) gives the same scattering matrix as the whole set.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .snp import _E12_CHUNK, NetworkData, PortMap, _e12_text, network_from_recor
 
 # each pol pair is "ab": a the observed polarization (matrix row), b the excited one (matrix column)
 POL_PAIRS = ("xx", "xy", "yx", "yy")
+# frequencies inverted per ifft2 call: the temporaries cover one chunk, and the call overhead stays negligible
+_IFFT_CHUNK = 16
 
 
 class GridShapeError(ValueError):
@@ -95,9 +99,20 @@ class CouplingSet:
 
 
 def _idft2_centered_fft(grid: np.ndarray) -> np.ndarray:
-    """Centered inverse 2-D DFT via the fast transform."""
-    shifted = np.fft.ifftshift(grid, axes=(-2, -1))
-    return np.fft.fftshift(np.fft.ifft2(shifted, axes=(-2, -1)), axes=(-2, -1))
+    """Centered inverse 2-D DFT via the fast transform, :data:`_IFFT_CHUNK` frequencies at a time.
+
+    Each chunk's shifted copy, transform and back-shifted copy are stored into
+    one preallocated (F, N, N) output, so besides the input and the output
+    only one chunk's temporaries are held, not three F x N x N arrays. A
+    frequency's transform does not depend on the others in its call, so the
+    result equals the one-call ``fftshift(ifft2(ifftshift(grid)))`` bit for
+    bit; ``ifft2(..., out=...)`` would not.
+    """
+    out = np.empty(grid.shape, dtype=complex)
+    for lo in range(0, grid.shape[0], _IFFT_CHUNK):
+        shifted = np.fft.ifftshift(grid[lo : lo + _IFFT_CHUNK], axes=(-2, -1))
+        out[lo : lo + _IFFT_CHUNK] = np.fft.fftshift(np.fft.ifft2(shifted, axes=(-2, -1)), axes=(-2, -1))
+    return out
 
 
 def _idft2_centered_direct(grid: np.ndarray) -> np.ndarray:
@@ -181,6 +196,26 @@ def check_aperture_fits(aperture, n_scan: int) -> None:
             f"index differences must stay within [-{half}, {half - 1}] because the "
             f"inverse transform is periodic with period {n_scan}; wrapped values would alias"
         )
+
+
+def coupling_window(cset: CouplingSet, aperture) -> CouplingSet:
+    """The centred part of ``cset`` that the S of ``aperture`` reads, as its own :class:`CouplingSet`.
+
+    Its half-width is the larger index spread of ``aperture`` plus 1, so its
+    width N' is the smallest that :func:`check_aperture_fits` accepts and
+    every index difference of the aperture stays inside it. A centred set of any even N
+    maps index ``i`` to ``n = i - N/2``, so :func:`smatrix_records` gathers
+    bit-identical S from the window and from the whole set. The window is a
+    copy (or ``cset`` itself when it spans the whole grid), so it keeps no
+    reference to the rest of the set; an aperture that does not fit raises
+    :class:`ApertureGridError`.
+    """
+    check_aperture_fits(aperture, cset.n)
+    half = max(aperture_spread(aperture)) + 1
+    lo, hi = cset.n // 2 - half, cset.n // 2 + half
+    if lo == 0:
+        return cset
+    return CouplingSet(cset.frequencies, cset.coeffs[:, lo:hi, lo:hi].copy())
 
 
 def smatrix_records(

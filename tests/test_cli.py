@@ -832,6 +832,64 @@ def test_transform_touchstone_fault_part_way_leaves_no_output(tmp_path, capsys, 
     assert sorted(p.name for p in out.iterdir()) == [f"coupling_{pair}.csv" for pair in spectral.POL_PAIRS]
 
 
+def test_transform_fault_in_a_later_pol_pair_keeps_the_earlier_pairs_files(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path)
+    flags = ["--touchstone", "--gamma"]
+    clean, out = tmp_path / "clean", tmp_path / "out"
+    assert cli.main(["transform", "--config", str(cfg), "--out", str(clean), *flags]) == 0
+    sample_grid = synthmodel.sample_grid
+
+    def faulty(model, recip, freqs, pair):
+        if pair == "yx":
+            raise RuntimeError("fault while sampling yx")
+        return sample_grid(model, recip, freqs, pair)
+
+    monkeypatch.setattr(synthmodel, "sample_grid", faulty)
+    capsys.readouterr()
+    assert cli.main(["transform", "--config", str(cfg), "--out", str(out), *flags]) == 1
+    text = capsys.readouterr()
+    assert "error: fault while sampling yx" in text.err
+    # each pair's coupling CSV, then its gamma CSV, is written before the next pair is sampled
+    written = [f"{kind}_{pair}.csv" for pair in ("xx", "xy") for kind in ("coupling", "gamma")]
+    assert text.out.splitlines() == [f"wrote {out / name}" for name in written]
+    assert sorted(p.name for p in out.iterdir()) == sorted(written)
+    for name in written:  # complete: each file was renamed into place only once it was whole
+        assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
+
+def hex2_scan_config(tmp_path: Path, **overrides) -> Path:
+    """The benchmark's rings-2 hexagon at N = 24 with the demo model and 171 frequencies."""
+    lat = {"kind": "triangular", "lambda_h_mm": 15.0, "n_scan": 24, "aperture": {"shape": "hexagon", "rings": 2}}
+    sweep = {"scans": ["broadside"], "freq_ghz": {"start": 3, "stop": 20, "points": 171}}
+    return write_config(tmp_path, lattice=lat, model={"kind": "demo", "cross_pol_level": 0.5}, sweep=sweep, **overrides)
+
+
+def test_transform_holds_one_pol_pair_at_a_time(tmp_path, capsys):
+    # with all 4 grids and all 4 whole coupling sets held, this run peaked at 16.1 MB; one pair's grid and set, the
+    # FFT's 16-frequency chunk and the 10 x 10 coupling windows of the earlier pairs stay under 3 grids
+    argv = ["transform", "--config", str(hex2_scan_config(tmp_path)), "--out", str(tmp_path / "o"), "--touchstone", "--gamma"]
+    assert cli.main(argv) == 0  # an untraced first run imports what the command imports lazily
+    grid_bytes = 171 * 24 * 24 * 16
+    assert traced_peak(argv) < 3 * grid_bytes
+
+
+def test_pattern_table_is_written_one_pattern_at_a_time(tmp_path, capsys):
+    # the benchmark's pattern block: 3 frequencies x 3 cuts of 3601 samples, 32 409 rows, which took about 3.3 MB
+    # held as one list; its peak stays within one pattern's rows of the peak of its first pattern alone
+    block = {"freq_ghz": [4, 9, 18], "cuts": ["E", "H", "D"], "theta_step_deg": 0.05}
+    peaks = {}
+    for name, pattern in (("all", block), ("first", {**block, "freq_ghz": [4], "cuts": ["E"]})):
+        argv = ["pattern", "--config", str(hex2_scan_config(tmp_path, pattern=pattern)), "--out", str(tmp_path / name)]
+        assert cli.main(argv) == 0
+        peaks[name] = traced_peak(argv)
+    rows = read_data_lines(tmp_path / "all" / "pattern.csv")[1:]
+    assert len(rows) == 9 * 3601
+    first_rows = rows[:3601]
+    assert read_data_lines(tmp_path / "first" / "pattern.csv")[1:] == first_rows
+    one_pattern = sys.getsizeof(first_rows) + sum(map(sys.getsizeof, first_rows))
+    assert peaks["all"] - peaks["first"] < one_pattern, (peaks, one_pattern)
+
+
 def test_snp_size_is_checked_before_a_record_buffer_is_allocated(tmp_path):
     # the name asks for 20000 ports: one record of 8e8 values, a 6.4 GB buffer, from a 28-byte file
     src = tmp_path / "x.s20000p"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arraykit import lattice as lat
 from arraykit import spectral
@@ -93,6 +95,19 @@ def test_direct_oracle_vs_handrolled_sum():
             for m2 in m:
                 acc += g.grid[0, m1 + 2, m2 + 2] * np.exp(2j * np.pi * (n1 * m1 + n2 * m2) / n)
         assert c.coefficient(0, n1, n2) == pytest.approx(acc / n**2, abs=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nfreq=st.integers(0, 40), half=st.integers(1, 16), seed=st.integers(0, 2**16))
+def test_chunked_fft_equals_the_one_call_transform_bit_for_bit(nfreq, half, seed):
+    # F = 0 and counts that are not multiples of the 16-frequency chunk included
+    n = 2 * half
+    rng = np.random.default_rng(seed)
+    grid = rng.standard_normal((nfreq, n, n)) + 1j * rng.standard_normal((nfreq, n, n))
+    axes = (-2, -1)
+    whole = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(grid, axes=axes), axes=axes), axes=axes)
+    coeffs = spectral.gamma_to_coupling(spectral.ActiveGammaGrid(np.linspace(3e9, 20e9, nfreq), grid)).coeffs
+    assert coeffs.shape == whole.shape and coeffs.tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["square", "triangular"])
@@ -262,6 +277,33 @@ def test_assembly_rejects_oversized_aperture():
         spectral.assemble_finite_smatrix(sets, big)
     ok = lat.enumerate_aperture(lat.RectangleAperture(0, 3, 0, 3))  # spread 3 == 8/2 - 1
     spectral.assemble_finite_smatrix(sets, ok)
+
+
+@pytest.mark.parametrize("shape", [
+    lat.HexagonAperture(2),
+    lat.RectangleAperture(-1, 3, 0, 1),
+    lat.TriangleAperture(4),
+    lat.ExplicitAperture(((0, 0), (2, -1), (-3, 1))),
+    lat.RectangleAperture(0, 5, 0, 5),  # spread 5 = 12/2 - 1: the window is the whole set
+])
+@pytest.mark.parametrize("keys", [spectral.POL_PAIRS, ("yy",)])
+def test_window_gathers_the_same_smatrix_bit_for_bit(shape, keys):
+    sets = {pair: spectral.gamma_to_coupling(random_gamma(n=12, nfreq=3, seed=40 + i)) for i, pair in enumerate(keys)}
+    windows = {pair: spectral.coupling_window(c, shape) for pair, c in sets.items()}
+    half = max(lat.aperture_spread(shape)) + 1
+    for pair, w in windows.items():
+        assert w.n == 2 * half and np.array_equal(w.frequencies, sets[pair].frequencies)
+        assert w.coefficient(1, -half, half - 1) == sets[pair].coefficient(1, -half, half - 1)
+        assert w.coeffs.base is None or w is sets[pair]  # a copy, unless it spans the whole set
+    aperture = lat.enumerate_aperture(shape)
+    for (_, s_full), (_, s_window) in zip(spectral.smatrix_records(sets, aperture), spectral.smatrix_records(windows, aperture)):
+        assert np.asarray(s_full).tobytes() == np.asarray(s_window).tobytes()
+
+
+def test_window_of_an_oversized_aperture_raises():
+    c = spectral.gamma_to_coupling(random_gamma(n=8, nfreq=1))
+    with pytest.raises(spectral.ApertureGridError, match="period"):
+        spectral.coupling_window(c, lat.RectangleAperture(0, 4, 0, 0))
 
 
 def test_assembly_rejects_partial_pol_pairs():
