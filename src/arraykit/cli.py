@@ -351,8 +351,10 @@ def _write_lines(path: Path, header: str, chunks: Iterable[str]) -> int:
     try:
         with open(tmp, "w", newline="\n") as fh:
             fh.write(header)
-            for count, chunk in enumerate(chunks, 1):
+            for chunk in chunks:
                 fh.write(chunk)
+                count += 1
+                del chunk  # a chunk can be a whole record's text: drop it before the next is made
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -13,10 +13,11 @@ and yields the header ``(port_count, z_ref)`` and then each record's
 frequency and (P, P) S, converting every token and checking each record as
 it arrives, so it never holds a line list or more than one record of
 values. Every input takes one path: after the option line, whole lines are
-converted a few KiB of text at a time, one numpy call per batch; a batch
-with a token that is not a number is read again line by line and token by
-token, so every error, and the order of errors, is what the lines read one
-at a time give. The reference impedance must be finite and positive.
+converted ``max(4096, 2*P*P)`` characters of text at a time, one
+``np.loadtxt`` call per batch; a batch with a token that loadtxt does not
+read is read again line by line and token by token, so every value and
+error, and the order of errors, is what the lines read one at a time give.
+The reference impedance must be finite and positive.
 :func:`parse_touchstone` stacks those records into a :class:`NetworkData`,
 which holds S once. :func:`touchstone_records` formats a record stream, or
 a :class:`NetworkData`, one record at a time: converting a file holds one
@@ -196,12 +197,15 @@ def read_records(lines: str | Iterable[str], port_count: int) -> Iterator:
     split at LF, CRLF and lone CR, as a text file opened by default splits
     them, so it parses as the same bytes read from such a file. The lines
     up to the option line are read one at a time; after it, whole lines are
-    gathered into batches of a few KiB of text, and each batch, its ``!``
-    comments cut, is converted by one numpy call, which reads numbers
-    exactly as ``float`` does. A batch holding a token that is not a
-    number, as any option line or v2 keyword is, is read again line by line
-    and token by token, carrying over the record it fills, so every error,
-    and the order of errors, is that of reading the lines one at a time.
+    gathered into batches of ``max(4096, 2*P*P)`` characters, and each
+    batch, its ``!`` comments cut, is converted by one ``np.loadtxt`` call,
+    which reads numbers exactly as ``float`` does. A batch holding a token
+    that loadtxt does not read (anything not a number, as any option line or
+    v2 keyword is, and numbers that ``float`` reads only with underscores or
+    non-ASCII digits), or a line over 1 MiB, is read again line by line and
+    token by token, carrying over the record it fills, so every value and
+    error, and the order of errors, is that of reading the lines one at a
+    time.
 
     Raises
     ------
@@ -219,7 +223,12 @@ def read_records(lines: str | Iterable[str], port_count: int) -> Iterator:
     return _records(_str_lines(lines) if isinstance(lines, str) else lines, port_count)
 
 
-_BLOCK_CHARS = 4096  # characters of whole lines converted at a time; 16 KiB adds a record to a 64-port read's peak
+# Whole lines are converted _BLOCK_CHARS characters at a time, or 2*P*P, about a tenth of a record's text, when that
+# is more: a batch and loadtxt's copy of it, 4 bytes a character, then stay within a record's values, where a fixed
+# 32 KiB batch lifts a 32-port convert's peak from 17 to 26 records. A batch holding a line over _LONG_LINE_CHARS is
+# read line by line, so that copy never grows with a line.
+_BLOCK_CHARS = 4096
+_LONG_LINE_CHARS = 1 << 20
 
 
 def _leading_numbers(tokens: list[str]) -> list[float]:
@@ -234,17 +243,24 @@ def _leading_numbers(tokens: list[str]) -> list[float]:
 
 
 def _batch_values(batch: list[str]) -> np.ndarray | None:
-    """The values of a batch of whole lines, or None if one of its tokens is not a number.
+    """The values of a batch of whole lines, or None if loadtxt does not read a token or a line is too long.
 
-    An option line or a v2 keyword starts with such a token (``#`` or ``[``), so a batch holding
-    either is read line by line as well. The lines are joined with a space, as a line need not end
-    with a line end.
+    The lines, their ``!`` comments cut, are joined with a space, as a line need not end with a line
+    end, and their CRs and LFs blanked, as loadtxt ends a row at either. loadtxt reads a number as
+    ``float`` does, through the same C conversion, and splits at the same whitespace; it rejects
+    what ``float`` reads only through its own rewriting (underscores, non-ASCII digits), so those
+    batches are read line by line, as are any holding an option line or a v2 keyword (``#``, ``[``).
     """
+    if max(map(len, batch), default=0) > _LONG_LINE_CHARS:
+        return None
     text = " ".join(batch)
     if "!" in text:
         text = " ".join(line.split("!", 1)[0] for line in batch)
+    text = text.replace("\r", " ").replace("\n", " ")
+    if not text or text.isspace():  # loadtxt warns of a batch without data
+        return np.empty(0)
     try:
-        return np.array(text.split(), dtype=float)
+        return np.loadtxt([text], dtype=float, ndmin=1, comments=None)
     except ValueError:
         return None
 
@@ -286,11 +302,11 @@ def _records(lines: Iterable[str], p: int) -> Iterator:
             yield from line_values((line,))
             if option is not None:
                 break
-        batch, size = [], 0
+        batch, size, block = [], 0, max(_BLOCK_CHARS, 2 * p * p)
         for line in rest:
             batch.append(line)
             size += len(line)
-            if size >= _BLOCK_CHARS:
+            if size >= block:
                 yield from batch_values(batch)
                 batch, size = [], 0
         yield from batch_values(batch)
@@ -419,7 +435,7 @@ def read_touchstone(path: str | Path) -> NetworkData:
 # '%.12e' prints. Any other value is written by '%.12e' itself.
 
 _E12_WIDTH = 20  # bytes of the longest '%.12e' text of a finite double, as '-2.225073858507e-308'
-_E12_CHUNK = 1024  # rows laid out at a time by _e12_text
+_E12_CHUNK = 8192  # rows laid out at a time by _e12_text: an _e12_fields call costs about 0.1 ms at any size
 _POW10 = np.array([float(f"1e{k}") for k in range(-87, 112)])  # 10**(12 - e) at index j = 99 - e
 
 

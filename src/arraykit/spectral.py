@@ -25,12 +25,14 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .lattice import LatticeBasis, ReciprocalBasis, aperture_spread
-from .snp import _E12_CHUNK, NetworkData, PortMap, _e12_text, network_from_records
+from .snp import NetworkData, PortMap, _e12_text, network_from_records
 
 # each pol pair is "ab": a the observed polarization (matrix row), b the excited one (matrix column)
 POL_PAIRS = ("xx", "xy", "yx", "yy")
 # frequencies inverted per ifft2 call: the temporaries cover one chunk, and the call overhead stays negligible
 _IFFT_CHUNK = 16
+# grid-CSV rows formatted per chunk: at 8192, transform's peak on a rings-2, 171-frequency run rose 39.4 -> 40.8 MB
+_CSV_CHUNK_ROWS = 1024
 
 
 class GridShapeError(ValueError):
@@ -304,7 +306,7 @@ def csv_chunks(data: ActiveGammaGrid | CouplingSet) -> Iterator[str]:
     """The CSV text of a gamma grid ("freq_hz,m1,m2,re,im") or a coupling set ("freq_hz,n1,n2,re,im").
 
     Yields the header line, then the rows "freq_hz,i1 - N/2,i2 - N/2,re,im" of the (F, N, N) array
-    ``_E12_CHUNK`` at a time, each text newline-ended, so besides the array only one chunk's text is held.
+    ``_CSV_CHUNK_ROWS`` at a time, each text newline-ended, so besides the array only one chunk's text is held.
     """
     if isinstance(data, ActiveGammaGrid):
         header, grids = "freq_hz,m1,m2,re,im\n", data.grid
@@ -316,8 +318,8 @@ def csv_chunks(data: ActiveGammaGrid | CouplingSet) -> Iterator[str]:
     re, im = grids.real.reshape(-1), grids.imag.reshape(-1)
     comma, newline = np.frombuffer(b",", np.uint8), np.frombuffer(b"\n", np.uint8)
     yield header
-    for lo in range(0, f * n * n, _E12_CHUNK):
-        hi = min(lo + _E12_CHUNK, f * n * n)
+    for lo in range(0, f * n * n, _CSV_CHUNK_ROWS):
+        hi = min(lo + _CSV_CHUNK_ROWS, f * n * n)
         at, point = np.divmod(np.arange(lo, hi), n * n)
         i1, i2 = np.divmod(point, n)
         yield _e12_text("", [lead[at], axis[i1], axis[i2], re[lo:hi], comma, im[lo:hi], newline], hi - lo)

@@ -890,6 +890,24 @@ def test_pattern_table_is_written_one_pattern_at_a_time(tmp_path, capsys):
     assert peaks["all"] - peaks["first"] < one_pattern, (peaks, one_pattern)
 
 
+def test_write_lines_holds_no_chunk_while_the_next_is_made(tmp_path):
+    # convert's chunks are whole records' text, 0.65 MB each at 128 ports; the one written is dropped before the next
+    size, held = 1 << 20, []
+
+    def chunks():
+        for _ in range(3):
+            held.append(tracemalloc.get_traced_memory()[0])
+            yield "x" * size + "\n"
+
+    tracemalloc.start()
+    try:
+        assert cli._write_lines(tmp_path / "t.txt", "h\n", chunks()) == 3
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "t.txt").stat().st_size == 2 + 3 * (size + 1)
+    assert max(held) - held[0] < size / 2, held
+
+
 def test_snp_size_is_checked_before_a_record_buffer_is_allocated(tmp_path):
     # the name asks for 20000 ports: one record of 8e8 values, a 6.4 GB buffer, from a 28-byte file
     src = tmp_path / "x.s20000p"

@@ -833,6 +833,64 @@ def test_block_reading_matches_line_by_line_reading(drawn, block, newline, opene
             assert read_outcome([line + newline for line in lines], ports) == want
 
 
+@pytest.mark.parametrize("token", EDGE_TOKENS)
+def test_batches_of_two_p_squared_characters_match_line_by_line_reading(token, tmp_path, monkeypatch):
+    ports = 48  # a batch of 2 * 48**2 = 4608 characters, more than _BLOCK_CHARS
+    lines = snp.write_touchstone(random_network(ports, nfreq=3, seed=48), "ma").splitlines()
+    tokens = lines[700].split()  # in the second record
+    tokens[3] = token
+    lines[700] = " ".join(tokens)
+    ends = ["\n", "\r\n", "\r"]  # LF, CRLF and lone CR in turn; a lone CR stays inside a line opened with "\n"
+    raw = "".join(
+        line
+        + (" ! note" if k % 7 == 0 and k % 3 != 2 else "")  # not before a lone CR: it would cut the line joined on
+        + ends[k % 3]
+        + ("! comment line\n" if k % 50 == 1 else "")
+        for k, line in enumerate(lines)
+    )
+    path = tmp_path / f"edge.s{ports}p"
+    path.write_bytes(raw.encode("utf-8"))
+
+    def outcomes() -> list:
+        got = [read_outcome(raw, ports)]
+        for opened in (None, "\n"):
+            with open(path, encoding="utf-8", newline=opened) as fh:
+                got.append(read_outcome(fh, ports))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(snp, "_batch_values", lambda batch: None)  # the reference: every line read token by token
+        want = outcomes()
+    sizes, batch_values = [], snp._batch_values
+
+    def recorded(batch):
+        sizes.append(sum(map(len, batch)))
+        return batch_values(batch)
+
+    monkeypatch.setattr(snp, "_batch_values", recorded)
+    assert outcomes() == want
+    assert len(want[0][0]) == 4 or want[0][0][-1][0] in (snp.TouchstoneError, snp.NetworkError)
+    assert sum(size < 2 * ports**2 for size in sizes) <= 3 < len(sizes)  # every batch but each read's last holds 2P^2
+
+
+def test_a_line_over_the_limit_is_read_line_by_line():
+    ports = 16
+    text = snp.write_touchstone(random_network(ports, nfreq=120, seed=16), "ri")
+    *header, data = text.split("\n", 2)
+    long_line = data.replace("\n", " ")  # every record on one line of about 1.2 MB
+    assert len(long_line) > snp._LONG_LINE_CHARS
+    assert snp._batch_values([long_line]) is None  # though loadtxt reads every token of it
+    at_limit = long_line[: snp._LONG_LINE_CHARS].rsplit(" ", 1)[0].ljust(snp._LONG_LINE_CHARS)  # whole tokens
+    assert snp._batch_values(["1 2\n", at_limit]) is not None
+    lines = header + [long_line, "17.5 bogus"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(snp, "_batch_values", lambda batch: None)
+        want = read_outcome(lines, ports)
+    assert len(want[0]) == 1 + 120 + 1 and want[0][-1] == (snp.TouchstoneError, "non-numeric data token 'bogus'")
+    assert read_outcome(lines, ports) == want
+    assert read_outcome("\n".join(lines), ports) == want
+
+
 # --- NetworkData validation ---------------------------------------------------
 
 
