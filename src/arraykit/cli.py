@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import hashlib
 import json
 import math
 import os
@@ -32,6 +31,15 @@ import numpy as np
 
 from . import __version__, excitation, lattice, metrics, snp, spectral, synthmodel
 from .constants import C0, DEFAULT_N_SCAN, MEMORY_BUDGET
+
+# CPython's built-in SHA-256: hashlib would load OpenSSL's libcrypto (3.4 MB resident) into every command
+try:
+    from _sha2 import sha256  # 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:  # an interpreter built without its own SHA-2 modules
+        from hashlib import sha256
 
 
 DEFAULT_FREQ_GHZ = {"start": 3, "stop": 20, "points": 171}
@@ -65,7 +73,7 @@ def _load_config(path: str | None) -> dict:
 
 def _config_hash(cfg: dict) -> str:
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(canonical).hexdigest()[:16]
+    return sha256(canonical).hexdigest()[:16]
 
 
 def _config_int(value, where: str) -> int:

@@ -182,7 +182,9 @@ def eval_gamma(model: ModelSpec, pol_pair: str, k_t, f):
     elif isinstance(model, ScanPolyModel):
         if pair in ("xx", "yy"):
             q = (kt**2).sum(axis=-1) / model.k_ref**2
-            out = model.alpha_at(fk) + model.beta_at(fk) * q
+            # alpha added in place, so the product is the only F x N^2 array held
+            out = np.multiply(model.beta_at(fk), q, dtype=complex)
+            out += model.alpha_at(fk)
         else:
             q = kt[..., 0] * kt[..., 1] / model.k_ref**2
             out = model.cross_pol_level * q * model.beta_at(fk)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from arraykit import cli, lattice, metrics, snp, spectral, synthmodel
 from arraykit.constants import MEMORY_BUDGET
@@ -983,6 +986,46 @@ def test_outputs_carry_version_and_config_hash(tmp_path):
     head = (out / "coupling_xx.csv").read_text().splitlines()[:2]
     assert head[0].startswith("# arraykit 0.")
     assert head[1].startswith("# config_sha256=") and len(head[1].split("=")[1]) == 16
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(cfg=st.dictionaries(st.text(), JSON_VALUES, max_size=6))
+def test_config_hash_is_sha256_of_the_canonical_json(cfg):
+    canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
+    assert cli._config_hash(cfg) == hashlib.sha256(canonical).hexdigest()[:16]
+
+
+# run in a fresh interpreter: pytest and hypothesis import hashlib themselves
+NO_OPENSSL_RUN = "import sys\nfrom arraykit import cli\ncode = cli.main(sys.argv[1:])\nprint('_hashlib' in sys.modules)\nsys.exit(code)"
+
+
+def test_no_command_loads_openssl(tmp_path):
+    # a seeded_random model still loads OpenSSL, through numpy.random -> secrets -> hmac; that import is numpy's
+    cfg = str(write_config(tmp_path, model={"kind": "demo", "cross_pol_level": 0.5}, pattern={"freq_ghz": [9.0]}))
+    out = tmp_path / "o"
+    runs = [
+        ["lattice", "--config", cfg, "--out", str(out)],
+        ["transform", "--config", cfg, "--out", str(out), "--touchstone", "--gamma"],
+        ["metrics", "--config", cfg, "--out", str(out)],
+        ["pattern", "--config", cfg, "--out", str(out)],
+        ["convert", str(out / "finite_array.s18p"), str(tmp_path / "db.s18p"), "--format", "db"],
+    ]
+    for argv in runs:
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_OPENSSL_RUN, *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            timeout=60,
+        )
+        assert proc.returncode == 0, (argv[0], proc.stderr)
+        assert proc.stdout.splitlines()[-1] == "False", f"{argv[0]} loaded _hashlib"
 
 
 @pytest.mark.parametrize("command", ["metrics", "lattice", "pattern"])

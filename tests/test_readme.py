@@ -58,12 +58,20 @@ def test_listed_names_and_members_exist(module):
             assert not missing, f"{module}.{name} lacks {missing}"
 
 
+def full_configuration() -> dict:
+    block = re.search(r"A full configuration:\n\n```json\n(.*?)\n```", README.read_text(), re.S).group(1)
+    return json.loads(block)
+
+
 def test_full_configuration_runs_every_command(tmp_path):
-    text = README.read_text()
-    block = re.search(r"A full configuration:\n\n```json\n(.*?)\n```", text, re.S).group(1)
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(json.loads(block)))
+    cfg.write_text(json.dumps(full_configuration()))
     out = tmp_path / "out"
     for argv in (["lattice"], ["transform", "--touchstone"], ["metrics"], ["pattern"]):
         assert cli.main([*argv, "--config", str(cfg), "--out", str(out)]) == 0, argv
     assert {"finite_array.s38p", "vswr.csv", "gain.csv", "coupling.csv", "pattern.csv"} <= {p.name for p in out.iterdir()}
+
+
+def test_full_configuration_hash():
+    # the SHA-256 of its canonical JSON, as every output's config_sha256 header line carries it
+    assert cli._config_hash(full_configuration()) == "81d3f080075023df"

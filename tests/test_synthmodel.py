@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,26 @@ def test_sample_grid_bit_identical_to_frequency_loop(kind, model):
         want = reference_sample_grid(model, grid, freqs, pair)
         assert got.grid.tobytes() == want.grid.tobytes()  # bit for bit, signed zeros included
         np.testing.assert_array_equal(got.frequencies, want.frequencies)
+
+
+@pytest.mark.parametrize("pair", ["xx", "yy"])
+def test_scan_poly_copol_grid_holds_one_grid(pair):
+    # holding beta * q as a second grid while alpha is added would peak at about 2 grids above the start
+    _, grid = demo_grid("triangular", n=24)
+    freqs = np.linspace(3e9, 20e9, 171)
+    m = synthmodel.demo_model()
+    grid_bytes = freqs.size * grid.n_scan**2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        got = synthmodel.sample_grid(m, grid, freqs, pair)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * grid_bytes, (peak, grid_bytes)
+    fk = freqs[:, None, None]
+    q = (grid.points**2).sum(axis=-1) / m.k_ref**2
+    assert got.grid.tobytes() == (m.alpha_at(fk) + m.beta_at(fk) * q).tobytes()  # same samples, bit for bit
 
 
 def test_eval_gamma_frequency_axis_leads():
