@@ -546,9 +546,9 @@ def cmd_metrics(args) -> int:
 def _read_rows(path: Path, ports: int, read: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Frequencies (F,) and the S rows ``read`` (F, len(read), P) of a Touchstone file, read record by record."""
     with open(path) as fh:
-        records = snp.read_records(fh, ports)
+        records = snp.read_records(fh, ports, read)
         next(records)
-        return snp.stack_records(((f_hz, s[read]) for f_hz, s in records), (len(read), ports))
+        return snp.stack_records(records, (len(read), ports))
 
 
 def _gnuplot_stub(tables: list[str]) -> str:

@@ -10,13 +10,16 @@ a warning.
 Touchstone I/O goes one record at a time. :func:`read_records` is the one
 reader: it takes the text, an open text file or any iterable of its lines,
 and yields the header ``(port_count, z_ref)`` and then each record's
-frequency and (P, P) S, converting every token and checking each record as
-it arrives, so it never holds a line list or more than one record of
-values. Every input takes one path: after the option line, whole lines are
-converted ``max(4096, 2*P*P)`` characters of text at a time, one
-``np.loadtxt`` call per batch; a batch with a token that loadtxt does not
-read is read again line by line and token by token, so every value and
-error, and the order of errors, is what the lines read one at a time give.
+frequency and (P, P) S, or only the rows of S asked for, converting every
+token and checking each record as it arrives, so it never holds a line list
+or more than one record of values. After the option line, a ``str`` and a
+file read with universal newlines are read ``max(4096, 2*P*P)`` characters
+of text at a time, extended to the next line end, and any other iterable
+of lines in batches of whole lines of that size; each piece or batch is
+converted by one ``np.loadtxt`` call, and one with a token that loadtxt
+does not read is read again line by line and token by token, so every
+value and error, and the order of errors, is what the lines read one at a
+time give.
 The reference impedance must be finite and positive.
 :func:`parse_touchstone` stacks those records into a :class:`NetworkData`,
 which holds S once. :func:`touchstone_records` formats a record stream, or
@@ -170,39 +173,42 @@ def _parse_option_line(line: str) -> tuple[float, str, float]:
     return unit_scale, fmt, z_ref
 
 
-def _str_lines(text: str) -> Iterator[str]:
-    """The lines of a str, split at LF, CRLF and lone CR as a text file opened by default splits them."""
-    text, at = text.replace("\r\n", "\n").replace("\r", "\n"), 0
-    while at < len(text):
-        end = text.find("\n", at) + 1 or len(text)
-        yield text[at:end]
-        at = end
-
-
-def read_records(lines: str | Iterable[str], port_count: int) -> Iterator:
+def read_records(lines: str | Iterable[str], port_count: int, rows=None) -> Iterator:
     """Touchstone v1 content as a record stream, converted one record at a time.
 
     The first item is the header ``(port_count, z_ref)``; every further item
-    is one record, ``(frequency in Hz, S)`` with S a (P, P) complex array.
+    is one record, ``(frequency in Hz, S)`` with S a (P, P) complex array,
+    or with ``rows`` (a sequence of row indices) the fresh array ``S[rows]``.
     ``lines`` is the text, an open text file, or any other iterable of its
     lines, with or without their line ends; ``!`` comments run to the end of
     their line. The port count is not inferable from v1 content and must be
     supplied (``.sNp`` naming convention). Each record's frequency and
     ``2*P*P`` values go into one fresh buffer, and each record is checked as
     it arrives, so a consumer that keeps part of each record holds no more
-    than that.
+    than that. With ``rows``, every value is still checked, but MA and DB
+    pairs are turned into real and imaginary parts only in the kept rows
+    (for P > 2; a 2-port record is converted whole): a converted MA entry
+    is finite exactly when its pair is, and a DB magnitude ``10**(dB/20)``
+    is computed for every entry first, so ``-inf`` dB is a magnitude of 0
+    and a dB that overflows fails as in a full read.
 
-    Every input is read the same way, by its own lines: a file's as its
-    ``newline=`` setting splits them, an iterable's as given, and a ``str``
-    split at LF, CRLF and lone CR, as a text file opened by default splits
-    them, so it parses as the same bytes read from such a file. The lines
-    up to the option line are read one at a time; after it, whole lines are
-    gathered into batches of ``max(4096, 2*P*P)`` characters, and each
-    batch, its ``!`` comments cut, is converted by one ``np.loadtxt`` call,
-    which reads numbers exactly as ``float`` does. A batch holding a token
-    that loadtxt does not read (anything not a number, as any option line or
-    v2 keyword is, and numbers that ``float`` reads only with underscores or
-    non-ASCII digits), or a line over 1 MiB, is read again line by line and
+    A ``str`` is read as a text file opened with universal newlines (the
+    default) reads the same text, its LF, CRLF and lone CR all line ends,
+    so it parses as the same bytes read from such a file. A file's lines
+    are as its ``newline=`` setting splits them, an iterable's as given.
+    The lines up to the option line are read one at a time. After it, a
+    ``str``, and a file that reports the line ends it has seen
+    (``newlines`` is not None, as with ``newline=None`` or ``""``), is read
+    in pieces of whole lines: ``max(4096, 2*P*P)`` characters, as
+    ``fh.read(block) + fh.readline()`` gives them, with CRLF and lone CR
+    made LF and ``!`` comments cut. Any other input (a list or iterator of
+    lines, or a file opened with ``newline="\n"``) is gathered into
+    batches of whole lines of that many characters. Each piece or batch is
+    converted by one ``np.loadtxt`` call, which reads numbers exactly as
+    ``float`` does. One holding a token that loadtxt does not read
+    (anything not a number, as any option line or v2 keyword is, and
+    numbers that ``float`` reads only with underscores or non-ASCII
+    digits), or ending in a line over 1 MiB, is read again line by line and
     token by token, carrying over the record it fills, so every value and
     error, and the order of errors, is that of reading the lines one at a
     time.
@@ -220,15 +226,16 @@ def read_records(lines: str | Iterable[str], port_count: int) -> Iterator:
     """
     if port_count < 1:
         raise TouchstoneError(f"port_count must be >= 1, got {port_count}")
-    return _records(_str_lines(lines) if isinstance(lines, str) else lines, port_count)
+    return _records(lines, port_count, rows)
 
 
-# Whole lines are converted _BLOCK_CHARS characters at a time, or 2*P*P, about a tenth of a record's text, when that
-# is more: a batch and loadtxt's copy of it, 4 bytes a character, then stay within a record's values, where a fixed
-# 32 KiB batch lifts a 32-port convert's peak from 17 to 26 records. A batch holding a line over _LONG_LINE_CHARS is
-# read line by line, so that copy never grows with a line.
+# Text is converted _BLOCK_CHARS characters at a time, or 2*P*P, about a tenth of a record's text, when that is
+# more: a piece or batch and loadtxt's copy of it, 4 bytes a character, then stay within a record's values, where a
+# fixed 32 KiB block lifts a 32-port convert's peak from 17 to 26 records. One ending in a line over _LONG_LINE_CHARS
+# is read line by line, so that copy never grows with a line.
 _BLOCK_CHARS = 4096
 _LONG_LINE_CHARS = 1 << 20
+_COMMENT = re.compile(r"![^\n]*")
 
 
 def _leading_numbers(tokens: list[str]) -> list[float]:
@@ -245,13 +252,15 @@ def _leading_numbers(tokens: list[str]) -> list[float]:
 def _batch_values(batch: list[str]) -> np.ndarray | None:
     """The values of a batch of whole lines, or None if loadtxt does not read a token or a line is too long.
 
-    The lines, their ``!`` comments cut, are joined with a space, as a line need not end with a line
+    An item is one line, or a piece: whole lines, each ended by an LF, their comments cut already.
+    The items, their ``!`` comments cut, are joined with a space, as a line need not end with a line
     end, and their CRs and LFs blanked, as loadtxt ends a row at either. loadtxt reads a number as
     ``float`` does, through the same C conversion, and splits at the same whitespace; it rejects
     what ``float`` reads only through its own rewriting (underscores, non-ASCII digits), so those
     batches are read line by line, as are any holding an option line or a v2 keyword (``#``, ``[``).
     """
-    if max(map(len, batch), default=0) > _LONG_LINE_CHARS:
+    # each item's last line: a line, or the one a piece's readline() finished; a piece's other lines are in its block
+    if any(len(item) - 1 - item.rfind("\n", 0, len(item) - 1) > _LONG_LINE_CHARS for item in batch):
         return None
     text = " ".join(batch)
     if "!" in text:
@@ -265,7 +274,7 @@ def _batch_values(batch: list[str]) -> np.ndarray | None:
         return None
 
 
-def _records(lines: Iterable[str], p: int) -> Iterator:
+def _records(lines: str | Iterable[str], p: int, rows) -> Iterator:
     option = None
 
     def line_values(lines: Iterable[str]) -> Iterator[list[float]]:
@@ -295,14 +304,40 @@ def _records(lines: Iterable[str], p: int) -> Iterator:
         values = _batch_values(batch)
         yield from line_values(batch) if values is None else (values,)
 
+    def piece_values(piece: str) -> Iterator:
+        """The values of a piece of whole lines, its line ends made LF and its comments cut, as those of a batch."""
+        if "\r" in piece:  # a file opened with newline="" keeps its CRLF and lone CR
+            piece = piece.replace("\r\n", "\n").replace("\r", "\n")
+        if "!" in piece:
+            piece = _COMMENT.sub("", piece)
+        values = _batch_values([piece])
+        yield from line_values(piece.split("\n")) if values is None else (values,)
+
     def value_chunks() -> Iterator:
-        """The values in input order: line by line up to the option line, then a batch of whole lines at a time."""
+        """The values in input order: line by line up to the option line, then a piece or batch at a time."""
+        block = max(_BLOCK_CHARS, 2 * p * p)
+        if isinstance(lines, str):  # read as a file opened with universal newlines reads the same text
+            text, at = lines.replace("\r\n", "\n").replace("\r", "\n"), 0
+            while option is None and at < len(text):
+                end = text.find("\n", at) + 1 or len(text)
+                yield from line_values((text[at:end],))
+                at = end
+            while at < len(text):  # text[at:at + block], then the rest of its last line
+                end = text.find("\n", at + block) + 1 or len(text)
+                yield from piece_values(text[at:end])
+                at = end
+            return
         rest = iter(lines)
         for line in rest:
             yield from line_values((line,))
             if option is not None:
                 break
-        batch, size, block = [], 0, max(_BLOCK_CHARS, 2 * p * p)
+        if getattr(lines, "newlines", None) is not None:  # a file read with universal newlines
+            read, readline = lines.read, lines.readline
+            while head := read(block):
+                yield from piece_values(head + readline())
+            return
+        batch, size = [], 0
         for line in rest:
             batch.append(line)
             size += len(line)
@@ -312,6 +347,8 @@ def _records(lines: Iterable[str], p: int) -> Iterator:
         yield from batch_values(batch)
 
     n = 2 * p * p
+    # the rows converted from MA or DB: all of a 2-port record, whose rows are its columns in the file
+    kept = None if rows is None or p == 2 else rows
     chunks = (v for v in value_chunks() if len(v))
     first = next(chunks, None)  # the header follows the first value, or the end of a content without one
     if option is None:
@@ -347,19 +384,25 @@ def _records(lines: Iterable[str], p: int) -> Iterator:
                     raise TouchstoneError(f"frequencies not strictly increasing at {f_hz} Hz")
                 raise NetworkError("frequencies must be positive and strictly increasing")
             s = rec[1:]
-            if fmt != "ri":
-                # (magnitude or dB, degrees) -> (real, imaginary) in place, through one temporary
-                a, b = s[0::2], s[1::2]
-                with np.errstate(over="ignore", invalid="ignore"):  # non-finite results are caught below
-                    if fmt == "db":
-                        np.power(10.0, np.divide(a, 20.0, out=a), out=a)
-                    ang = np.radians(b)
-                    np.multiply(a, np.sin(ang, out=b), out=b)
-                    np.multiply(a, np.cos(ang, out=ang), out=a)
+            if fmt == "db":  # dB -> magnitude in place; an overflow is caught below
+                a = s[0::2]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.power(10.0, np.divide(a, 20.0, out=a), out=a)
+            # a finite magnitude and angle give a finite real and imaginary part, and only they do
             if not np.isfinite(s).all():
                 raise NetworkError("s contains non-finite entries")
-            s = s.view(complex).reshape(p, p)
-            yield f_hz, s.T if p == 2 else s  # the v1 two-port quirk: S11 S21 S12 S22
+            if kept is not None:
+                s = s.reshape(p, 2 * p).take(kept, axis=0).ravel()
+            if fmt != "ri":
+                # (magnitude, degrees) -> (real, imaginary) in place, through one temporary
+                a, b = s[0::2], s[1::2]
+                ang = np.radians(b)
+                np.multiply(a, np.sin(ang, out=b), out=b)
+                np.multiply(a, np.cos(ang, out=ang), out=a)
+            s = s.view(complex).reshape(-1, p)
+            if p == 2:  # the v1 two-port quirk: S11 S21 S12 S22
+                s = s.T if rows is None else s.T.take(rows, axis=0)
+            yield f_hz, s
             count, prev = count + 1, f_hz
     if got:
         raise TouchstoneError(f"frequency record at {head!r} has fewer than {n} S values")

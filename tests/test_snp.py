@@ -2,9 +2,11 @@ import cmath
 import itertools
 import json
 import math
+import os
 import random
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -889,6 +891,207 @@ def test_a_line_over_the_limit_is_read_line_by_line():
     assert len(want[0]) == 1 + 120 + 1 and want[0][-1] == (snp.TouchstoneError, "non-numeric data token 'bogus'")
     assert read_outcome(lines, ports) == want
     assert read_outcome("\n".join(lines), ports) == want
+
+
+
+class RecordedFile:
+    """A text file whose ``__next__`` and ``read`` calls are counted; everything else is the file's."""
+
+    def __init__(self, fh):
+        self.fh, self.nexts, self.reads = fh, 0, []
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.nexts += 1
+        return next(self.fh)
+
+    def read(self, size=-1):
+        self.reads.append(self.fh.read(size))
+        return self.reads[-1]
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+def line_by_line(lines, ports):
+    """The reference outcome: every line read token by token."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(snp, "_batch_values", lambda batch: None)
+        return read_outcome(lines, ports)
+
+
+def test_a_universal_newline_file_is_read_in_pieces_after_the_option_line(tmp_path):
+    text = snp.write_touchstone(random_network(3, nfreq=60, seed=3), "ma")
+    text = "! first\n! second\n" + text.replace("\n", " ! note\n", 5)
+    path = tmp_path / "pieces.s3p"
+    path.write_text(text)
+    want = line_by_line(text.splitlines(), 3)
+    assert len(want[0]) == 61
+    for opened in (None, ""):
+        with open(path, newline=opened) as fh:
+            recorded = RecordedFile(fh)
+            assert read_outcome(recorded, 3) == want
+        assert recorded.nexts == 4  # two comments, the header comment and the option line
+        assert len(recorded.reads) > 2 and max(map(len, recorded.reads)) == snp._BLOCK_CHARS
+    # newline="\n" reports no line ends: its lines are gathered into batches
+    with open(path, newline="\n") as fh:
+        recorded = RecordedFile(fh)
+        assert read_outcome(recorded, 3) == want
+    assert recorded.nexts == text.count("\n") + 1 and not recorded.reads
+
+
+def test_a_piece_that_ends_between_cr_and_lf_is_read_whole(tmp_path, monkeypatch):
+    ports = 2
+    lines = snp.write_touchstone(random_network(ports, nfreq=12, seed=2), "ri").splitlines()
+    lines[6] += " ! comment"
+    want = line_by_line(lines, ports)
+    path = tmp_path / "crlf.s2p"
+    path.write_bytes("".join(line + "\r\n" for line in lines).encode())
+    split = 0
+    for block in range(1, 400):  # a record line is about 190 characters
+        monkeypatch.setattr(snp, "_BLOCK_CHARS", block)
+        with open(path, newline="") as fh:
+            recorded = RecordedFile(fh)
+            assert read_outcome(recorded, ports) == want, block
+        split += sum(piece.endswith("\r") for piece in recorded.reads)
+    assert split > 5  # reads that stopped between a CR and its LF
+
+
+def test_a_piece_ending_in_a_line_over_the_limit_is_read_line_by_line(tmp_path, monkeypatch):
+    ports = 16
+    text = snp.write_touchstone(random_network(ports, nfreq=120, seed=16), "ri")
+    *header, data = text.split("\n", 2)
+    first, rest = data.split("\n", 1)
+    long_line = rest.replace("\n", " ")  # everything after the first data line, on one line of about 1.2 MB
+    assert len(long_line) > snp._LONG_LINE_CHARS
+    lines = header + [first, long_line, "17.5 bogus"]
+    want = line_by_line(lines, ports)
+    assert len(want[0]) == 1 + 120 + 1 and want[0][-1] == (snp.TouchstoneError, "non-numeric data token 'bogus'")
+    path = tmp_path / f"long.s{ports}p"
+    path.write_text("\n".join(lines) + "\n")
+    results, batch_values = [], snp._batch_values
+
+    def recorded(batch):
+        results.append(batch_values(batch))
+        return results[-1]
+
+    monkeypatch.setattr(snp, "_batch_values", recorded)
+    with open(path) as fh:
+        assert read_outcome(fh, ports) == want
+    # the first piece: the first data line, then the long line, which readline() finished
+    assert results[0] is None
+
+
+def test_a_piece_over_the_limit_of_short_lines_is_one_loadtxt_call(tmp_path, monkeypatch):
+    ports = 4
+    text = snp.write_touchstone(random_network(ports, nfreq=9000, seed=4), "ri")
+    assert len(text) > 1.2 * snp._LONG_LINE_CHARS
+    path = tmp_path / f"many.s{ports}p"
+    path.write_text(text)
+    sizes, batch_values = [], snp._batch_values
+
+    def recorded(batch):
+        values = batch_values(batch)
+        sizes.append((sum(map(len, batch)), values is None))
+        return values
+
+    monkeypatch.setattr(snp, "_BLOCK_CHARS", snp._LONG_LINE_CHARS)  # as 2*P*P is from 725 ports
+    monkeypatch.setattr(snp, "_batch_values", recorded)
+    with open(path) as fh:
+        got = snp.parse_touchstone(fh, ports)
+    assert sizes[0][0] > snp._LONG_LINE_CHARS and not any(none for _, none in sizes)
+    want = snp.parse_touchstone(text.splitlines(), ports)
+    assert got.s.tobytes() == want.s.tobytes() and got.frequencies.tobytes() == want.frequencies.tobytes()
+
+
+def test_a_pipe_is_read_in_pieces():
+    text = snp.write_touchstone(random_network(8, nfreq=40, seed=8), "db").replace("\n", "\r\n")
+    assert len(text) > 1 << 16  # more than a pipe holds: the reads wait for the writer
+    want = line_by_line(text.split("\r\n"), 8)
+    r, w = os.pipe()
+
+    def write():
+        with open(w, "wb") as sink:
+            sink.write(text.encode())
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        with open(r) as fh:
+            recorded = RecordedFile(fh)
+            assert read_outcome(recorded, 8) == want
+    finally:
+        writer.join()
+    assert recorded.nexts == 2 and len(recorded.reads) > 3
+
+
+# --- kept rows ---------------------------------------------------------------------
+
+
+def rows_outcome(text, ports, rows, kept: bool):
+    """Every item of a read that keeps ``rows``, or of a full read with ``S[rows]`` taken after, then its error."""
+    items = []
+    try:
+        for item in snp.read_records(text, ports, rows) if kept else snp.read_records(text, ports):
+            if items:
+                s = item[1] if kept else item[1][rows]
+                item = (type(item[0]), repr(item[0]), s.shape, s.tobytes())
+            items.append(item)
+    except (snp.TouchstoneError, snp.NetworkError) as exc:
+        items.append((type(exc), str(exc)))
+    return items
+
+
+@pytest.mark.parametrize("fmt", ["ri", "ma", "db"])
+@pytest.mark.parametrize("ports", [1, 2, 3, 38])
+def test_kept_rows_equal_a_full_read_then_the_rows(ports, fmt):
+    text = snp.write_touchstone(random_network(ports, nfreq=5, seed=ports), fmt)
+    rng = np.random.default_rng(ports)
+    for rows in ([0], [ports - 1, 0], list(rng.integers(0, ports, 5)), list(range(ports))):
+        got = list(snp.read_records(text, ports, rows))
+        want = list(snp.read_records(text, ports))
+        assert got[0] == want[0]
+        for (f_got, s_got), (f_want, s_want) in zip(got[1:], want[1:], strict=True):
+            assert f_got == f_want and s_got.shape == (len(rows), ports)
+            assert s_got.tobytes() == s_want[rows].tobytes()
+
+
+def _edit(text, ports, record, pair, value):
+    """``text`` with the first value of the ``pair``-th written pair of record ``record`` (from 0) set to ``value``."""
+    lines = text.split("\n")
+    if ports <= 2:  # one line a record
+        line, token = 2 + record, 1 + 2 * pair
+    else:  # each matrix row wrapped at four pairs, the frequency before the first
+        wraps, (i, j) = (ports + 3) // 4, divmod(pair, ports)
+        line, token = 2 + (record * ports + i) * wraps + j // 4, (i == 0 and j < 4) + 2 * (j % 4)
+    tokens = lines[line].split()
+    tokens[token] = value
+    lines[line] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("fmt", ["ri", "ma", "db"])
+@pytest.mark.parametrize("ports", [1, 2, 3, 38])
+def test_kept_rows_check_every_value_in_the_same_order(ports, fmt):
+    text = snp.write_touchstone(random_network(ports, nfreq=4, seed=ports + 1), fmt)
+    rows, last = ([0] if ports > 1 else []), ports * ports - 1  # the last pair is in a row that is not kept
+    changed = snp.parse_touchstone(_edit(text, ports, 1, last, "0.5"), ports).s != snp.parse_touchstone(text, ports).s
+    assert np.argwhere(changed).tolist() == [[1, ports - 1, ports - 1]]
+    for value in ["nan", "inf", "-inf"] + (["7000"] if fmt == "db" else []):
+        if value == "-inf" and fmt == "db":
+            continue
+        edited = _edit(text, ports, 1, last, value) + "5e9 bogus\n"  # an error after it, not reached
+        kept, full = rows_outcome(edited, ports, rows, True), rows_outcome(edited, ports, rows, False)
+        assert kept == full, value
+        assert len(kept) == 3 and kept[-1] == (snp.NetworkError, "s contains non-finite entries"), value
+    if fmt == "db":  # -inf dB is a magnitude of 0, in a row that is kept and in one that is not
+        edited = _edit(_edit(text, ports, 1, last, "-inf"), ports, 2, 0, "-inf")
+        kept, full = rows_outcome(edited, ports, rows, True), rows_outcome(edited, ports, rows, False)
+        assert kept == full and len(kept) == 1 + 4
+        s = snp.parse_touchstone(edited, ports).s
+        assert s[1, -1, -1] == 0 and s[2, 0, 0] == 0
 
 
 # --- NetworkData validation ---------------------------------------------------
