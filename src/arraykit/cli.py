@@ -12,12 +12,22 @@ Exit codes: 0 success, 2 configuration error, 3 transform-domain error,
 4 data or port mismatch, 1 anything else. Identical configuration produces
 byte-identical outputs. ``--threads`` is accepted by every command and has
 no effect.
+
+Importing this module runs only it and :mod:`arraykit.constants`. The other
+submodules are bound lazily (``importlib.util.LazyLoader``): each one's
+body runs at its first attribute access, so ``arraykit --version`` compiles
+none of them. ``main`` loads the parsed command's module, from the table
+``_COMMANDS``, before it pads the heap: ``lattice`` for ``lattice``,
+``synthmodel`` for ``transform``, ``metrics`` for ``metrics`` and
+``pattern``, ``snp`` for ``convert``. Their own imports bring in the rest,
+and on an error ``main``'s ``except`` clauses load the modules they name.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
+import importlib.util
 import json
 import math
 import os
@@ -29,8 +39,32 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import __version__, excitation, lattice, metrics, snp, spectral, synthmodel
+from . import __version__
 from .constants import C0, DEFAULT_N_SCAN, MEMORY_BUDGET
+
+
+def _lazy(name: str):
+    """This package's submodule ``name``, whose body runs at its first attribute access.
+
+    A submodule already imported is returned as it is, so that each class
+    exists once; a new one is put in ``sys.modules`` and on the package, as
+    an import would.
+    """
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+excitation, lattice, metrics, snp, spectral, synthmodel = map(
+    _lazy, ("excitation", "lattice", "metrics", "snp", "spectral", "synthmodel")
+)
 
 # CPython's built-in SHA-256: hashlib would load OpenSSL's libcrypto (3.4 MB resident) into every command
 try:
@@ -675,12 +709,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# each command and the module it runs, whose own imports bring in the rest
 _COMMANDS = {
-    "lattice": cmd_lattice,
-    "transform": cmd_transform,
-    "metrics": cmd_metrics,
-    "pattern": cmd_pattern,
-    "convert": cmd_convert,
+    "lattice": (cmd_lattice, lattice),
+    "transform": (cmd_transform, synthmodel),
+    "metrics": (cmd_metrics, metrics),
+    "pattern": (cmd_pattern, metrics),
+    "convert": (cmd_convert, snp),
 }
 
 
@@ -701,9 +736,11 @@ def _keep_heap_slack() -> None:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command, module = _COMMANDS[args.command]
+    vars(module)  # runs the module's body now, so that it is compiled before the heap is padded
     _keep_heap_slack()
     try:
-        return _COMMANDS[args.command](args)
+        return command(args)
     except (ConfigError, lattice.LatticeError, synthmodel.ModelError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1028,6 +1028,84 @@ def test_no_command_loads_openssl(tmp_path):
         assert proc.stdout.splitlines()[-1] == "False", f"{argv[0]} loaded _hashlib"
 
 
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a new interpreter that imports this tree's package."""
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+        timeout=60,
+    )
+
+
+# a lazily bound submodule is an importlib.util._LazyModule until its body runs, and type() does not run it
+EXECUTED_RUN = (
+    "import sys, types\nfrom arraykit import cli\ntry:\n    code = cli.main(sys.argv[1:])\n"
+    "except SystemExit as exc:\n    code = exc.code\n"
+    "print(sorted(n for n, m in sys.modules.items() if n.startswith('arraykit') and type(m) is types.ModuleType))\n"
+    "sys.exit(code)"
+)
+
+
+def test_each_command_executes_only_its_modules(tmp_path):
+    cfg = str(write_config(tmp_path, model={"kind": "demo", "cross_pol_level": 0.5}, pattern={"freq_ghz": [9.0]}))
+    out = tmp_path / "o"
+    sweep = {"excitation", "lattice", "metrics", "snp"}
+    runs = [
+        (["--version"], set()),
+        (["lattice", "--config", cfg, "--out", str(out)], {"lattice"}),
+        (["transform", "--config", cfg, "--out", str(out), "--touchstone", "--gamma"], {"lattice", "snp", "spectral", "synthmodel"}),
+        (["metrics", "--config", cfg, "--out", str(out)], sweep),
+        (["pattern", "--config", cfg, "--out", str(out)], sweep),
+        (["convert", str(out / "finite_array.s18p"), str(tmp_path / "db.s18p"), "--format", "db"], {"snp"}),
+    ]
+    for argv, modules in runs:
+        proc = run_fresh("-c", EXECUTED_RUN, *argv)
+        assert proc.returncode == 0, (argv[0], proc.stderr)
+        expected = ["arraykit", "arraykit.cli", "arraykit.constants", *(f"arraykit.{m}" for m in modules)]
+        assert proc.stdout.splitlines()[-1] == str(sorted(expected)), argv[0]
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        # a submodule imported before cli is the one cli binds: one module object, one copy of each class
+        "import arraykit.snp\nfrom arraykit.snp import TouchstoneError\nimport arraykit.cli as cli\n"
+        "assert cli.snp is arraykit.snp\nassert cli.snp.TouchstoneError is arraykit.snp.TouchstoneError is TouchstoneError",
+        # one bound by cli is the package's attribute and the module a later import returns
+        "import sys\nimport arraykit.cli as cli\nimport arraykit\nassert arraykit.snp is cli.snp\n"
+        "import arraykit.snp\nfrom arraykit.snp import TouchstoneError\n"
+        "assert sys.modules['arraykit.snp'] is cli.snp\nassert cli.snp.TouchstoneError is TouchstoneError",
+    ],
+    ids=["snp-then-cli", "cli-then-snp"],
+)
+def test_cli_and_imports_share_one_submodule(script):
+    proc = run_fresh("-c", script)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_exit_codes_from_fresh_processes(tmp_path):
+    # a fresh process has loaded only the command's own modules when the error reaches main, whose except clauses load the rest
+    def config(name: str, **overrides) -> str:
+        (tmp_path / name).mkdir()
+        return str(write_config(tmp_path / name, **overrides))
+
+    bad = tmp_path / "bad.s2p"
+    bad.write_text("# GHz S RI R 50\n1 0.1 0 x 0 0 0 0.1 0\n")
+    wide = {"kind": "square", "lambda_h_mm": 15.0, "n_scan": 24, "aperture": {"shape": "rectangle", "n1": [0, 29], "n2": [0, 29]}}
+    cases = [
+        (["convert", str(bad), str(tmp_path / "out.s2p")], 4, "'x'"),
+        (["lattice", "--config", config("hex", lattice={**HEX2, "kind": "hex"})], 2, "lattice.kind"),
+        (["transform", "--config", config("wide", lattice=wide)], 3, "alias"),
+        (["metrics", "--config", config("q7", sweep={"scans": ["broadside", "Q7"]})], 2, "sweep.scans[1]"),
+    ]
+    for argv, code, text in cases:
+        proc = run_fresh("-m", "arraykit.cli", *argv, "--out", str(tmp_path / "o"))
+        assert proc.returncode == code, (argv[0], proc.stderr)
+        assert text in proc.stderr, (argv[0], proc.stderr)
+
+
 @pytest.mark.parametrize("command", ["metrics", "lattice", "pattern"])
 @pytest.mark.parametrize("flag", [["--seed", "3"], ["--oracle"]])
 def test_transform_only_flags_rejected_elsewhere(tmp_path, command, flag):
