@@ -77,8 +77,6 @@ except ImportError:
 
 
 DEFAULT_FREQ_GHZ = {"start": 3, "stop": 20, "points": 171}
-# rows per write: one join per batch is faster than a write per row and holds only the batch's text
-_WRITE_BATCH_ROWS = 1024
 # glibc's mallopt parameter for the free memory kept at the top of the heap, and the amount kept
 _M_TOP_PAD, _HEAP_TOP_PAD = -2, 16 << 20
 
@@ -334,7 +332,9 @@ def _require_model(cfg: dict) -> synthmodel.ModelSpec:
 
 # --- memory budget ---------------------------------------------------------------
 # Bytes held at once per unit, as tracemalloc measured them ("about") rounded up; each price sums them over
-# the sizes its config or input file gives. The fixed part covers the parser, config and small arrays.
+# the sizes its config or input file gives. The fixed part covers the parser, config and small arrays. transform,
+# metrics and pattern hold less than they are priced at (one 16-frequency chunk, one scan's rows, one block of theta
+# samples); the prices stay as upper bounds, which also refuse runs that would write GBs of text.
 _FIXED_BYTES = 1 << 20  # about 0.3 MB
 _ELEMENT_BYTES = 512  # per aperture element: its indices, position and port-map entries, about 250 B
 _TEXT_ENTRY_BYTES = 256  # per S entry of one record, read or assembled and then formatted as text, about 170 B
@@ -414,11 +414,6 @@ def _joined(batches: Iterable[list[str]]) -> Iterator[str]:
     return map(lambda rows: "\n".join(rows) + "\n", batches)
 
 
-def _table(rows: list[str], cfg_hash: str) -> tuple[str, Iterator[str]]:
-    """The two header lines, and ``rows`` joined a batch of rows at a time, never as one whole text."""
-    return _header(cfg_hash), _joined(rows[i : i + _WRITE_BATCH_ROWS] for i in range(0, len(rows), _WRITE_BATCH_ROWS))
-
-
 # --- subcommands ----------------------------------------------------------------
 
 
@@ -446,7 +441,7 @@ def cmd_lattice(args) -> int:
     text = "\n".join(lines)
     print(text)
     if args.out:
-        _write_lines(Path(args.out) / "lattice_report.txt", *_table(lines, _config_hash(cfg)))
+        _write_lines(Path(args.out) / "lattice_report.txt", _header(_config_hash(cfg)), [text + "\n"])
     return 0
 
 
@@ -455,8 +450,9 @@ def cmd_transform(args) -> int:
 
     Everything the config determines, the budget and the aperture fit is
     checked before any pair is sampled. The pairs are then done one at a
-    time by :func:`_transform_pair`, so one grid and one coupling set are
-    held at once; the ``.sNp`` is gathered from the pairs' coupling windows.
+    time by :func:`_transform_pair`, each 16 frequencies at a time, so one
+    chunk of one grid and coupling set is held at once; the ``.sNp`` is
+    gathered from the pairs' coupling windows.
     """
     cfg = _load_config(args.config)
     recip, shape = _require_lattice(cfg, need_aperture=args.touchstone)
@@ -483,7 +479,7 @@ def cmd_transform(args) -> int:
     out = Path(args.out or ".")
     header = _header(_config_hash(cfg))
     deltas, windows = [], {}
-    for pair in spectral.POL_PAIRS:  # one pair's grid and set are held at a time, and only the window is kept
+    for pair in spectral.POL_PAIRS:
         delta, window = _transform_pair(args, model, recip, freqs, pair, out, header, shape)
         deltas.append(delta)
         if args.touchstone:
@@ -501,25 +497,42 @@ def cmd_transform(args) -> int:
 def _transform_pair(args, model, recip, freqs, pair: str, out: Path, header: str, shape):
     """Sample and invert one pol pair, and write its coupling CSV, then its gamma CSV with ``--gamma``.
 
-    Returns the pair's ``--oracle`` delta (0.0 without it) and, with
-    ``--touchstone``, the window of its coupling set that the aperture's S
-    reads (else None). The whole set is dropped before the gamma CSV is
-    written, and the grid on return.
+    Both CSVs are written :data:`spectral._IFFT_CHUNK` frequencies at a
+    time: each chunk of the grid is sampled, inverted and formatted, and
+    only its window that the aperture's S reads is kept. The gamma CSV
+    samples each chunk again, which is deterministic and cheaper than
+    holding the grid. Returns the pair's ``--oracle`` delta, the largest
+    over the chunks (0.0 without it), and with ``--touchstone`` the
+    stitched window (else None).
     """
-    g = synthmodel.sample_grid(model, recip, freqs, pair)
-    cset = spectral.gamma_to_coupling(g)
-    delta = float(np.abs(spectral.gamma_to_coupling(g, "direct").coeffs - cset.coeffs).max()) if args.oracle else 0.0
-    _write_grid_csv(out / f"coupling_{pair}.csv", header, cset)
-    window = spectral.coupling_window(cset, shape) if args.touchstone else None
-    del cset
+    chunks = [slice(lo, lo + spectral._IFFT_CHUNK) for lo in range(0, freqs.size, spectral._IFFT_CHUNK)]
+    deltas, window = [0.0], None
+
+    def grids() -> Iterator:
+        return (synthmodel.sample_grid(model, recip, freqs[c], pair) for c in chunks)
+
+    def invert(c: slice, g):
+        nonlocal window
+        cset = spectral.gamma_to_coupling(g)
+        if args.oracle:
+            deltas.append(float(np.abs(spectral.gamma_to_coupling(g, "direct").coeffs - cset.coeffs).max()))
+        if args.touchstone:
+            part = spectral.coupling_window(cset, shape).coeffs
+            if window is None:
+                window = np.empty((freqs.size, *part.shape[1:]), dtype=complex)
+            window[c] = part
+        return cset
+
+    # map keeps no chunk once it is formatted, so the next chunk is sampled without it
+    _write_grid_csv(out / f"coupling_{pair}.csv", header, map(invert, chunks, grids()))
     if args.gamma:
-        _write_grid_csv(out / f"gamma_{pair}.csv", header, g)
-    return delta, window
+        _write_grid_csv(out / f"gamma_{pair}.csv", header, grids())
+    return max(deltas), None if window is None else spectral.CouplingSet(freqs, window)
 
 
-def _write_grid_csv(path: Path, header: str, data) -> None:
-    """Write a gamma grid's or a coupling set's CSV a chunk of rows at a time, as it is formatted."""
-    _write_lines(path, header, spectral.csv_chunks(data))
+def _write_grid_csv(path: Path, header: str, blocks: Iterable) -> None:
+    """Write the CSV of a gamma grid's or a coupling set's frequency blocks a chunk of rows at a time, as it is formatted."""
+    _write_lines(path, header, spectral.csv_chunks(blocks))
     print(f"wrote {path}")
 
 
@@ -560,14 +573,14 @@ def cmd_metrics(args) -> int:
     freqs, rows = _read_rows(Path(snp_path), ports, read)
 
     out = Path(args.out or ".")
-    cfg_hash = _config_hash(cfg)
-    # one sweep feeds every table
+    header = _header(_config_hash(cfg))
+    # one sweep feeds every table; each table is formatted and written one scan's rows at a time
     sweeps = metrics.sweep_rows(freqs, rows, read, weights_at, scans)
-    tables = {"vswr.csv": metrics.vswr_table_rows(sweeps), "gain.csv": metrics.gain_table_rows(sweeps, efficiency)}
+    tables = {"vswr.csv": metrics.vswr_table_blocks(sweeps), "gain.csv": metrics.gain_table_blocks(sweeps, efficiency)}
     if dual:
-        tables["coupling.csv"] = metrics.coupling_table_rows(sweeps)
-    for name, rows in tables.items():
-        _write_lines(out / name, *_table(rows, cfg_hash))
+        tables["coupling.csv"] = metrics.coupling_table_blocks(sweeps)
+    for name, blocks in tables.items():
+        _write_lines(out / name, header, _joined(blocks))
         print(f"wrote {out / name}")
     if not dual:
         print("single-polarization network: orthogonal coupling table skipped")

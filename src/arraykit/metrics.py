@@ -23,6 +23,11 @@ from .lattice import LatticeBasis, centermost_index
 from .snp import NetworkData, PortMap
 
 
+# theta samples per block of array_factor's phase matrix: 256 x 19 elements is 78 KB where the whole 3601-sample
+# cut took 2.2 MB, and more blocks only add per-call overhead
+_AF_THETA_BLOCK = 256
+
+
 class MetricError(ValueError):
     """Undefined metric request (zero excitation at the probed port, etc.)."""
 
@@ -95,7 +100,7 @@ def _probe(rows: np.ndarray, weights, ports: list[int]) -> tuple[np.ndarray, np.
     if w.shape[-1] != port_count:
         raise MetricError(f"plan covers {w.shape[-1]} ports, network has {port_count}")
     w = np.broadcast_to(w, (f, port_count))
-    a = w[:, ports[0]]
+    a = w[:, ports[0]].copy()  # a view would keep the whole (F, P) weights alive while the next scan's are made
     if not np.all(a):
         raise MetricError(f"zero excitation at the probed port {ports[0]}: the metric is undefined")
     return a, np.einsum("fpq,fq->fp", rows, w)
@@ -161,7 +166,14 @@ def ideal_embedded_gain(area: float, frequency: float, theta_deg) -> np.ndarray:
 
 
 def array_factor(positions: np.ndarray, weights: np.ndarray, frequency: float, theta_deg, phi_deg: float) -> np.ndarray:
-    """Complex AF(theta) = sum_n w_n * exp(+1j * k_t(theta, phi) . R_n)."""
+    """Complex AF(theta) = sum_n w_n * exp(+1j * k_t(theta, phi) . R_n).
+
+    The theta x element phase matrix is formed :data:`_AF_THETA_BLOCK`
+    samples at a time, so it is never held whole. Each block's product
+    equals those rows of the one-shot ``exp(1j * (k_t @ R.T)) @ w`` bit for
+    bit: a block of one row would take another BLAS path, so a single
+    leftover sample joins the block before it.
+    """
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     w = np.asarray(weights, dtype=complex)
     if pos.shape[0] != w.size or pos.shape[0] == 0:
@@ -169,8 +181,13 @@ def array_factor(positions: np.ndarray, weights: np.ndarray, frequency: float, t
     k0 = 2 * math.pi * frequency / C0
     th = np.radians(np.asarray(theta_deg, dtype=float))
     phi = math.radians(phi_deg)
-    kt = k0 * np.sin(th)[..., None] * np.array([math.cos(phi), math.sin(phi)])
-    return np.exp(1j * (kt @ pos.T)) @ w
+    kt = (k0 * np.sin(th)[..., None] * np.array([math.cos(phi), math.sin(phi)])).reshape(-1, 2)
+    rows = len(kt)
+    out = np.empty(rows, dtype=complex)
+    for lo in range(0, max(rows - 1, 1), _AF_THETA_BLOCK):
+        hi = lo + _AF_THETA_BLOCK if lo + _AF_THETA_BLOCK < rows - 1 else rows
+        out[lo:hi] = np.exp(1j * (kt[lo:hi] @ pos.T)) @ w
+    return out.reshape(th.shape)[()]
 
 
 def array_factor_pattern(
@@ -304,38 +321,54 @@ def _table_blocks(header: str, template: str, blocks) -> Iterator[list[str]]:
     return chain([[header]], map(lines, blocks))
 
 
-def _table_rows(header: str, template: str, blocks) -> list[str]:
-    """The lines of :func:`_table_blocks`, as one list."""
-    return list(chain.from_iterable(_table_blocks(header, template, blocks)))
+def _sweep_blocks(value_header: str, value_template: str, sweeps: list[ScanSweep], values) -> Iterator[list[str]]:
+    """Rows "freq_hz,plane,theta_deg,<value_header>" as :func:`_table_blocks` gives them, one block per sweep.
 
-
-def _sweep_rows(value_header: str, value_template: str, sweeps: list[ScanSweep], values) -> list[str]:
-    """Rows "freq_hz,plane,theta_deg,<value_header>"; ``values(sw)`` gives the value columns."""
-    blocks = (
-        (sw.frequencies.tolist(), repeat(sw.label), repeat(sw.theta_deg), *(v.tolist() for v in values(sw)))
-        for sw in sweeps
+    ``values(sw)`` gives the value columns, computed when the sweep's block is reached.
+    """
+    blocks = map(
+        lambda sw: (sw.frequencies.tolist(), repeat(sw.label), repeat(sw.theta_deg), *(v.tolist() for v in values(sw))),
+        sweeps,
     )
-    return _table_rows("freq_hz,plane,theta_deg," + value_header, "%.9e,%s,%g," + value_template, blocks)
+    return _table_blocks("freq_hz,plane,theta_deg," + value_header, "%.9e,%s,%g," + value_template, blocks)
 
 
-def vswr_table_rows(sweeps: list[ScanSweep]) -> list[str]:
-    """Rows "freq_hz,plane,theta_deg,vswr,gamma_re,gamma_im" (header included)."""
-    return _sweep_rows(
+def vswr_table_blocks(sweeps: list[ScanSweep]) -> Iterator[list[str]]:
+    """Rows "freq_hz,plane,theta_deg,vswr,gamma_re,gamma_im": the header's list, then one list per sweep."""
+    return _sweep_blocks(
         "vswr,gamma_re,gamma_im", "%.9e,%.12e,%.12e", sweeps,
         lambda sw: (np.minimum(vswr(sw.gamma), VSWR_CAP), sw.gamma.real, sw.gamma.imag),
     )
 
 
+def gain_table_blocks(sweeps: list[ScanSweep], efficiency: float = 1.0) -> Iterator[list[str]]:
+    """Rows "freq_hz,plane,theta_deg,gain_db" of ``db10(normalized_gain)``: the header's list, then one list per sweep."""
+    return _sweep_blocks("gain_db", "%.9e", sweeps, lambda sw: (db10(normalized_gain(sw.gamma, efficiency)),))
+
+
+def coupling_table_blocks(sweeps: list[ScanSweep]) -> Iterator[list[str]]:
+    """Rows "freq_hz,plane,theta_deg,coupling_db" of ``db20(coupling)``: the header's list, then one list per sweep.
+
+    Sweeps of a single-polarization network raise :class:`MetricError` here, before any row is formatted.
+    """
+    if any(sw.coupling is None for sw in sweeps):
+        raise MetricError("coupling table needs sweeps of a dual-polarization network")
+    return _sweep_blocks("coupling_db", "%.9e", sweeps, lambda sw: (db20(sw.coupling),))
+
+
+def vswr_table_rows(sweeps: list[ScanSweep]) -> list[str]:
+    """Rows "freq_hz,plane,theta_deg,vswr,gamma_re,gamma_im" (header included): the lines of :func:`vswr_table_blocks`."""
+    return list(chain.from_iterable(vswr_table_blocks(sweeps)))
+
+
 def gain_table_rows(sweeps: list[ScanSweep], efficiency: float = 1.0) -> list[str]:
-    """Rows "freq_hz,plane,theta_deg,gain_db" (header included): ``db10(normalized_gain)``."""
-    return _sweep_rows("gain_db", "%.9e", sweeps, lambda sw: (db10(normalized_gain(sw.gamma, efficiency)),))
+    """Rows "freq_hz,plane,theta_deg,gain_db" (header included): the lines of :func:`gain_table_blocks`."""
+    return list(chain.from_iterable(gain_table_blocks(sweeps, efficiency)))
 
 
 def coupling_table_rows(sweeps: list[ScanSweep]) -> list[str]:
-    """Rows "freq_hz,plane,theta_deg,coupling_db" (header included): ``db20(coupling)``."""
-    if any(sw.coupling is None for sw in sweeps):
-        raise MetricError("coupling table needs sweeps of a dual-polarization network")
-    return _sweep_rows("coupling_db", "%.9e", sweeps, lambda sw: (db20(sw.coupling),))
+    """Rows "freq_hz,plane,theta_deg,coupling_db" (header included): the lines of :func:`coupling_table_blocks`."""
+    return list(chain.from_iterable(coupling_table_blocks(sweeps)))
 
 
 def pattern_table_blocks(patterns: Iterable[Pattern]) -> Iterator[list[str]]:

@@ -20,7 +20,8 @@ differences within its spread, so the centred window of a coupling set
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from itertools import chain
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -302,27 +303,52 @@ def _padded(texts: list[bytes]) -> np.ndarray:
     return a.view(np.uint8).reshape(a.size, a.itemsize)
 
 
-def csv_chunks(data: ActiveGammaGrid | CouplingSet) -> Iterator[str]:
+def _csv_values(data: ActiveGammaGrid | CouplingSet) -> tuple[str, np.ndarray]:
+    """The column names line of ``data``'s CSV and its (F, N, N) values."""
+    if isinstance(data, ActiveGammaGrid):
+        return "freq_hz,m1,m2,re,im\n", data.grid
+    return "freq_hz,n1,n2,re,im\n", data.coeffs
+
+
+def csv_chunks(data: ActiveGammaGrid | CouplingSet | Iterable[ActiveGammaGrid | CouplingSet]) -> Iterator[str]:
     """The CSV text of a gamma grid ("freq_hz,m1,m2,re,im") or a coupling set ("freq_hz,n1,n2,re,im").
 
-    Yields the header line, then the rows "freq_hz,i1 - N/2,i2 - N/2,re,im" of the (F, N, N) array
-    ``_CSV_CHUNK_ROWS`` at a time, each text newline-ended, so besides the array only one chunk's text is held.
+    ``data`` is one grid or set, or an iterable of consecutive frequency
+    blocks of one, all of one N; a block is taken only once the text of the
+    one before it has been consumed. Yields the header line, then the rows
+    "freq_hz,i1 - N/2,i2 - N/2,re,im" of each block ``_CSV_CHUNK_ROWS`` at a
+    time, each text newline-ended, so besides one block only one chunk's
+    text is held. An empty iterable yields nothing.
     """
-    if isinstance(data, ActiveGammaGrid):
-        header, grids = "freq_hz,m1,m2,re,im\n", data.grid
-    else:
-        header, grids = "freq_hz,n1,n2,re,im\n", data.coeffs
-    f, n = grids.shape[:2]
-    lead = _padded([b"%.9e," % f_hz for f_hz in data.frequencies.tolist()])
+    blocks = iter([data] if isinstance(data, (ActiveGammaGrid, CouplingSet)) else data)
+    first = next(blocks, None)
+    if first is None:
+        return
+    header = _csv_values(first)[0]
+    n = first.n
+    # the "n1,n2," text of each point of one frequency, row-major: built once for every block
     axis = _padded([b"%d," % i for i in range(-(n // 2), n - n // 2)])
-    re, im = grids.real.reshape(-1), grids.imag.reshape(-1)
+    points = np.concatenate((np.repeat(axis, n, axis=0), np.tile(axis, (n, 1))), axis=1)
     comma, newline = np.frombuffer(b",", np.uint8), np.frombuffer(b"\n", np.uint8)
+
+    def texts(block) -> Iterator[str]:
+        if block.n != n:
+            raise GridShapeError(f"every CSV block must have N={n}, got {block.n}")
+        _, values = _csv_values(block)
+        lead = _padded([b"%.9e," % f_hz for f_hz in block.frequencies.tolist()])
+        re, im = values.real.reshape(-1), values.imag.reshape(-1)
+        for lo in range(0, values.size, _CSV_CHUNK_ROWS):
+            hi = min(lo + _CSV_CHUNK_ROWS, values.size)
+            at, point = np.divmod(np.arange(lo, hi), n * n)
+            yield _e12_text("", [lead[at], points[point], re[lo:hi], comma, im[lo:hi], newline], hi - lo)
+
     yield header
-    for lo in range(0, f * n * n, _CSV_CHUNK_ROWS):
-        hi = min(lo + _CSV_CHUNK_ROWS, f * n * n)
-        at, point = np.divmod(np.arange(lo, hi), n * n)
-        i1, i2 = np.divmod(point, n)
-        yield _e12_text("", [lead[at], axis[i1], axis[i2], re[lo:hi], comma, im[lo:hi], newline], hi - lo)
+    # chain keeps its argument list to the end, so it gets the first block's generator rather than the block; a
+    # finished generator, like map, holds nothing, so each block is let go of before the next is made
+    blocks = chain([texts(first)], map(texts, blocks))
+    del first
+    for block_texts in blocks:
+        yield from block_texts
 
 
 def gamma_csv_rows(g: ActiveGammaGrid) -> list[str]:

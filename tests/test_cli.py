@@ -138,9 +138,9 @@ def test_transform_streams_each_csv_as_the_row_api_gives_it(tmp_path, monkeypatc
         monkeypatch.setattr(spectral, name, lambda *args: pytest.fail("transform built a CSV's row list"))
     out = tmp_path / "out"
     assert cli.main(["transform", "--config", str(path), "--out", str(out), "--gamma"]) == 0
+    header = cli._header(cli._config_hash(cfg))
     for name, rows in expected.items():
         assert len(rows) == 1 + 5 * 24 * 24
-        header, _ = cli._table(rows, cli._config_hash(cfg))
         assert (out / name).read_bytes() == (header + "\n".join(rows) + "\n").encode(), name
 
 
@@ -804,17 +804,19 @@ def test_fault_part_way_through_a_table_keeps_the_earlier_table(tmp_path, capsys
     argv = ["metrics", "--config", str(write_config(tmp_path)), "--out", str(tmp_path / "out"), "--snp", str(src)]
     assert cli.main(argv) == 0
     before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
-    gain_table_rows = metrics.gain_table_rows
+    gain_table_blocks = metrics.gain_table_blocks
 
     def faulty(*args):
-        rows = gain_table_rows(*args)  # 1601 rows: 800 frequencies for each of 2 scans, and the column names
-        rows[1500] = None  # not a string, in the second batch of 1024 rows
-        return rows
+        # the column names, then one block of 800 frequencies for each of 2 scans
+        for i, rows in enumerate(gain_table_blocks(*args)):
+            if i == 2:
+                rows[500] = None  # not a string, in the second scan's block
+            yield rows
 
-    monkeypatch.setattr(metrics, "gain_table_rows", faulty)
+    monkeypatch.setattr(metrics, "gain_table_blocks", faulty)
     assert cli.main(argv) == 1
     assert "error:" in capsys.readouterr().err
-    # the first batch was written before the fault; the complete gain.csv is kept and no temporary file is left
+    # the first scan's block was written before the fault; the complete gain.csv is kept and no temporary file is left
     assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
     assert sorted(before) == ["gain.csv", "vswr.csv"]
 
@@ -874,6 +876,81 @@ def test_transform_holds_one_pol_pair_at_a_time(tmp_path, capsys):
     assert cli.main(argv) == 0  # an untraced first run imports what the command imports lazily
     grid_bytes = 171 * 24 * 24 * 16
     assert traced_peak(argv) < 3 * grid_bytes
+
+
+def test_transform_holds_one_chunk_of_the_frequency_axis(tmp_path, capsys):
+    # with each pair's whole grid and coupling set held, 171 frequencies peaked about 3.2 MB above 17; now only
+    # the 10 x 10 coupling windows kept for --touchstone grow with the frequency count
+    peaks = {}
+    for points in (17, 171):
+        sweep = {"freq_ghz": {"start": 3, "stop": 20, "points": points}}
+        cfg = write_config(tmp_path, lattice=HEX2, model={"kind": "demo", "cross_pol_level": 0.5}, sweep=sweep)
+        argv = ["transform", "--config", str(cfg), "--out", str(tmp_path / f"f{points}"), "--touchstone", "--gamma"]
+        assert cli.main(argv) == 0  # an untraced first run imports what the command imports lazily
+        peaks[points] = traced_peak(argv)
+    chunk = spectral._IFFT_CHUNK * 24 * 24 * 16  # one chunk of one grid: 16 frequencies of 24 x 24 complex values
+    windows = 4 * (171 - 17) * 10 * 10 * 16
+    assert peaks[171] - peaks[17] <= chunk + windows, (peaks, chunk, windows)
+
+
+@pytest.mark.parametrize("points", [1, 16, 17, 33])
+def test_transform_chunks_write_the_files_of_the_whole_grid(tmp_path, capsys, monkeypatch, points):
+    # one chunk short, one chunk, one chunk and a frequency, two chunks and a frequency
+    sweep = {"freq_ghz": {"start": 3, "stop": 20, "points": points}}
+    path = write_config(tmp_path, lattice=HEX2, model={"kind": "seeded_random", "seed": 5, "smoothness": 3}, sweep=sweep)
+    cfg = json.loads(path.read_text())
+    recip, shape = cli._require_lattice(cfg)
+    model = cli._require_model(cfg)
+    freqs = cli._parse_frequencies(sweep["freq_ghz"], "sweep.freq_ghz", (0, 0), "")
+    header = cli._header(cli._config_hash(cfg))
+    expected, windows, delta = {}, {}, 0.0
+    for pair in spectral.POL_PAIRS:
+        g = synthmodel.sample_grid(model, recip, freqs, pair)
+        c = spectral.gamma_to_coupling(g)
+        delta = max(delta, float(np.abs(spectral.gamma_to_coupling(g, "direct").coeffs - c.coeffs).max()))
+        expected[f"coupling_{pair}.csv"] = header + "\n".join(spectral.coupling_csv_rows(c)) + "\n"
+        expected[f"gamma_{pair}.csv"] = header + "\n".join(spectral.gamma_csv_rows(g)) + "\n"
+        windows[pair] = spectral.coupling_window(c, shape)
+    records = spectral.smatrix_records(windows, lattice.enumerate_aperture(shape))
+    expected["finite_array.s38p"] = "".join(snp.touchstone_records(records, "ri"))
+    sample_grid, sizes = synthmodel.sample_grid, []
+
+    def counted(model, recip, frequencies, pair):
+        sizes.append(len(frequencies))
+        return sample_grid(model, recip, frequencies, pair)
+
+    monkeypatch.setattr(synthmodel, "sample_grid", counted)
+    out = tmp_path / "out"
+    argv = ["transform", "--config", str(path), "--out", str(out), "--touchstone", "--gamma", "--oracle"]
+    assert cli.main(argv) == 0
+    assert f"oracle check: max |direct - fft| = {delta:.3e}" in capsys.readouterr().out
+    # each pair's chunks are sampled twice, once for each CSV
+    assert max(sizes) <= spectral._IFFT_CHUNK and sum(sizes) == 2 * 4 * points, sizes
+    assert sorted(p.name for p in out.iterdir()) == sorted(expected)
+    for name, text in expected.items():
+        assert (out / name).read_bytes() == text.encode(), name
+
+
+def test_metrics_holds_one_scans_rows(tmp_path, capsys):
+    # 49 scans write 3 tables of 49 x 171 rows, which took about 2.8 MB held as lists
+    sweep = {"freq_ghz": {"start": 3, "stop": 20, "points": 171}}
+    cfg = write_config(tmp_path, lattice=HEX2, model={"kind": "demo", "cross_pol_level": 0.5}, sweep=sweep)
+    src = tmp_path / "t" / "finite_array.s38p"
+    assert cli.main(["transform", "--config", str(cfg), "--out", str(src.parent), "--touchstone"]) == 0
+    thetas, phis = [0, 10, 20, 30, 40, 50, 60], [0, 15, 30, 45, 60, 75, 90]
+    peaks = {}
+    for scans, angles in ((49, {"theta_deg": thetas, "phi_deg": phis}), (1, {"theta_deg": [60], "phi_deg": [45]})):
+        cfg = write_config(tmp_path, lattice=HEX2, sweep=angles)
+        argv = ["metrics", "--config", str(cfg), "--out", str(tmp_path / f"m{scans}"), "--snp", str(src)]
+        assert cli.main(argv) == 0
+        peaks[scans] = traced_peak(argv)
+    one_scan = [read_data_lines(tmp_path / "m1" / f"{t}.csv")[1:] for t in ("vswr", "gain", "coupling")]
+    assert all(len(rows) == 171 for rows in one_scan)
+    one_scan_rows = sum(sys.getsizeof(rows) + sum(map(sys.getsizeof, rows)) for rows in one_scan)
+    # every table reads the sweeps, so each further scan keeps its sweep: 171 complex gamma and 171 float coupling
+    # values, and the objects around them, under 1 KB
+    sweeps = 48 * (171 * (16 + 8) + 1024)
+    assert peaks[49] - peaks[1] < one_scan_rows + sweeps, (peaks, one_scan_rows, sweeps)
 
 
 def test_pattern_table_is_written_one_pattern_at_a_time(tmp_path, capsys):

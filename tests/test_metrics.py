@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from arraykit import excitation as exc
 from arraykit import lattice as lat
 from arraykit import metrics, snp, spectral, synthmodel
+from arraykit.constants import C0
 from arraykit.excitation import ExcitationPlan, ScanSpec, TaperSpec, build_plan
 from arraykit.snp import NetworkData, PortMap
 
@@ -213,6 +215,41 @@ def test_two_element_null():
         np.array([[0.0, 0.0], [d, 0.0]]), np.array([1.0, 1.0]), f, [theta_null], 0.0
     )
     assert abs(af[0]) < 1e-12
+
+
+def hex2_positions() -> np.ndarray:
+    return lat.aperture_positions(lat.make_basis("triangular", 15 * MM), lat.enumerate_aperture(lat.HexagonAperture(2)))
+
+
+def test_array_factor_holds_one_block_of_the_phase_matrix():
+    # a 3601-sample cut over 19 elements: the whole complex phase matrix with its temporaries took 2.2 MB
+    pos, theta = hex2_positions(), np.linspace(-90.0, 90.0, 3601)
+    w = np.ones(len(pos), complex)
+    metrics.array_factor(pos, w, 18e9, theta, 60.0)  # numpy's first calls allocate what later calls reuse
+    tracemalloc.start()
+    try:
+        metrics.array_factor(pos, w, 18e9, theta, 60.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize(
+    "block, samples",
+    # short of a block, whole blocks, one sample past a block (it joins the block before), part way into a block
+    [(4, 1), (4, 2), (4, 3), (4, 4), (4, 5), (4, 8), (4, 9), (4, 11), (256, 257), (256, 3601)],
+)
+def test_array_factor_blocks_equal_the_one_shot_product(monkeypatch, block, samples):
+    monkeypatch.setattr(metrics, "_AF_THETA_BLOCK", block)
+    rng = np.random.default_rng(samples)
+    pos = hex2_positions()
+    w = rng.standard_normal(len(pos)) + 1j * rng.standard_normal(len(pos))
+    theta = np.sort(rng.uniform(-90.0, 90.0, samples))
+    f, phi = 18e9, 30.0
+    k0 = 2 * math.pi * f / C0
+    kt = k0 * np.sin(np.radians(theta))[:, None] * np.array([math.cos(math.radians(phi)), math.sin(math.radians(phi))])
+    assert np.array_equal(metrics.array_factor(pos, w, f, theta, phi), np.exp(1j * (kt @ pos.T)) @ w)
 
 
 def test_array_factor_peak_follows_scan():
