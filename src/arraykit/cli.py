@@ -506,16 +506,16 @@ def _transform_pair(args, model, recip, freqs, pair: str, out: Path, header: str
     stitched window (else None).
     """
     chunks = [slice(lo, lo + spectral._IFFT_CHUNK) for lo in range(0, freqs.size, spectral._IFFT_CHUNK)]
-    deltas, window = [0.0], None
+    delta, window = 0.0, None
 
     def grids() -> Iterator:
         return (synthmodel.sample_grid(model, recip, freqs[c], pair) for c in chunks)
 
     def invert(c: slice, g):
-        nonlocal window
+        nonlocal delta, window
         cset = spectral.gamma_to_coupling(g)
         if args.oracle:
-            deltas.append(float(np.abs(spectral.gamma_to_coupling(g, "direct").coeffs - cset.coeffs).max()))
+            delta = max(delta, float(np.abs(spectral.gamma_to_coupling(g, "direct").coeffs - cset.coeffs).max()))
         if args.touchstone:
             part = spectral.coupling_window(cset, shape).coeffs
             if window is None:
@@ -527,7 +527,7 @@ def _transform_pair(args, model, recip, freqs, pair: str, out: Path, header: str
     _write_grid_csv(out / f"coupling_{pair}.csv", header, map(invert, chunks, grids()))
     if args.gamma:
         _write_grid_csv(out / f"gamma_{pair}.csv", header, grids())
-    return max(deltas), None if window is None else spectral.CouplingSet(freqs, window)
+    return delta, None if window is None else spectral.CouplingSet(freqs, window)
 
 
 def _write_grid_csv(path: Path, header: str, blocks: Iterable) -> None:

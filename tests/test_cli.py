@@ -895,7 +895,7 @@ def test_transform_holds_one_chunk_of_the_frequency_axis(tmp_path, capsys):
 
 @pytest.mark.parametrize("points", [1, 16, 17, 33])
 def test_transform_chunks_write_the_files_of_the_whole_grid(tmp_path, capsys, monkeypatch, points):
-    # one chunk short, one chunk, one chunk and a frequency, two chunks and a frequency
+    # less than a chunk, one chunk, one chunk and a frequency, two chunks and a frequency
     sweep = {"freq_ghz": {"start": 3, "stop": 20, "points": points}}
     path = write_config(tmp_path, lattice=HEX2, model={"kind": "seeded_random", "seed": 5, "smoothness": 3}, sweep=sweep)
     cfg = json.loads(path.read_text())
