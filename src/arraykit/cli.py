@@ -6,7 +6,8 @@ Touchstone data, array-factor pattern cuts, and Touchstone format
 conversion.
 
 The JSON configuration is read here alone: each fault in it raises
-:class:`ConfigError` naming its field, and every number in it must be finite.
+:class:`ConfigError` naming its field, and every number in it must be a
+finite JSON number, not a string.
 
 Exit codes: 0 success, 2 configuration error, 3 transform-domain error,
 4 data or port mismatch, 1 anything else. Identical configuration produces
@@ -109,25 +110,30 @@ def _config_hash(cfg: dict) -> str:
 
 
 def _config_int(value, where: str) -> int:
-    """An integer config field; a boolean or a non-integral number raises :class:`ConfigError` naming ``where``."""
-    fraction = isinstance(value, float) and not value.is_integer()
-    if not (isinstance(value, bool) or fraction):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            pass
+    """An integer config field, a JSON integer or an integral float; anything else raises :class:`ConfigError` naming ``where``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
     raise ConfigError(f"{where}: expected an integer, got {value!r}")
 
 
 def _config_float(value, where: str) -> float:
-    """A numeric config field; a boolean, a non-number, nan or +-inf raises :class:`ConfigError` naming ``where``."""
+    """A numeric config field, a JSON number; a boolean, a string, nan or +-inf raises :class:`ConfigError` naming ``where``."""
     try:
-        number = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError, OverflowError):  # OverflowError: an integer beyond the float range
+        number = float(value) if isinstance(value, (int, float)) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an integer beyond the float range
         number = math.nan
     if not math.isfinite(number):
         raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return number
+
+
+def _config_list(value, where: str, form: str | None = None) -> list:
+    """A list config field, of the entries ``form`` names (``"re, im"``) when given; else :class:`ConfigError` naming ``where``."""
+    if isinstance(value, (list, tuple)) and (form is None or len(value) == len(form.split(","))):
+        return list(value)
+    raise ConfigError(f"{where}: expected {'a list' if form is None else f'[{form}]'}, got {value!r}")
 
 
 def _config_hz(value, where: str) -> float:
@@ -261,9 +267,10 @@ def _aperture_shape(d) -> lattice.ApertureShape:
     kind = d.get("shape")
     try:
         if kind == "rectangle":
-            (a, b), (c, e) = d["n1"], d["n2"]
-            n1 = [_config_int(v, f"{where}.n1") for v in (a, b)]
-            n2 = [_config_int(v, f"{where}.n2") for v in (c, e)]
+            n1, n2 = (
+                [_config_int(v, f"{where}.{key}") for v in _config_list(d[key], f"{where}.{key}", "min, max")]
+                for key in ("n1", "n2")
+            )
             return lattice.RectangleAperture(*n1, *n2)
         if kind == "hexagon":
             return lattice.HexagonAperture(_config_int(d["rings"], f"{where}.rings"))
@@ -271,12 +278,11 @@ def _aperture_shape(d) -> lattice.ApertureShape:
             return lattice.TriangleAperture(_config_int(d["rows"], f"{where}.rows"))
         if kind == "explicit":
             idx = f"{where}.indices"
-            return lattice.ExplicitAperture(tuple((_config_int(i, idx), _config_int(j, idx)) for i, j in d["indices"]))
-    except ConfigError:
-        raise
+            pairs = (_config_list(pair, f"{idx}[{k}]", "n1, n2") for k, pair in enumerate(_config_list(d["indices"], idx)))
+            return lattice.ExplicitAperture(tuple((_config_int(i, idx), _config_int(j, idx)) for i, j in pairs))
     except KeyError as exc:
         raise ConfigError(f"{where}.{exc.args[0]}: required for shape {kind!r}") from None
-    except (TypeError, ValueError) as exc:  # a constructor's error or a malformed index list
+    except lattice.LatticeError as exc:
         raise ConfigError(f"{where}: {exc}") from None
     raise ConfigError(f"{where}.shape: expected rectangle|hexagon|triangle|explicit, got {kind!r}")
 
@@ -293,20 +299,20 @@ def _require_model(cfg: dict) -> synthmodel.ModelSpec:
     def num(value, key: str) -> float:
         return _config_float(value, f"model.{key}")
 
-    band_ghz = d.get("band_ghz", (3.0, 20.0))
-    if not isinstance(band_ghz, (list, tuple)) or len(band_ghz) != 2:
-        raise ConfigError(f"model.band_ghz: expected two numbers [f_min, f_max], got {band_ghz!r}")
+    def knots(key: str) -> tuple:
+        where = f"model.{key}"
+        rows = (_config_list(k, f"{where}[{i}]", "f_ghz, re, im") for i, k in enumerate(_config_list(d[key], where)))
+        return tuple((_config_hz(f, where), complex(num(re, key), num(im, key))) for f, re, im in rows)
+
+    band_ghz = _config_list(d.get("band_ghz", (3.0, 20.0)), "model.band_ghz", "f_min, f_max")
     band = tuple(_config_hz(x, "model.band_ghz") for x in band_ghz)
     default_k_ref = 2 * math.pi * band[1] / C0  # the free-space wavenumber at the top of the band
     try:
         if kind == "constant":
-            re, im = d["gamma"]
-            return synthmodel.ConstantModel(complex(num(re, "gamma"), num(im, "gamma")), band)
+            re, im = (num(v, "gamma") for v in _config_list(d["gamma"], "model.gamma", "re, im"))
+            return synthmodel.ConstantModel(complex(re, im), band)
         if kind == "scan_poly":
-            alpha, beta = (
-                tuple((_config_hz(f, f"model.{key}"), complex(num(re, key), num(im, key))) for f, re, im in d[key])
-                for key in ("alpha", "beta")
-            )
+            alpha, beta = knots("alpha"), knots("beta")
             k_ref = num(d.get("k_ref", default_k_ref), "k_ref")
             cross = num(d.get("cross_pol_level", 0.0), "cross_pol_level")
             return synthmodel.ScanPolyModel(alpha, beta, k_ref, band, cross)
@@ -321,11 +327,9 @@ def _require_model(cfg: dict) -> synthmodel.ModelSpec:
             )
         if kind == "demo":
             return synthmodel.demo_model(band, num(d.get("cross_pol_level", 0.5), "cross_pol_level"))
-    except ConfigError:
-        raise
     except KeyError as exc:
         raise ConfigError(f"model.{exc.args[0]}: required for kind {kind!r}") from None
-    except (TypeError, ValueError) as exc:  # a ModelError or a malformed knot table
+    except synthmodel.ModelError as exc:
         raise ConfigError(f"model: {exc}") from None
     raise ConfigError(f"model.kind: expected constant|scan_poly|seeded_random|demo, got {kind!r}")
 
@@ -340,6 +344,9 @@ _ELEMENT_BYTES = 512  # per aperture element: its indices, position and port-map
 _TEXT_ENTRY_BYTES = 256  # per S entry of one record, read or assembled and then formatted as text, about 170 B
 _PORT_FREQ_BYTES = 128  # per port and frequency: one scan's weights (about 60 B), and the S rows metrics keeps
 _ROW_BYTES = 128  # per CSV row of metrics or pattern, with the values it is formatted from, about 120 B
+# frequencies transform samples, inverts and formats at once: one chunk of one pol pair's grid and coupling set
+# is held at a time, and the per-call overhead of sampling and the FFT stays negligible
+_FREQ_CHUNK = 16
 
 
 def _check_budget(nbytes: int, where: str, set_by: str) -> None:
@@ -497,15 +504,15 @@ def cmd_transform(args) -> int:
 def _transform_pair(args, model, recip, freqs, pair: str, out: Path, header: str, shape):
     """Sample and invert one pol pair, and write its coupling CSV, then its gamma CSV with ``--gamma``.
 
-    Both CSVs are written :data:`spectral._IFFT_CHUNK` frequencies at a
-    time: each chunk of the grid is sampled, inverted and formatted, and
-    only its window that the aperture's S reads is kept. The gamma CSV
-    samples each chunk again, which is deterministic and cheaper than
-    holding the grid. Returns the pair's ``--oracle`` delta, the largest
-    over the chunks (0.0 without it), and with ``--touchstone`` the
-    stitched window (else None).
+    Both CSVs are written :data:`_FREQ_CHUNK` frequencies at a time, the
+    only frequency loop of the command: each chunk of the grid is sampled,
+    inverted in one FFT call and formatted, and only its window that the
+    aperture's S reads is kept. The gamma CSV samples each chunk again,
+    which is deterministic and cheaper than holding the grid. Returns the
+    pair's ``--oracle`` delta, the largest over the chunks (0.0 without
+    it), and with ``--touchstone`` the stitched window (else None).
     """
-    chunks = [slice(lo, lo + spectral._IFFT_CHUNK) for lo in range(0, freqs.size, spectral._IFFT_CHUNK)]
+    chunks = [slice(lo, lo + _FREQ_CHUNK) for lo in range(0, freqs.size, _FREQ_CHUNK)]
     delta, window = 0.0, None
 
     def grids() -> Iterator:

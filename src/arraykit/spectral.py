@@ -30,8 +30,6 @@ from .snp import NetworkData, PortMap, _e12_text, network_from_records
 
 # each pol pair is "ab": a the observed polarization (matrix row), b the excited one (matrix column)
 POL_PAIRS = ("xx", "xy", "yx", "yy")
-# frequencies inverted per ifft2 call: the temporaries cover one chunk, and the call overhead stays negligible
-_IFFT_CHUNK = 16
 # grid-CSV rows formatted per chunk: at 8192, transform's peak on a rings-2, 171-frequency run rose 39.4 -> 40.8 MB
 _CSV_CHUNK_ROWS = 1024
 
@@ -101,23 +99,6 @@ class CouplingSet:
         return complex(self.coeffs[f_index, n1 + h, n2 + h])
 
 
-def _idft2_centered_fft(grid: np.ndarray) -> np.ndarray:
-    """Centered inverse 2-D DFT via the fast transform, :data:`_IFFT_CHUNK` frequencies at a time.
-
-    Each chunk's shifted copy, transform and back-shifted copy are stored into
-    one preallocated (F, N, N) output, so besides the input and the output
-    only one chunk's temporaries are held, not three F x N x N arrays. A
-    frequency's transform does not depend on the others in its call, so the
-    result equals the one-call ``fftshift(ifft2(ifftshift(grid)))`` bit for
-    bit; ``ifft2(..., out=...)`` would not.
-    """
-    out = np.empty(grid.shape, dtype=complex)
-    for lo in range(0, grid.shape[0], _IFFT_CHUNK):
-        shifted = np.fft.ifftshift(grid[lo : lo + _IFFT_CHUNK], axes=(-2, -1))
-        out[lo : lo + _IFFT_CHUNK] = np.fft.fftshift(np.fft.ifft2(shifted, axes=(-2, -1)), axes=(-2, -1))
-    return out
-
-
 def _idft2_centered_direct(grid: np.ndarray) -> np.ndarray:
     """Centered inverse 2-D DFT as the literal double sum (oracle path).
 
@@ -139,12 +120,17 @@ def gamma_to_coupling(g: ActiveGammaGrid, method: str = "fft") -> CouplingSet:
 
     ``method`` selects the fast transform ("fft"), which writes every
     output, or the literal double sum in matrix form ("direct"), the oracle
-    that checks it; the two agree to better than 1e-10.
+    that checks it; the two agree to better than 1e-10. The FFT is one
+    call over every frequency of ``g``, so its temporaries are three
+    arrays of the grid's size; a frequency's transform does not depend on
+    the others in the call, so inverting a grid a slice of frequencies at a
+    time gives the same values bit for bit.
     """
     if g.n % 2 != 0:
         raise GridShapeError(f"grid size must be even, got {g.n}")
     if method == "fft":
-        coeffs = _idft2_centered_fft(g.grid)
+        axes = (-2, -1)
+        coeffs = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(g.grid, axes=axes), axes=axes), axes=axes)
     elif method == "direct":
         coeffs = _idft2_centered_direct(g.grid)
     else:

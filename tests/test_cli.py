@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -888,7 +889,7 @@ def test_transform_holds_one_chunk_of_the_frequency_axis(tmp_path, capsys):
         argv = ["transform", "--config", str(cfg), "--out", str(tmp_path / f"f{points}"), "--touchstone", "--gamma"]
         assert cli.main(argv) == 0  # an untraced first run imports what the command imports lazily
         peaks[points] = traced_peak(argv)
-    chunk = spectral._IFFT_CHUNK * 24 * 24 * 16  # one chunk of one grid: 16 frequencies of 24 x 24 complex values
+    chunk = cli._FREQ_CHUNK * 24 * 24 * 16  # one chunk of one grid: 16 frequencies of 24 x 24 complex values
     windows = 4 * (171 - 17) * 10 * 10 * 16
     assert peaks[171] - peaks[17] <= chunk + windows, (peaks, chunk, windows)
 
@@ -925,7 +926,7 @@ def test_transform_chunks_write_the_files_of_the_whole_grid(tmp_path, capsys, mo
     assert cli.main(argv) == 0
     assert f"oracle check: max |direct - fft| = {delta:.3e}" in capsys.readouterr().out
     # each pair's chunks are sampled twice, once for each CSV
-    assert max(sizes) <= spectral._IFFT_CHUNK and sum(sizes) == 2 * 4 * points, sizes
+    assert max(sizes) <= cli._FREQ_CHUNK and sum(sizes) == 2 * 4 * points, sizes
     assert sorted(p.name for p in out.iterdir()) == sorted(expected)
     for name, text in expected.items():
         assert (out / name).read_bytes() == text.encode(), name
@@ -1369,6 +1370,61 @@ def test_all_aperture_shapes_from_config():
     assert explicit.indices == ((0, 0), (1, 0))
 
 
+@pytest.mark.parametrize(
+    "aperture, message",
+    # each was reported against the block alone, as "lattice.aperture: cannot unpack ..." or "too many values"
+    [
+        ({"shape": "rectangle", "n1": 3, "n2": [0, 2]}, r"lattice\.aperture\.n1: expected \[min, max\], got 3"),
+        ({"shape": "rectangle", "n1": [0, 2], "n2": [0, 1, 2]}, r"lattice\.aperture\.n2: expected \[min, max\]"),
+        ({"shape": "explicit", "indices": [[0, 0, 1]]}, r"lattice\.aperture\.indices\[0\]: expected \[n1, n2\]"),
+        ({"shape": "explicit", "indices": [[0, 0], 7]}, r"lattice\.aperture\.indices\[1\]: expected \[n1, n2\], got 7"),
+        ({"shape": "explicit", "indices": 4}, r"lattice\.aperture\.indices: expected a list, got 4"),
+    ],
+    ids=["n1-number", "n2-three-entries", "indices-three-entries", "indices-number-entry", "indices-number"],
+)
+def test_aperture_from_config_errors_name_fields(tmp_path, capsys, aperture, message):
+    with pytest.raises(cli.ConfigError, match=f"^{message}"):
+        cli._aperture_shape(aperture)
+    cfg = write_config(tmp_path, lattice={**HEX2, "aperture": aperture})
+    assert cli.main(["lattice", "--config", str(cfg)]) == 2
+    assert re.match(f"error: {message}", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    # each ran as the number its string spells: int() and float() also read underscores, spaces and other scripts' digits
+    [
+        ("lattice", {"lattice": {**HEX2, "n_scan": "24"}}, "lattice.n_scan: expected an integer, got '24'"),
+        ("lattice", {"lattice": {**HEX2, "n_scan": "2_4"}}, "lattice.n_scan: expected an integer, got '2_4'"),
+        ("lattice", {"lattice": {**HEX2, "n_scan": "\u0662\u0664"}}, "lattice.n_scan: expected an integer, got '\u0662\u0664'"),
+        ("lattice", {"lattice": {**HEX2, "n_scan": " 24 "}}, "lattice.n_scan: expected an integer, got ' 24 '"),
+        ("lattice", {"lattice": {**HEX2, "lambda_h_mm": "15"}}, "lattice.lambda_h_mm: expected a finite number, got '15'"),
+        ("lattice", {"lattice": {**HEX2, "aperture": {"shape": "hexagon", "rings": "2"}}}, "lattice.aperture.rings: expected "),
+        ("transform", {"sweep": {"freq_ghz": {"start": "3", "stop": 20, "points": 4}}}, "sweep.freq_ghz.start: expected "),
+        ("transform", {"sweep": {"freq_ghz": {"start": 3, "stop": 20, "points": "4"}}}, "sweep.freq_ghz.points: expected "),
+        ("transform", {"sweep": {"freq_ghz": [3, "4.5"]}}, "sweep.freq_ghz: expected "),
+        ("transform", {"model": {"kind": "constant", "gamma": ["0.2", 0]}}, "model.gamma: expected "),
+        ("transform", {"model": {"kind": "seeded_random", "seed": "5"}}, "model.seed: expected "),
+        ("transform", {"model": {"kind": "demo", "band_ghz": ["3", 20]}}, "model.band_ghz: expected "),
+        ("metrics", {"metrics": {"efficiency": "0.9"}}, "metrics.efficiency: expected "),
+        ("metrics", {"sweep": {"theta_deg": ["30"], "phi_deg": [0]}}, "sweep.theta_deg/phi_deg: expected "),
+        ("metrics", {"excitation": {"taper": {"kind": "gaussian", "w0_mm": "17"}}}, "excitation.taper.w0_mm: expected "),
+        ("pattern", {"pattern": {"freq_ghz": [9.0], "cuts": ["30"]}}, "pattern.cuts[0]: expected "),
+        ("pattern", {"pattern": {"freq_ghz": [9.0], "theta_step_deg": "1"}}, "pattern.theta_step_deg: expected "),
+    ],
+    ids=[
+        "n_scan-digits", "n_scan-underscore", "n_scan-arabic-indic", "n_scan-spaces", "lambda_h_mm", "rings", "freq-start",
+        "freq-points", "freq-list", "gamma", "seed", "band_ghz", "efficiency", "theta_deg", "w0_mm", "cut", "theta_step",
+    ],
+)
+def test_numeric_config_fields_take_json_numbers_only(tmp_path, capsys, command, overrides, message):
+    cfg = write_config(tmp_path, **overrides)
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
 def test_model_from_config_each_kind():
     c = cli._require_model({"model": {"kind": "constant", "gamma": [0.2, -0.1]}})
     assert isinstance(c, synthmodel.ConstantModel) and c.gamma0 == 0.2 - 0.1j
@@ -1397,6 +1453,18 @@ def test_model_from_config_errors_name_fields():
         cli._require_model({"model": {"kind": "constant"}})
     with pytest.raises(cli.ConfigError, match="model.seed"):
         cli._require_model({"model": {"kind": "seeded_random"}})
+    # a malformed list was reported against the block alone, as "model: cannot unpack ..."
+    knots = [[3, 0.5, 0], [20, 0.1, 0]]
+    malformed = [
+        ({"kind": "constant", "gamma": 0.5}, r"model\.gamma: expected \[re, im\], got 0\.5"),
+        ({"kind": "constant", "gamma": [0.5, 0, 0]}, r"model\.gamma: expected \[re, im\]"),
+        ({"kind": "scan_poly", "alpha": [[3, 0.5, 0], [20, 0.1]], "beta": knots}, r"model\.alpha\[1\]: expected \[f_ghz, re, im\]"),
+        ({"kind": "scan_poly", "alpha": knots, "beta": [3.0]}, r"model\.beta\[0\]: expected \[f_ghz, re, im\], got 3\.0"),
+        ({"kind": "scan_poly", "alpha": 5, "beta": knots}, r"model\.alpha: expected a list, got 5"),
+    ]
+    for model, message in malformed:
+        with pytest.raises(cli.ConfigError, match=f"^{message}"):
+            cli._require_model({"model": model})
 
 
 @pytest.mark.parametrize("band", [[3], [3, 20, 1], [], "ab", 3])

@@ -100,14 +100,21 @@ def test_direct_oracle_vs_handrolled_sum():
 @settings(max_examples=60, deadline=None)
 @given(nfreq=st.integers(0, 40), half=st.integers(1, 16), seed=st.integers(0, 2**16))
 def test_chunked_fft_equals_the_one_call_transform_bit_for_bit(nfreq, half, seed):
-    # F = 0 and counts that are not multiples of the 16-frequency chunk included
+    # transform inverts a grid 16 frequencies at a time: a frequency's transform must not depend on the others in
+    # its call, so the slices' coefficients, concatenated, are the whole grid's; F = 0 and leftover slices included
     n = 2 * half
     rng = np.random.default_rng(seed)
     grid = rng.standard_normal((nfreq, n, n)) + 1j * rng.standard_normal((nfreq, n, n))
-    axes = (-2, -1)
-    whole = np.fft.fftshift(np.fft.ifft2(np.fft.ifftshift(grid, axes=axes), axes=axes), axes=axes)
-    coeffs = spectral.gamma_to_coupling(spectral.ActiveGammaGrid(np.linspace(3e9, 20e9, nfreq), grid)).coeffs
-    assert coeffs.shape == whole.shape and coeffs.tobytes() == whole.tobytes()
+    freqs = np.linspace(3e9, 20e9, nfreq)
+    whole = spectral.gamma_to_coupling(spectral.ActiveGammaGrid(freqs, grid)).coeffs
+    assert whole.shape == grid.shape
+    for step in (1, 16, 17):
+        parts = [
+            spectral.gamma_to_coupling(spectral.ActiveGammaGrid(freqs[lo : lo + step], grid[lo : lo + step])).coeffs
+            for lo in range(0, nfreq, step)
+        ]
+        joined = np.concatenate(parts) if parts else np.empty_like(whole)
+        assert joined.shape == whole.shape and joined.tobytes() == whole.tobytes(), step
 
 
 @pytest.mark.parametrize("kind", ["square", "triangular"])
