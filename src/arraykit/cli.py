@@ -5,9 +5,9 @@ infinite-to-finite transform, metric sweeps over measured or assembled
 Touchstone data, array-factor pattern cuts, and Touchstone format
 conversion.
 
-The JSON configuration is read here alone: each fault in it raises
-:class:`ConfigError` naming its field, and every number in it must be a
-finite JSON number, not a string.
+The JSON configuration is read here alone: each fault in it, an unknown
+key among them, raises :class:`ConfigError` naming its field, and every
+number in it must be a finite JSON number, not a string.
 
 Exit codes: 0 success, 2 configuration error, 3 transform-domain error,
 4 data or port mismatch, 1 anything else. Identical configuration produces
@@ -87,6 +87,24 @@ class ConfigError(ValueError):
 
 
 # --- configuration -------------------------------------------------------------
+# The fields of the top level ("") and of each object whose fields do not depend on its kind. model,
+# lattice.aperture, excitation.taper and a {start, stop, points} block name theirs where they are read.
+_FIELDS = {
+    "": "lattice, model, excitation, sweep, metrics, pattern",
+    "lattice": "kind, lambda_h_mm, n_scan, aperture",
+    "excitation": "pol, taper",
+    "sweep": "scans, theta_deg, phi_deg, freq_ghz",
+    "metrics": "efficiency, snp",
+    "pattern": "freq_ghz, cuts, theta_step_deg, scan",
+}
+
+
+def _known_fields(block: dict, where: str, fields: str) -> None:
+    """Raise :class:`ConfigError` naming ``where.key`` for a key of ``block`` that is not one of ``fields``."""
+    for key in block:
+        if key not in fields.split(", "):
+            name = f"{where}.{key}" if where else key
+            raise ConfigError(f"{name}: unknown field (expected {fields})")
 
 
 def _load_config(path: str | None) -> dict:
@@ -101,6 +119,7 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    _known_fields(cfg, "", _FIELDS[""])
     return cfg
 
 
@@ -152,6 +171,7 @@ def _parse_frequencies(block, where: str, price: tuple[int, int], set_by: str) -
     :data:`MEMORY_BUDGET` is rejected before the frequency array is built.
     """
     if isinstance(block, dict):
+        _known_fields(block, where, "start, stop, points")
         if not {"start", "stop", "points"} <= block.keys():
             raise ConfigError(f"{where}: expected {{start, stop, points}}")
         start, stop = (_config_hz(block[k], f"{where}.{k}") for k in ("start", "stop"))
@@ -186,10 +206,12 @@ def _angle_text(value) -> str:
 
 
 def _block(cfg: dict, name: str) -> dict:
-    """The config object ``name``, empty when absent."""
+    """The config object ``name``, empty when absent, its keys checked when :data:`_FIELDS` names its fields."""
     block = cfg.get(name, {})
     if not isinstance(block, dict):
         raise ConfigError(f"{name}: expected an object")
+    if name in _FIELDS:
+        _known_fields(block, name, _FIELDS[name])
     return block
 
 
@@ -220,8 +242,10 @@ def _excitation_block(cfg: dict) -> tuple[excitation.TaperSpec, str]:
         raise ConfigError("excitation.taper: expected an object")
     kind = tb.get("kind", "gaussian")
     if kind == "uniform":
+        _known_fields(tb, "excitation.taper", "kind")
         taper = excitation.TaperSpec("uniform")
     elif kind == "gaussian":
+        _known_fields(tb, "excitation.taper", "kind, w0_mm")
         w0_mm = _config_float(tb.get("w0_mm", 17.0), "excitation.taper.w0_mm")
         try:
             taper = excitation.TaperSpec("gaussian", w0_mm * 1e-3)
@@ -267,16 +291,20 @@ def _aperture_shape(d) -> lattice.ApertureShape:
     kind = d.get("shape")
     try:
         if kind == "rectangle":
+            _known_fields(d, where, "shape, n1, n2")
             n1, n2 = (
                 [_config_int(v, f"{where}.{key}") for v in _config_list(d[key], f"{where}.{key}", "min, max")]
                 for key in ("n1", "n2")
             )
             return lattice.RectangleAperture(*n1, *n2)
         if kind == "hexagon":
+            _known_fields(d, where, "shape, rings")
             return lattice.HexagonAperture(_config_int(d["rings"], f"{where}.rings"))
         if kind == "triangle":
+            _known_fields(d, where, "shape, rows")
             return lattice.TriangleAperture(_config_int(d["rows"], f"{where}.rows"))
         if kind == "explicit":
+            _known_fields(d, where, "shape, indices")
             idx = f"{where}.indices"
             pairs = (_config_list(pair, f"{idx}[{k}]", "n1, n2") for k, pair in enumerate(_config_list(d["indices"], idx)))
             return lattice.ExplicitAperture(tuple((_config_int(i, idx), _config_int(j, idx)) for i, j in pairs))
@@ -309,14 +337,17 @@ def _require_model(cfg: dict) -> synthmodel.ModelSpec:
     default_k_ref = 2 * math.pi * band[1] / C0  # the free-space wavenumber at the top of the band
     try:
         if kind == "constant":
+            _known_fields(d, "model", "kind, band_ghz, gamma")
             re, im = (num(v, "gamma") for v in _config_list(d["gamma"], "model.gamma", "re, im"))
             return synthmodel.ConstantModel(complex(re, im), band)
         if kind == "scan_poly":
+            _known_fields(d, "model", "kind, band_ghz, alpha, beta, k_ref, cross_pol_level")
             alpha, beta = knots("alpha"), knots("beta")
             k_ref = num(d.get("k_ref", default_k_ref), "k_ref")
             cross = num(d.get("cross_pol_level", 0.0), "cross_pol_level")
             return synthmodel.ScanPolyModel(alpha, beta, k_ref, band, cross)
         if kind == "seeded_random":
+            _known_fields(d, "model", "kind, band_ghz, seed, smoothness, k_ref, level, cross_pol_level")
             return synthmodel.SeededRandomModel(
                 seed=_config_int(d["seed"], "model.seed"),
                 smoothness=_config_int(d.get("smoothness", 3), "model.smoothness"),
@@ -326,6 +357,7 @@ def _require_model(cfg: dict) -> synthmodel.ModelSpec:
                 cross_pol_level=num(d.get("cross_pol_level", 1.0), "cross_pol_level"),
             )
         if kind == "demo":
+            _known_fields(d, "model", "kind, band_ghz, cross_pol_level")
             return synthmodel.demo_model(band, num(d.get("cross_pol_level", 0.5), "cross_pol_level"))
     except KeyError as exc:
         raise ConfigError(f"model.{exc.args[0]}: required for kind {kind!r}") from None
@@ -411,6 +443,15 @@ def _write_lines(path: Path, header: str, chunks: Iterable[str]) -> int:
     return count
 
 
+def _say(text: str) -> None:
+    """Print a line of a command's report. The files are the product, not these lines: once stdout's reader has
+    gone, as ``| head -1`` leaves it, stdout becomes os.devnull, so that no later line nor the final flush fails."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        sys.stdout = open(os.devnull, "w")
+
+
 def _header(cfg_hash: str) -> str:
     """The two header lines that start every table: the version and the config's hash."""
     return f"# arraykit {__version__}\n# config_sha256={cfg_hash}\n"
@@ -446,7 +487,7 @@ def cmd_lattice(args) -> int:
         onset = lattice.grating_lobe_onset(basis, float(theta))
         lines.append(f"  theta_deg={theta:<3d} onset={onset / 1e9:.3f} GHz")
     text = "\n".join(lines)
-    print(text)
+    _say(text)
     if args.out:
         _write_lines(Path(args.out) / "lattice_report.txt", _header(_config_hash(cfg)), [text + "\n"])
     return 0
@@ -492,12 +533,12 @@ def cmd_transform(args) -> int:
         if args.touchstone:
             windows[pair] = window
     if args.oracle:
-        print(f"oracle check: max |direct - fft| = {max(deltas):.3e}")
+        _say(f"oracle check: max |direct - fft| = {max(deltas):.3e}")
     if args.touchstone:
         path = out / f"finite_array.s{ports}p"
         records = snp.touchstone_records(spectral.smatrix_records(windows, lattice.enumerate_aperture(shape)), "ri")
         _write_lines(path, next(records), records)
-        print(f"wrote {path} ({ports} ports, {freqs.size} frequencies)")
+        _say(f"wrote {path} ({ports} ports, {freqs.size} frequencies)")
     return 0
 
 
@@ -540,7 +581,7 @@ def _transform_pair(args, model, recip, freqs, pair: str, out: Path, header: str
 def _write_grid_csv(path: Path, header: str, blocks: Iterable) -> None:
     """Write the CSV of a gamma grid's or a coupling set's frequency blocks a chunk of rows at a time, as it is formatted."""
     _write_lines(path, header, spectral.csv_chunks(blocks))
-    print(f"wrote {path}")
+    _say(f"wrote {path}")
 
 
 def cmd_metrics(args) -> int:
@@ -588,12 +629,12 @@ def cmd_metrics(args) -> int:
         tables["coupling.csv"] = metrics.coupling_table_blocks(sweeps)
     for name, blocks in tables.items():
         _write_lines(out / name, header, _joined(blocks))
-        print(f"wrote {out / name}")
+        _say(f"wrote {out / name}")
     if not dual:
-        print("single-polarization network: orthogonal coupling table skipped")
+        _say("single-polarization network: orthogonal coupling table skipped")
     if args.gnuplot:
         _write_lines(out / "plots.gp", _gnuplot_stub(list(tables)), ())
-        print(f"wrote {out / 'plots.gp'}")
+        _say(f"wrote {out / 'plots.gp'}")
     return 0
 
 
@@ -677,7 +718,7 @@ def cmd_pattern(args) -> int:
     path = Path(args.out or ".") / "pattern.csv"
     # one pattern (one cut at one frequency) is computed, formatted and written at a time
     _write_lines(path, _header(_config_hash(cfg)), _joined(metrics.pattern_table_blocks(pats)))
-    print(f"wrote {path}")
+    _say(f"wrote {path}")
     return 0
 
 
@@ -695,7 +736,7 @@ def cmd_convert(args) -> int:
         # the header first, so that a bad format or an unreadable header fails before any file is made
         records = snp.touchstone_records(snp.read_records(fh, ports), args.format)
         count = _write_lines(out, next(records), records)
-    print(f"wrote {out} ({ports} ports, {count} frequencies, {args.format.upper()})")
+    _say(f"wrote {out} ({ports} ports, {count} frequencies, {args.format.upper()})")
     return 0
 
 

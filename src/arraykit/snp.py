@@ -12,14 +12,14 @@ reader: it takes the text, an open text file or any iterable of its lines,
 and yields the header ``(port_count, z_ref)`` and then each record's
 frequency and (P, P) S, or only the rows of S asked for, converting every
 token and checking each record as it arrives, so it never holds a line list
-or more than one record of values. After the option line, a ``str`` and a
-file read with universal newlines are read ``max(4096, 2*P*P)`` characters
-of text at a time, extended to the next line end, and any other iterable
-of lines in batches of whole lines of that size; each piece or batch is
-converted by one ``np.loadtxt`` call, and one with a token that loadtxt
-does not read is read again line by line and token by token, so every
-value and error, and the order of errors, is what the lines read one at a
-time give.
+or more than one record of values. It reads the lines up to the option
+line one at a time, and the rest in pieces of whole lines of at least
+``max(4096, 2*P*P)`` characters: slices of a ``str``, ``read`` and
+``readline`` of a file read with universal newlines, and the lines of any
+other iterable gathered, each kept one line. Each piece is converted by
+one ``np.loadtxt`` call, and one with a token that loadtxt does not read
+is read again line by line and token by token, so every value and error,
+and the order of errors, is what the lines read one at a time give.
 The reference impedance must be finite and positive.
 :func:`parse_touchstone` stacks those records into a :class:`NetworkData`,
 which holds S once. :func:`touchstone_records` formats a record stream, or
@@ -196,15 +196,17 @@ def read_records(lines: str | Iterable[str], port_count: int, rows=None) -> Iter
     default) reads the same text, its LF, CRLF and lone CR all line ends,
     so it parses as the same bytes read from such a file. A file's lines
     are as its ``newline=`` setting splits them, an iterable's as given.
-    The lines up to the option line are read one at a time. After it, a
-    ``str``, and a file that reports the line ends it has seen
-    (``newlines`` is not None, as with ``newline=None`` or ``""``), is read
-    in pieces of whole lines: ``max(4096, 2*P*P)`` characters, as
-    ``fh.read(block) + fh.readline()`` gives them, with CRLF and lone CR
-    made LF and ``!`` comments cut. Any other input (a list or iterator of
-    lines, or a file opened with ``newline="\n"``) is gathered into
-    batches of whole lines of that many characters. Each piece or batch is
-    converted by one ``np.loadtxt`` call, which reads numbers exactly as
+    The lines up to the option line are read one at a time, and the header
+    is yielded before any value is read. The rest is read in pieces of whole
+    LF-ended lines of at least ``max(4096, 2*P*P)`` characters, one source
+    for each kind of input: a ``str`` in slices; a file that reports the
+    line ends it has seen (``newlines`` is not None, as with
+    ``newline=None`` or ``""``) as ``fh.read(block) + fh.readline()`` gives
+    them, CRLF and lone CR made LF; any other input (a list or iterator of
+    lines, or a file opened with ``newline="\n"``) as its lines gathered,
+    each with its ``!`` comment cut, its CRs and LFs blanked and one LF at
+    its end, so that it stays one line. Each piece, its ``!`` comments cut,
+    is converted by one ``np.loadtxt`` call, which reads numbers exactly as
     ``float`` does. One holding a token that loadtxt does not read
     (anything not a number, as any option line or v2 keyword is, and
     numbers that ``float`` reads only with underscores or non-ASCII
@@ -230,7 +232,7 @@ def read_records(lines: str | Iterable[str], port_count: int, rows=None) -> Iter
 
 
 # Text is converted _BLOCK_CHARS characters at a time, or 2*P*P, about a tenth of a record's text, when that is
-# more: a piece or batch and loadtxt's copy of it, 4 bytes a character, then stay within a record's values, where a
+# more: a piece and loadtxt's copy of it, 4 bytes a character, then stay within a record's values, where a
 # fixed 32 KiB block lifts a 32-port convert's peak from 17 to 26 records. One ending in a line over _LONG_LINE_CHARS
 # is read line by line, so that copy never grows with a line.
 _BLOCK_CHARS = 4096
@@ -249,27 +251,21 @@ def _leading_numbers(tokens: list[str]) -> list[float]:
     return values
 
 
-def _batch_values(batch: list[str]) -> np.ndarray | None:
-    """The values of a batch of whole lines, or None if loadtxt does not read a token or a line is too long.
+def _batch_values(piece: str) -> np.ndarray | None:
+    """The values of a piece, or None if loadtxt does not read a token or its last line is too long.
 
-    An item is one line, or a piece: whole lines, each ended by an LF, their comments cut already.
-    The items, their ``!`` comments cut, are joined with a space, as a line need not end with a line
-    end, and their CRs and LFs blanked, as loadtxt ends a row at either. loadtxt reads a number as
-    ``float`` does, through the same C conversion, and splits at the same whitespace; it rejects
-    what ``float`` reads only through its own rewriting (underscores, non-ASCII digits), so those
-    batches are read line by line, as are any holding an option line or a v2 keyword (``#``, ``[``).
+    A piece is whole lines, each ended by an LF, without CRs or comments. loadtxt reads a number as
+    ``float`` does, through the same C conversion, and splits at the same whitespace; it rejects what
+    ``float`` reads only through its own rewriting (underscores, non-ASCII digits), so those pieces
+    are read line by line, as are any holding an option line or a v2 keyword (``#``, ``[``).
     """
-    # each item's last line: a line, or the one a piece's readline() finished; a piece's other lines are in its block
-    if any(len(item) - 1 - item.rfind("\n", 0, len(item) - 1) > _LONG_LINE_CHARS for item in batch):
+    # the last line: the one a readline() finished, or a line longer than block; the piece's other lines are in block
+    if len(piece) - 1 - piece.rfind("\n", 0, len(piece) - 1) > _LONG_LINE_CHARS:
         return None
-    text = " ".join(batch)
-    if "!" in text:
-        text = " ".join(line.split("!", 1)[0] for line in batch)
-    text = text.replace("\r", " ").replace("\n", " ")
-    if not text or text.isspace():  # loadtxt warns of a batch without data
+    if not piece or piece.isspace():  # loadtxt warns of a piece without data
         return np.empty(0)
-    try:
-        return np.loadtxt([text], dtype=float, ndmin=1, comments=None)
+    try:  # the LFs blanked, as loadtxt ends a row at each
+        return np.loadtxt([piece.replace("\n", " ")], dtype=float, ndmin=1, comments=None)
     except ValueError:
         return None
 
@@ -277,86 +273,82 @@ def _batch_values(batch: list[str]) -> np.ndarray | None:
 def _records(lines: str | Iterable[str], p: int, rows) -> Iterator:
     option = None
 
-    def line_values(lines: Iterable[str]) -> Iterator[list[float]]:
-        """The values of each data line in turn; a bad token is raised once the values before it are taken."""
+    def line_values(line: str) -> Iterator[list[float]]:
+        """The values of one line, if it holds data; a bad token is raised once the values before it are taken."""
         nonlocal option
-        for raw in lines:
-            line = raw.split("!", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("["):
-                raise TouchstoneError(f"Touchstone v2 keyword {line.split()[0]!r} is not supported (v1 only)")
-            if line.startswith("#"):
-                if option is not None:
-                    raise TouchstoneError("multiple option lines")
-                option = _parse_option_line(line)
-                continue
-            if option is None:
-                raise TouchstoneError("data encountered before the '#' option line")
-            tokens = line.split()
-            values = _leading_numbers(tokens)
-            yield values
-            if len(values) < len(tokens):
-                raise TouchstoneError(f"non-numeric data token {tokens[len(values)]!r}")
-
-    def batch_values(batch: list[str]) -> Iterator:
-        """A batch's values in one array, or line by line when one of its tokens is not a number."""
-        values = _batch_values(batch)
-        yield from line_values(batch) if values is None else (values,)
+        line = line.split("!", 1)[0].strip()
+        if not line:
+            return
+        if line.startswith("["):
+            raise TouchstoneError(f"Touchstone v2 keyword {line.split()[0]!r} is not supported (v1 only)")
+        if line.startswith("#"):
+            if option is not None:
+                raise TouchstoneError("multiple option lines")
+            option = _parse_option_line(line)
+            return
+        if option is None:
+            raise TouchstoneError("data encountered before the '#' option line")
+        tokens = line.split()
+        values = _leading_numbers(tokens)
+        yield values
+        if len(values) < len(tokens):
+            raise TouchstoneError(f"non-numeric data token {tokens[len(values)]!r}")
 
     def piece_values(piece: str) -> Iterator:
-        """The values of a piece of whole lines, its line ends made LF and its comments cut, as those of a batch."""
+        """A piece's values in one array, its line ends made LF and its comments cut, or line by line."""
         if "\r" in piece:  # a file opened with newline="" keeps its CRLF and lone CR
             piece = piece.replace("\r\n", "\n").replace("\r", "\n")
         if "!" in piece:
             piece = _COMMENT.sub("", piece)
-        values = _batch_values([piece])
-        yield from line_values(piece.split("\n")) if values is None else (values,)
-
-    def value_chunks() -> Iterator:
-        """The values in input order: line by line up to the option line, then a piece or batch at a time."""
-        block = max(_BLOCK_CHARS, 2 * p * p)
-        if isinstance(lines, str):  # read as a file opened with universal newlines reads the same text
-            text, at = lines.replace("\r\n", "\n").replace("\r", "\n"), 0
-            while option is None and at < len(text):
-                end = text.find("\n", at) + 1 or len(text)
-                yield from line_values((text[at:end],))
-                at = end
-            while at < len(text):  # text[at:at + block], then the rest of its last line
-                end = text.find("\n", at + block) + 1 or len(text)
-                yield from piece_values(text[at:end])
-                at = end
+        values = _batch_values(piece)
+        if values is not None:
+            yield values
             return
+        for line in piece.split("\n"):
+            yield from line_values(line)
+
+    def pieces(at: int) -> Iterator[str]:
+        """The input after the option line in pieces of whole LF-ended lines, ``block`` characters and a line's rest."""
+        if isinstance(lines, str):
+            while at < len(text):
+                end = text.find("\n", at + block) + 1 or len(text)
+                yield text[at:end]
+                at = end
+        elif getattr(lines, "newlines", None) is not None:  # a file read with universal newlines
+            while head := lines.read(block):
+                yield head + lines.readline()
+        else:  # each line, its comment cut and its CRs and LFs blanked, stays one line
+            piece, size = [], 0
+            for line in rest:
+                piece.append(line.split("!", 1)[0].replace("\r", " ").replace("\n", " ") + "\n")
+                size += len(piece[-1])
+                if size >= block:
+                    yield "".join(piece)
+                    piece, size = [], 0
+            yield "".join(piece)
+
+    # the lines up to the option line, one at a time; each holds no value, as data before it raises
+    block, at = max(_BLOCK_CHARS, 2 * p * p), 0
+    if isinstance(lines, str):  # read as a file opened with universal newlines reads the same text
+        text = lines.replace("\r\n", "\n").replace("\r", "\n")
+        while option is None and at < len(text):
+            end = text.find("\n", at) + 1 or len(text)
+            next(line_values(text[at:end]), None)
+            at = end
+    else:
         rest = iter(lines)
         for line in rest:
-            yield from line_values((line,))
+            next(line_values(line), None)
             if option is not None:
                 break
-        if getattr(lines, "newlines", None) is not None:  # a file read with universal newlines
-            read, readline = lines.read, lines.readline
-            while head := read(block):
-                yield from piece_values(head + readline())
-            return
-        batch, size = [], 0
-        for line in rest:
-            batch.append(line)
-            size += len(line)
-            if size >= block:
-                yield from batch_values(batch)
-                batch, size = [], 0
-        yield from batch_values(batch)
-
-    n = 2 * p * p
-    # the rows converted from MA or DB: all of a 2-port record, whose rows are its columns in the file
-    kept = None if rows is None or p == 2 else rows
-    chunks = (v for v in value_chunks() if len(v))
-    first = next(chunks, None)  # the header follows the first value, or the end of a content without one
     if option is None:
         raise TouchstoneError("missing '#' option line")
     unit_scale, fmt, z_ref = option
     yield p, _checked_z_ref(z_ref)
-    if first is not None:
-        chunks = itertools.chain([first], chunks)
+    n = 2 * p * p
+    # the rows converted from MA or DB: all of a 2-port record, whose rows are its columns in the file
+    kept = None if rows is None or p == 2 else rows
+    chunks = (values for piece in pieces(at) for values in piece_values(piece) if len(values))
     count, prev, got = 0, 0.0, 0
     for chunk in chunks:
         at = 0

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -1313,6 +1314,26 @@ CONFIG_ERRORS = [
     ("pattern", {"pattern": {"theta_step_deg": 0}}, "pattern.theta_step_deg"),
     ("metrics", {"metrics": {"efficiency": 2}}, "metrics.efficiency"),
     ("metrics", {"metrics": {"snp": "missing.s18p"}}, "metrics.snp"),
+    # an unknown key, which would otherwise leave its field at the default; model, lattice.aperture and
+    # excitation.taper take only the keys of their kind or shape
+    ("lattice", {"lattice": {"kind": "triangular", "lambda_h_mm": 15, "nscan": 48}}, "lattice.nscan"),
+    ("lattice", {"latice": HEX2}, "latice"),
+    ("transform", {"model": {"kind": "constant", "gamma": [0.25, 0], "cross_pol_level": 0.1}}, "model.cross_pol_level"),
+    ("transform", {"model": {**SCAN_POLY, "level": 0.5}}, "model.level"),
+    ("transform", {"model": {"kind": "seeded_random", "seed": 1, "gamma": [0, 0]}}, "model.gamma"),
+    ("transform", {"model": {"kind": "demo", "seed": 1}}, "model.seed"),
+    ("transform", {"sweep": {"freq_ghz": {"start": 3, "stop": 20, "points": 5, "step": 1}}}, "sweep.freq_ghz.step"),
+    ("metrics", {"lattice": {**HEX2, "aperture": {"shape": "hexagon", "rings": 2, "rows": 2}}}, "lattice.aperture.rows"),
+    ("metrics", {"lattice": {**HEX2, "aperture": {"shape": "triangle", "rows": 3, "rings": 2}}}, "lattice.aperture.rings"),
+    ("metrics", {"lattice": {**HEX2, "aperture": {"shape": "explicit", "indices": [[0, 0]], "n1": [0, 1]}}}, "lattice.aperture.n1"),
+    ("metrics", {"lattice": {**HEX2, "aperture": {"shape": "rectangle", "n1": [0, 1], "n2": [0, 1], "n3": [0, 1]}}}, "lattice.aperture.n3"),
+    ("metrics", {"excitation": {"taper": {"kind": "uniform", "w0_mm": 17.0}}}, "excitation.taper.w0_mm"),
+    ("metrics", {"excitation": {"taper": {"kind": "gaussian", "w0": 17.0}}}, "excitation.taper.w0"),
+    ("metrics", {"excitation": {"polarization": "y"}}, "excitation.polarization"),
+    ("metrics", {"sweep": {"scan": ["broadside"]}}, "sweep.scan"),
+    ("metrics", {"metrics": {"efficency": 0.9}}, "metrics.efficency"),
+    ("pattern", {"pattern": {"cut": ["E"]}}, "pattern.cut"),
+    ("pattern", {"pattern": {"freq_ghz": {"start": 4, "stop": 5, "points": 2, "unit": "GHz"}}}, "pattern.freq_ghz.unit"),
 ]
 
 
@@ -1323,6 +1344,33 @@ def test_each_config_error_exits_2_naming_its_field(tmp_path, capsys, command, o
     cfg.write_text(json.dumps({k: v for k, v in loaded.items() if v is not None} if overrides else [loaded]))
     assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith((f"error: {field}:", f"error: {field} "))
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, as ``| head -1`` leaves it once it has its line."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [("transform", ["--touchstone", "--gamma"]), ("lattice", [])],  # lattice prints its report before the file
+)
+def test_a_closed_stdout_stops_no_write(tmp_path, capsys, command, flags):
+    cfg = write_config(tmp_path, lattice=HEX2, model={"kind": "demo"})
+    assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "want"), *flags]) == 0
+    capsys.readouterr()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "stdout", ClosedPipe())
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "got"), *flags]) == 0
+        sys.stdout.close()  # the os.devnull stream the command turned to
+    assert capsys.readouterr().err == ""
+    want = sorted(p.name for p in (tmp_path / "want").iterdir())
+    assert len(want) == (9 if command == "transform" else 1)
+    assert sorted(p.name for p in (tmp_path / "got").iterdir()) == want
+    for name in want:
+        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes(), name
 
 
 def test_metrics_default_scans(tmp_path):

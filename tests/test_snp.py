@@ -881,9 +881,9 @@ def test_a_line_over_the_limit_is_read_line_by_line():
     *header, data = text.split("\n", 2)
     long_line = data.replace("\n", " ")  # every record on one line of about 1.2 MB
     assert len(long_line) > snp._LONG_LINE_CHARS
-    assert snp._batch_values([long_line]) is None  # though loadtxt reads every token of it
+    assert snp._batch_values(long_line) is None  # though loadtxt reads every token of it
     at_limit = long_line[: snp._LONG_LINE_CHARS].rsplit(" ", 1)[0].ljust(snp._LONG_LINE_CHARS)  # whole tokens
-    assert snp._batch_values(["1 2\n", at_limit]) is not None
+    assert snp._batch_values("1 2\n" + at_limit) is not None
     lines = header + [long_line, "17.5 bogus"]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(snp, "_batch_values", lambda batch: None)
