@@ -33,8 +33,9 @@ import json
 import math
 import os
 import sys
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -391,12 +392,13 @@ def _check_budget(nbytes: int, where: str, set_by: str) -> None:
 
 def _transform_price(n_scan: int, model: synthmodel.ModelSpec, ports: int) -> tuple[int, int]:
     """``(fixed bytes, bytes per frequency)`` of ``transform``: one pol pair's grids, and one S record of ``ports`` formatted."""
-    # per scan point and frequency, one pol pair at a time: its sampled grid with the model's evaluation temporaries,
-    # its coupling set, a 16-frequency inverse FFT chunk and one 1024-row chunk's text, and with --touchstone the
-    # coupling windows of the earlier pairs, each as large as the grid when the aperture spans it: about 115 B at most
-    # (traced at N = 128, F = 17, an aperture spanning the grid), 72 B without --touchstone; and 40 B per
-    # seeded-random term while sampling. The extra frequency covers a sweep shorter than one FFT chunk (traced peak
-    # 80 B per scan point at N = 512, F = 1)
+    # per scan point and frequency of one 16-frequency chunk, one pol pair at a time: the chunk of its grid with the
+    # model's evaluation temporaries, its coupling set with the inverse FFT's temporaries and one 1024-row chunk's
+    # text, and with --touchstone the chunk's coupling windows of the earlier pairs, each as large as the grid's chunk
+    # when the aperture spans it: about 115 B at most (traced at N = 128, F = 17 and F = 33, an aperture spanning the
+    # grid), 64 B without --touchstone; and 40 B per seeded-random term while sampling. Nothing outlives a chunk, so
+    # charging every frequency over-counts longer sweeps. The extra frequency covers a sweep shorter than one chunk
+    # (traced peak 80 B per scan point at N = 512, F = 1)
     terms = model.smoothness if isinstance(model, synthmodel.SeededRandomModel) else 0
     per = n_scan**2 * (128 + 40 * terms)
     return _FIXED_BYTES + ports**2 * _TEXT_ENTRY_BYTES + per, per
@@ -418,28 +420,42 @@ def _metrics_price(size: int, ports: int, elements: int, scans: int) -> int:
 # --- output helpers -------------------------------------------------------------
 
 
-def _write_lines(path: Path, header: str, chunks: Iterable[str]) -> int:
-    """Write ``header`` and then each newline-ended chunk to ``path``; return the chunk count.
+@contextmanager
+def _writing(headers: dict[Path, str]) -> Iterator[list]:
+    """Open each path of ``headers`` for writing, its header written, and yield the open files in the same order.
 
-    The text goes to a temporary file beside ``path``, made with its parent
-    directories, which replaces ``path`` only once every chunk is written,
-    so a failure part way leaves no output and any earlier file at ``path``
-    unchanged.
+    Each file is a temporary file ``.<name>.<pid>.tmp`` beside its path,
+    made with its parent directories. Once the body ends, the temporary
+    files replace their paths, one after another; a fault before then
+    unlinks all of them, so it leaves no new output and any earlier file at
+    each path unchanged.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    count = 0
+    tmps = []
     try:
-        with open(tmp, "w", newline="\n") as fh:
-            fh.write(header)
-            for chunk in chunks:
-                fh.write(chunk)
-                count += 1
-                del chunk  # a chunk can be a whole record's text: drop it before the next is made
-        os.replace(tmp, path)
+        with ExitStack() as stack:
+            files = []
+            for path, header in headers.items():
+                path.parent.mkdir(parents=True, exist_ok=True)
+                tmps.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
+                files.append(stack.enter_context(open(tmps[-1], "w", newline="\n")))
+                files[-1].write(header)
+            yield files
+        for tmp, path in zip(tmps, headers):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_lines(path: Path, header: str, chunks: Iterable[str]) -> int:
+    """Write ``header`` and then each newline-ended chunk to ``path``, all or nothing (:func:`_writing`); return the chunk count."""
+    count = 0
+    with _writing({path: header}) as (fh,):
+        for chunk in chunks:
+            fh.write(chunk)
+            count += 1
+            del chunk  # a chunk can be a whole record's text: drop it before the next is made
     return count
 
 
@@ -494,18 +510,19 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_transform(args) -> int:
-    """Sample the model and write each pol pair's coupling CSV (and gamma CSV), then the ``.sNp`` with ``--touchstone``.
+    """Sample the model and write each pol pair's coupling CSV (and gamma CSV), and the ``.sNp`` with ``--touchstone``.
 
     Everything the config determines, the budget and the aperture fit is
-    checked before any pair is sampled. The pairs are then done one at a
-    time by :func:`_transform_pair`, each 16 frequencies at a time, so one
-    chunk of one grid and coupling set is held at once; the ``.sNp`` is
-    gathered from the pairs' coupling windows.
+    checked before any file is opened. :func:`_transform_chunks` then fills
+    every output, and the files appear together (:func:`_writing`) before
+    any ``wrote`` line is printed.
     """
     cfg = _load_config(args.config)
     recip, shape = _require_lattice(cfg, need_aperture=args.touchstone)
     model = _require_model(cfg)
-    if args.seed is not None and isinstance(model, synthmodel.SeededRandomModel):
+    if args.seed is not None:
+        if not isinstance(model, synthmodel.SeededRandomModel):
+            raise ConfigError(f"--seed: model kind {cfg['model']['kind']!r} takes no seed; only 'seeded_random' does")
         try:
             model = replace(model, seed=args.seed)
         except synthmodel.ModelError as exc:
@@ -526,62 +543,55 @@ def cmd_transform(args) -> int:
 
     out = Path(args.out or ".")
     header = _header(_config_hash(cfg))
-    deltas, windows = [], {}
-    for pair in spectral.POL_PAIRS:
-        delta, window = _transform_pair(args, model, recip, freqs, pair, out, header, shape)
-        deltas.append(delta)
+    # each pair's coupling CSV, then its gamma CSV: the order of the wrote lines
+    kinds = ("coupling", "gamma") if args.gamma else ("coupling",)
+    csvs = {(kind, pair): out / f"{kind}_{pair}.csv" for pair in spectral.POL_PAIRS for kind in kinds}
+    outputs = dict.fromkeys(csvs.values(), header)
+    snp_path = out / f"finite_array.s{ports}p"
+    if args.touchstone:
+        outputs[snp_path] = ""  # the Touchstone header is the first item of its record stream
+    deltas = [0.0]
+    with _writing(outputs) as files:
+        windows = _transform_chunks(args, model, recip, freqs, shape, dict(zip(csvs, files)), deltas)
         if args.touchstone:
-            windows[pair] = window
+            records = spectral.smatrix_records(windows, lattice.enumerate_aperture(shape))
+            files[-1].writelines(snp.touchstone_records(records, "ri"))
+        else:
+            for _ in windows:
+                pass
+    for csv in csvs.values():
+        _say(f"wrote {csv}")
     if args.oracle:
         _say(f"oracle check: max |direct - fft| = {max(deltas):.3e}")
     if args.touchstone:
-        path = out / f"finite_array.s{ports}p"
-        records = snp.touchstone_records(spectral.smatrix_records(windows, lattice.enumerate_aperture(shape)), "ri")
-        _write_lines(path, next(records), records)
-        _say(f"wrote {path} ({ports} ports, {freqs.size} frequencies)")
+        _say(f"wrote {snp_path} ({ports} ports, {freqs.size} frequencies)")
     return 0
 
 
-def _transform_pair(args, model, recip, freqs, pair: str, out: Path, header: str, shape):
-    """Sample and invert one pol pair, and write its coupling CSV, then its gamma CSV with ``--gamma``.
+def _transform_chunks(args, model, recip, freqs, shape, files: dict, deltas: list) -> Iterator[dict]:
+    """The command's only frequency loop: each :data:`_FREQ_CHUNK` frequencies of every pol pair, sampled once.
 
-    Both CSVs are written :data:`_FREQ_CHUNK` frequencies at a time, the
-    only frequency loop of the command: each chunk of the grid is sampled,
-    inverted in one FFT call and formatted, and only its window that the
-    aperture's S reads is kept. The gamma CSV samples each chunk again,
-    which is deterministic and cheaper than holding the grid. Returns the
-    pair's ``--oracle`` delta, the largest over the chunks (0.0 without
-    it), and with ``--touchstone`` the stitched window (else None).
+    Per chunk and pair, the grid's chunk is appended to the gamma CSV with
+    ``--gamma``, inverted in one FFT call and appended to the coupling CSV
+    (``files`` maps ``(kind, pair)`` to it; the column names go out with
+    the first chunk). Yields each chunk's windows that the aperture's S
+    reads with ``--touchstone``, else None, so nothing outlives a chunk;
+    appends each ``--oracle`` delta to ``deltas``.
     """
-    chunks = [slice(lo, lo + _FREQ_CHUNK) for lo in range(0, freqs.size, _FREQ_CHUNK)]
-    delta, window = 0.0, None
 
-    def grids() -> Iterator:
-        return (synthmodel.sample_grid(model, recip, freqs[c], pair) for c in chunks)
-
-    def invert(c: slice, g):
-        nonlocal delta, window
+    def pair_chunk(lo: int, pair: str):
+        g = synthmodel.sample_grid(model, recip, freqs[lo : lo + _FREQ_CHUNK], pair)
+        if args.gamma:
+            files["gamma", pair].writelines(islice(spectral.csv_chunks(g), int(lo > 0), None))
         cset = spectral.gamma_to_coupling(g)
         if args.oracle:
-            delta = max(delta, float(np.abs(spectral.gamma_to_coupling(g, "direct").coeffs - cset.coeffs).max()))
-        if args.touchstone:
-            part = spectral.coupling_window(cset, shape).coeffs
-            if window is None:
-                window = np.empty((freqs.size, *part.shape[1:]), dtype=complex)
-            window[c] = part
-        return cset
+            deltas.append(float(np.abs(spectral.gamma_to_coupling(g, "direct").coeffs - cset.coeffs).max()))
+        del g  # let go of the grid before the coupling rows are formatted
+        files["coupling", pair].writelines(islice(spectral.csv_chunks(cset), int(lo > 0), None))
+        return spectral.coupling_window(cset, shape) if args.touchstone else None
 
-    # map keeps no chunk once it is formatted, so the next chunk is sampled without it
-    _write_grid_csv(out / f"coupling_{pair}.csv", header, map(invert, chunks, grids()))
-    if args.gamma:
-        _write_grid_csv(out / f"gamma_{pair}.csv", header, grids())
-    return delta, None if window is None else spectral.CouplingSet(freqs, window)
-
-
-def _write_grid_csv(path: Path, header: str, blocks: Iterable) -> None:
-    """Write the CSV of a gamma grid's or a coupling set's frequency blocks a chunk of rows at a time, as it is formatted."""
-    _write_lines(path, header, spectral.csv_chunks(blocks))
-    _say(f"wrote {path}")
+    for lo in range(0, freqs.size, _FREQ_CHUNK):
+        yield {pair: pair_chunk(lo, pair) for pair in spectral.POL_PAIRS}
 
 
 def cmd_metrics(args) -> int:

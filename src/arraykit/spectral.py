@@ -19,9 +19,9 @@ differences within its spread, so the centred window of a coupling set
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -207,28 +207,8 @@ def coupling_window(cset: CouplingSet, aperture) -> CouplingSet:
     return CouplingSet(cset.frequencies, cset.coeffs[:, lo:hi, lo:hi].copy())
 
 
-def smatrix_records(
-    sets: Mapping[str, CouplingSet],
-    aperture,
-    port_map: PortMap | None = None,
-) -> Iterator:
-    """The finite-array scattering matrix from coupling coefficients, as a record stream.
-
-    ``sets`` maps pol-pair keys to CouplingSets: either all four of
-    xx/xy/yx/yy for a dual-polarized network, or a single co-pol key for a
-    single-polarized one. The S entry between port (p, pol A) and port
-    (q, pol B) is the (A, B) coupling coefficient at index difference
-    ``(n1p - n1q, n2p - n2q)``. A given ``port_map`` must hold exactly one
-    port per aperture element and pol; the default is
-    :meth:`PortMap.lexicographic`. The stream is that of
-    :func:`snp.read_records`: the header ``(port_count, 50.0)``, then one
-    ``(frequency, S)`` record per frequency, each S gathered when it is
-    reached. Everything is checked before the stream is returned.
-
-    Raises :class:`ApertureGridError` when any index difference falls
-    outside [-N/2, N/2-1]: the inverse transform is periodic with period N
-    and wrapped values would be aliases, not physics.
-    """
+def _pair_sets(sets: Mapping[str, CouplingSet]) -> tuple[tuple[str, ...], list[np.ndarray], np.ndarray]:
+    """``(pols, the coefficients of each pair (A, B) in row-major order, frequencies)`` of one mapping of sets."""
     sets = {_check_pair(k): v for k, v in sets.items()}
     pols = tuple(sorted({k[0] for k in sets}))
     if not sets or set(sets) != {a + b for a in pols for b in pols}:
@@ -236,11 +216,42 @@ def smatrix_records(
             f"sets must hold one co-pol pair or all four pol pairs, got {sorted(sets)}"
         )
     ref = next(iter(sets.values()))
-    n = ref.n
-    freqs = ref.frequencies
     for v in sets.values():
-        if v.n != n or not np.array_equal(v.frequencies, freqs):
+        if v.n != ref.n or not np.array_equal(v.frequencies, ref.frequencies):
             raise GridShapeError("all coupling sets must share N and frequencies")
+    return pols, [sets[a + b].coeffs for a in pols for b in pols], ref.frequencies
+
+
+def smatrix_records(
+    sets: Mapping[str, CouplingSet] | Iterable[Mapping[str, CouplingSet]],
+    aperture,
+    port_map: PortMap | None = None,
+) -> Iterator:
+    """The finite-array scattering matrix from coupling coefficients, as a record stream.
+
+    ``sets`` maps pol-pair keys to CouplingSets: either all four of
+    xx/xy/yx/yy for a dual-polarized network, or a single co-pol key for a
+    single-polarized one. It can also be an iterable of such mappings, the
+    consecutive frequency blocks of one network, all with the same keys and
+    N; a block is taken only once the records of the one before it have
+    been consumed, and the port map and gather index are set up once for
+    all of them. The S entry between port (p, pol A) and port
+    (q, pol B) is the (A, B) coupling coefficient at index difference
+    ``(n1p - n1q, n2p - n2q)``. A given ``port_map`` must hold exactly one
+    port per aperture element and pol; the default is
+    :meth:`PortMap.lexicographic`. The stream is that of
+    :func:`snp.read_records`: the header ``(port_count, 50.0)``, then one
+    ``(frequency, S)`` record per frequency, each S gathered when it is
+    reached. Everything is checked before the stream is returned, except
+    each later block, which is checked when it is reached.
+
+    Raises :class:`ApertureGridError` when any index difference falls
+    outside [-N/2, N/2-1]: the inverse transform is periodic with period N
+    and wrapped values would be aliases, not physics.
+    """
+    blocks = iter([sets] if isinstance(sets, Mapping) else sets)
+    pols, coeffs, freqs = _pair_sets(next(blocks, {}))
+    n = coeffs[0].shape[1]
 
     aperture = [(int(i), int(j)) for i, j in aperture]
     if port_map is None:
@@ -254,7 +265,6 @@ def smatrix_records(
 
     check_aperture_fits(aperture, n)
     k = len(pols)
-    coeffs = [sets[a + b].coeffs for a in pols for b in pols]
     n1, n2 = np.array([e for e, _ in port_map.entries]).T
     code = np.array([pols.index(p) for _, p in port_map.entries])
     half = n // 2
@@ -263,10 +273,22 @@ def smatrix_records(
         (k * code[:, None] + code, n1[:, None] - n1 + half, n2[:, None] - n2 + half), (k * k, n, n)
     )
 
-    def records() -> Iterator:
-        yield len(port_map), 50.0
+    def gathered(coeffs: list[np.ndarray], freqs: np.ndarray) -> Iterator:
         for f, f_hz in enumerate(freqs.tolist()):
             yield f_hz, np.take(np.stack([c[f] for c in coeffs]), flat)
+
+    def later(block: Mapping[str, CouplingSet]) -> Iterator:
+        block_pols, coeffs, freqs = _pair_sets(block)
+        if block_pols != pols or coeffs[0].shape[1] != n:
+            raise GridShapeError(f"every block must hold the pol pairs of the first and N={n}")
+        return gathered(coeffs, freqs)
+
+    # as in csv_chunks, chain gets the first block's generator, and a finished generator holds nothing
+    parts = chain([gathered(coeffs, freqs)], map(later, blocks))
+
+    def records() -> Iterator:
+        yield len(port_map), 50.0
+        yield from chain.from_iterable(parts)
 
     return records()
 

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -305,6 +306,34 @@ def test_window_gathers_the_same_smatrix_bit_for_bit(shape, keys):
     aperture = lat.enumerate_aperture(shape)
     for (_, s_full), (_, s_window) in zip(spectral.smatrix_records(sets, aperture), spectral.smatrix_records(windows, aperture)):
         assert np.asarray(s_full).tobytes() == np.asarray(s_window).tobytes()
+
+
+@pytest.mark.parametrize("keys", [spectral.POL_PAIRS, ("xx",)])
+def test_records_of_frequency_blocks_are_those_of_the_whole_set(keys):
+    sets = {pair: spectral.gamma_to_coupling(random_gamma(n=8, nfreq=5, seed=60 + i)) for i, pair in enumerate(keys)}
+    aperture = lat.enumerate_aperture(lat.HexagonAperture(1))
+    blocks = [
+        {pair: spectral.CouplingSet(c.frequencies[lo:hi], c.coeffs[lo:hi]) for pair, c in sets.items()}
+        for lo, hi in ((0, 2), (2, 4), (4, 5))
+    ]
+    whole, blocked = spectral.smatrix_records(sets, aperture), spectral.smatrix_records(iter(blocks), aperture)
+    assert next(whole) == next(blocked) == (7 * len({pair[0] for pair in keys}), 50.0)  # 7 elements
+    pairs = list(zip(whole, blocked))
+    assert len(pairs) == 5 and next(blocked, None) is None
+    for (f_whole, s_whole), (f_blocked, s_blocked) in pairs:
+        assert f_whole == f_blocked and s_whole.tobytes() == s_blocked.tobytes()
+
+
+def test_records_reject_a_later_block_of_other_pairs_or_n():
+    c8, c6 = (spectral.gamma_to_coupling(random_gamma(n=n, nfreq=1)) for n in (8, 6))
+    aperture = [(0, 0), (1, 0)]
+    for later in ({"yy": c8}, {"xx": c6}):
+        records = spectral.smatrix_records(iter([{"xx": c8}, later]), aperture)
+        assert len(list(islice(records, 2))) == 2  # the header and the first block's record
+        with pytest.raises(spectral.GridShapeError, match="every block"):
+            next(records)
+    with pytest.raises(ValueError, match="pol pairs"):
+        spectral.smatrix_records(iter([]), aperture)
 
 
 def test_window_of_an_oversized_aperture_raises():
