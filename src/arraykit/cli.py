@@ -185,9 +185,10 @@ def _parse_frequencies(block, where: str, price: tuple[int, int], set_by: str) -
         return np.linspace(start, stop, points)
     if isinstance(block, (list, tuple)) and block:
         _check_budget(price[0] + len(block) * price[1], where, f"its length, {set_by}")
-        vals = np.array([_config_hz(v, where) for v in block])
-        if np.any(vals <= 0) or np.any(np.diff(vals) <= 0):
-            raise ConfigError(f"{where}: frequencies must be positive and increasing")
+        vals = np.array([_config_hz(v, f"{where}[{i}]") for i, v in enumerate(block)])
+        bad = np.flatnonzero(np.diff(vals, prepend=0.0) <= 0)  # the first entry against 0, each later one the one before
+        if bad.size:
+            raise ConfigError(f"{where}[{bad[0]}]: frequencies must be positive and increasing")
         return vals
     raise ConfigError(f"{where}: expected an object or a non-empty list")
 
@@ -199,9 +200,9 @@ def _scan_label(label, pol: str, where: str) -> tuple[str, float, float]:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _angle_text(value) -> str:
+def _angle_text(value, where: str) -> str:
     """``%g`` text of an angle when it parses back to the same float, else the exact repr."""
-    angle = _config_float(value, "sweep.theta_deg/phi_deg")
+    angle = _config_float(value, where)
     short = f"{angle:g}"
     return short if float(short) == angle else repr(angle)
 
@@ -225,11 +226,17 @@ def _sweep_scans(cfg: dict, pol: str) -> list[tuple[str, float, float]]:
             raise ConfigError("sweep.scans: expected a non-empty list of labels")
         return [_scan_label(label, pol, f"sweep.scans[{i}]") for i, label in enumerate(labels)]
     if "theta_deg" in block or "phi_deg" in block:
-        where = "sweep.theta_deg/phi_deg"
-        thetas, phis = block.get("theta_deg", [0.0]), block.get("phi_deg", [0.0])
-        if not (isinstance(thetas, list) and isinstance(phis, list) and thetas and phis):
-            raise ConfigError(f"{where}: expected non-empty lists of numbers")
-        return [_scan_label(f"T{_angle_text(t)}P{_angle_text(p)}", pol, where) for t in thetas for p in phis]
+
+        def angles(key: str) -> list[str]:
+            """The angle text of each entry of the list ``key``."""
+            values = block.get(key, [0.0])
+            if not (isinstance(values, list) and values):
+                raise ConfigError(f"sweep.{key}: expected a non-empty list of numbers")
+            return [_angle_text(v, f"sweep.{key}[{i}]") for i, v in enumerate(values)]
+
+        # a finite phi always parses, so a label that does not names its theta
+        thetas, phis = angles("theta_deg"), angles("phi_deg")
+        return [_scan_label(f"T{t}P{p}", pol, f"sweep.theta_deg[{i}]") for i, t in enumerate(thetas) for p in phis]
     return [metrics.parse_scan_label(label, pol) for label in ("broadside", "E60", "H60", "D60")]
 
 
@@ -513,9 +520,9 @@ def cmd_transform(args) -> int:
     """Sample the model and write each pol pair's coupling CSV (and gamma CSV), and the ``.sNp`` with ``--touchstone``.
 
     Everything the config determines, the budget and the aperture fit is
-    checked before any file is opened. :func:`_transform_chunks` then fills
-    every output, and the files appear together (:func:`_writing`) before
-    any ``wrote`` line is printed.
+    checked before any file is opened. One loop over :data:`_FREQ_CHUNK`
+    frequencies then fills every output, and the files appear together
+    (:func:`_writing`) before any ``wrote`` line is printed.
     """
     cfg = _load_config(args.config)
     recip, shape = _require_lattice(cfg, need_aperture=args.touchstone)
@@ -549,49 +556,36 @@ def cmd_transform(args) -> int:
     outputs = dict.fromkeys(csvs.values(), header)
     snp_path = out / f"finite_array.s{ports}p"
     if args.touchstone:
-        outputs[snp_path] = ""  # the Touchstone header is the first item of its record stream
-    deltas = [0.0]
+        outputs[snp_path] = ""  # the Touchstone header goes out with the first chunk's records
+    delta = 0.0
     with _writing(outputs) as files:
-        windows = _transform_chunks(args, model, recip, freqs, shape, dict(zip(csvs, files)), deltas)
-        if args.touchstone:
-            records = spectral.smatrix_records(windows, lattice.enumerate_aperture(shape))
-            files[-1].writelines(snp.touchstone_records(records, "ri"))
-        else:
-            for _ in windows:
-                pass
+        files = dict(zip([*csvs, snp_path], files))
+        # the only frequency loop: each chunk of every pol pair is sampled once; after a chunk's first text the
+        # column names (CSV) and the header (Touchstone) are skipped, so nothing outlives a chunk
+        for lo in range(0, freqs.size, _FREQ_CHUNK):
+            windows = {}
+            for pair in spectral.POL_PAIRS:
+                g = synthmodel.sample_grid(model, recip, freqs[lo : lo + _FREQ_CHUNK], pair)
+                if args.gamma:
+                    files["gamma", pair].writelines(islice(spectral.csv_chunks(g), int(lo > 0), None))
+                cset = spectral.gamma_to_coupling(g)
+                if args.oracle:
+                    delta = max(delta, float(np.abs(spectral.gamma_to_coupling(g, "direct").coeffs - cset.coeffs).max()))
+                del g  # let go of the grid before the coupling rows are formatted
+                files["coupling", pair].writelines(islice(spectral.csv_chunks(cset), int(lo > 0), None))
+                if args.touchstone:
+                    windows[pair] = spectral.coupling_window(cset, shape)
+                del cset  # nor hold the coupling set while the next pair is sampled
+            if args.touchstone:
+                records = spectral.smatrix_records(windows, lattice.enumerate_aperture(shape))
+                files[snp_path].writelines(islice(snp.touchstone_records(records, "ri"), int(lo > 0), None))
     for csv in csvs.values():
         _say(f"wrote {csv}")
     if args.oracle:
-        _say(f"oracle check: max |direct - fft| = {max(deltas):.3e}")
+        _say(f"oracle check: max |direct - fft| = {delta:.3e}")
     if args.touchstone:
         _say(f"wrote {snp_path} ({ports} ports, {freqs.size} frequencies)")
     return 0
-
-
-def _transform_chunks(args, model, recip, freqs, shape, files: dict, deltas: list) -> Iterator[dict]:
-    """The command's only frequency loop: each :data:`_FREQ_CHUNK` frequencies of every pol pair, sampled once.
-
-    Per chunk and pair, the grid's chunk is appended to the gamma CSV with
-    ``--gamma``, inverted in one FFT call and appended to the coupling CSV
-    (``files`` maps ``(kind, pair)`` to it; the column names go out with
-    the first chunk). Yields each chunk's windows that the aperture's S
-    reads with ``--touchstone``, else None, so nothing outlives a chunk;
-    appends each ``--oracle`` delta to ``deltas``.
-    """
-
-    def pair_chunk(lo: int, pair: str):
-        g = synthmodel.sample_grid(model, recip, freqs[lo : lo + _FREQ_CHUNK], pair)
-        if args.gamma:
-            files["gamma", pair].writelines(islice(spectral.csv_chunks(g), int(lo > 0), None))
-        cset = spectral.gamma_to_coupling(g)
-        if args.oracle:
-            deltas.append(float(np.abs(spectral.gamma_to_coupling(g, "direct").coeffs - cset.coeffs).max()))
-        del g  # let go of the grid before the coupling rows are formatted
-        files["coupling", pair].writelines(islice(spectral.csv_chunks(cset), int(lo > 0), None))
-        return spectral.coupling_window(cset, shape) if args.touchstone else None
-
-    for lo in range(0, freqs.size, _FREQ_CHUNK):
-        yield {pair: pair_chunk(lo, pair) for pair in spectral.POL_PAIRS}
 
 
 def cmd_metrics(args) -> int:
@@ -614,7 +608,7 @@ def cmd_metrics(args) -> int:
             raise ConfigError("metrics.snp (or --snp): path to a Touchstone file is required")
         snp_path = guess
     if not Path(snp_path).is_file():
-        raise ConfigError(f"metrics.snp: file not found: {snp_path}")
+        raise ConfigError(f"{'--snp' if args.snp else 'metrics.snp'}: file not found: {snp_path}")
     ports = snp.touchstone_port_count(snp_path)
     if ports not in (n_elem, 2 * n_elem):
         raise snp.NetworkError(

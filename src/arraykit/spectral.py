@@ -19,9 +19,8 @@ differences within its spread, so the centred window of a coupling set
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -207,8 +206,24 @@ def coupling_window(cset: CouplingSet, aperture) -> CouplingSet:
     return CouplingSet(cset.frequencies, cset.coeffs[:, lo:hi, lo:hi].copy())
 
 
-def _pair_sets(sets: Mapping[str, CouplingSet]) -> tuple[tuple[str, ...], list[np.ndarray], np.ndarray]:
-    """``(pols, the coefficients of each pair (A, B) in row-major order, frequencies)`` of one mapping of sets."""
+def smatrix_records(sets: Mapping[str, CouplingSet], aperture, port_map: PortMap | None = None) -> Iterator:
+    """The finite-array scattering matrix from coupling coefficients, as a record stream.
+
+    ``sets`` maps pol-pair keys to CouplingSets: either all four of
+    xx/xy/yx/yy for a dual-polarized network, or a single co-pol key for a
+    single-polarized one. The S entry between port (p, pol A) and port
+    (q, pol B) is the (A, B) coupling coefficient at index difference
+    ``(n1p - n1q, n2p - n2q)``. A given ``port_map`` must hold exactly one
+    port per aperture element and pol; the default is
+    :meth:`PortMap.lexicographic`. The stream is that of
+    :func:`snp.read_records`: the header ``(port_count, 50.0)``, then one
+    ``(frequency, S)`` record per frequency, each S gathered when it is
+    reached. Everything is checked before the stream is returned.
+
+    Raises :class:`ApertureGridError` when any index difference falls
+    outside [-N/2, N/2-1]: the inverse transform is periodic with period N
+    and wrapped values would be aliases, not physics.
+    """
     sets = {_check_pair(k): v for k, v in sets.items()}
     pols = tuple(sorted({k[0] for k in sets}))
     if not sets or set(sets) != {a + b for a in pols for b in pols}:
@@ -219,39 +234,7 @@ def _pair_sets(sets: Mapping[str, CouplingSet]) -> tuple[tuple[str, ...], list[n
     for v in sets.values():
         if v.n != ref.n or not np.array_equal(v.frequencies, ref.frequencies):
             raise GridShapeError("all coupling sets must share N and frequencies")
-    return pols, [sets[a + b].coeffs for a in pols for b in pols], ref.frequencies
-
-
-def smatrix_records(
-    sets: Mapping[str, CouplingSet] | Iterable[Mapping[str, CouplingSet]],
-    aperture,
-    port_map: PortMap | None = None,
-) -> Iterator:
-    """The finite-array scattering matrix from coupling coefficients, as a record stream.
-
-    ``sets`` maps pol-pair keys to CouplingSets: either all four of
-    xx/xy/yx/yy for a dual-polarized network, or a single co-pol key for a
-    single-polarized one. It can also be an iterable of such mappings, the
-    consecutive frequency blocks of one network, all with the same keys and
-    N; a block is taken only once the records of the one before it have
-    been consumed, and the port map and gather index are set up once for
-    all of them. The S entry between port (p, pol A) and port
-    (q, pol B) is the (A, B) coupling coefficient at index difference
-    ``(n1p - n1q, n2p - n2q)``. A given ``port_map`` must hold exactly one
-    port per aperture element and pol; the default is
-    :meth:`PortMap.lexicographic`. The stream is that of
-    :func:`snp.read_records`: the header ``(port_count, 50.0)``, then one
-    ``(frequency, S)`` record per frequency, each S gathered when it is
-    reached. Everything is checked before the stream is returned, except
-    each later block, which is checked when it is reached.
-
-    Raises :class:`ApertureGridError` when any index difference falls
-    outside [-N/2, N/2-1]: the inverse transform is periodic with period N
-    and wrapped values would be aliases, not physics.
-    """
-    blocks = iter([sets] if isinstance(sets, Mapping) else sets)
-    pols, coeffs, freqs = _pair_sets(next(blocks, {}))
-    n = coeffs[0].shape[1]
+    n = ref.n
 
     aperture = [(int(i), int(j)) for i, j in aperture]
     if port_map is None:
@@ -272,23 +255,12 @@ def smatrix_records(
     flat = np.ravel_multi_index(
         (k * code[:, None] + code, n1[:, None] - n1 + half, n2[:, None] - n2 + half), (k * k, n, n)
     )
-
-    def gathered(coeffs: list[np.ndarray], freqs: np.ndarray) -> Iterator:
-        for f, f_hz in enumerate(freqs.tolist()):
-            yield f_hz, np.take(np.stack([c[f] for c in coeffs]), flat)
-
-    def later(block: Mapping[str, CouplingSet]) -> Iterator:
-        block_pols, coeffs, freqs = _pair_sets(block)
-        if block_pols != pols or coeffs[0].shape[1] != n:
-            raise GridShapeError(f"every block must hold the pol pairs of the first and N={n}")
-        return gathered(coeffs, freqs)
-
-    # as in csv_chunks, chain gets the first block's generator, and a finished generator holds nothing
-    parts = chain([gathered(coeffs, freqs)], map(later, blocks))
+    coeffs = [sets[a + b].coeffs for a in pols for b in pols]
 
     def records() -> Iterator:
         yield len(port_map), 50.0
-        yield from chain.from_iterable(parts)
+        for f, f_hz in enumerate(ref.frequencies.tolist()):
+            yield f_hz, np.take(np.stack([c[f] for c in coeffs]), flat)
 
     return records()
 
@@ -318,45 +290,26 @@ def _csv_values(data: ActiveGammaGrid | CouplingSet) -> tuple[str, np.ndarray]:
     return "freq_hz,n1,n2,re,im\n", data.coeffs
 
 
-def csv_chunks(data: ActiveGammaGrid | CouplingSet | Iterable[ActiveGammaGrid | CouplingSet]) -> Iterator[str]:
+def csv_chunks(data: ActiveGammaGrid | CouplingSet) -> Iterator[str]:
     """The CSV text of a gamma grid ("freq_hz,m1,m2,re,im") or a coupling set ("freq_hz,n1,n2,re,im").
 
-    ``data`` is one grid or set, or an iterable of consecutive frequency
-    blocks of one, all of one N; a block is taken only once the text of the
-    one before it has been consumed. Yields the header line, then the rows
-    "freq_hz,i1 - N/2,i2 - N/2,re,im" of each block ``_CSV_CHUNK_ROWS`` at a
-    time, each text newline-ended, so besides one block only one chunk's
-    text is held. An empty iterable yields nothing.
+    Yields the header line, then the rows "freq_hz,i1 - N/2,i2 - N/2,re,im"
+    ``_CSV_CHUNK_ROWS`` at a time, each text newline-ended, so besides
+    ``data`` only one chunk's text is held.
     """
-    blocks = iter([data] if isinstance(data, (ActiveGammaGrid, CouplingSet)) else data)
-    first = next(blocks, None)
-    if first is None:
-        return
-    header = _csv_values(first)[0]
-    n = first.n
-    # the "n1,n2," text of each point of one frequency, row-major: built once for every block
+    header, values = _csv_values(data)
+    n = data.n
+    # the "n1,n2," text of each point of one frequency, row-major
     axis = _padded([b"%d," % i for i in range(-(n // 2), n - n // 2)])
     points = np.concatenate((np.repeat(axis, n, axis=0), np.tile(axis, (n, 1))), axis=1)
     comma, newline = np.frombuffer(b",", np.uint8), np.frombuffer(b"\n", np.uint8)
-
-    def texts(block) -> Iterator[str]:
-        if block.n != n:
-            raise GridShapeError(f"every CSV block must have N={n}, got {block.n}")
-        _, values = _csv_values(block)
-        lead = _padded([b"%.9e," % f_hz for f_hz in block.frequencies.tolist()])
-        re, im = values.real.reshape(-1), values.imag.reshape(-1)
-        for lo in range(0, values.size, _CSV_CHUNK_ROWS):
-            hi = min(lo + _CSV_CHUNK_ROWS, values.size)
-            at, point = np.divmod(np.arange(lo, hi), n * n)
-            yield _e12_text("", [lead[at], points[point], re[lo:hi], comma, im[lo:hi], newline], hi - lo)
-
+    lead = _padded([b"%.9e," % f_hz for f_hz in data.frequencies.tolist()])
+    re, im = values.real.reshape(-1), values.imag.reshape(-1)
     yield header
-    # chain keeps its argument list to the end, so it gets the first block's generator rather than the block; a
-    # finished generator, like map, holds nothing, so each block is let go of before the next is made
-    blocks = chain([texts(first)], map(texts, blocks))
-    del first
-    for block_texts in blocks:
-        yield from block_texts
+    for lo in range(0, values.size, _CSV_CHUNK_ROWS):
+        hi = min(lo + _CSV_CHUNK_ROWS, values.size)
+        at, point = np.divmod(np.arange(lo, hi), n * n)
+        yield _e12_text("", [lead[at], points[point], re[lo:hi], comma, im[lo:hi], newline], hi - lo)
 
 
 def gamma_csv_rows(g: ActiveGammaGrid) -> list[str]:

@@ -269,6 +269,15 @@ def test_metrics_missing_snp_exit_2(tmp_path):
     assert cli.main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "empty")]) == 2
 
 
+@pytest.mark.parametrize("source", ["--snp", "metrics.snp"])
+def test_metrics_missing_snp_file_names_where_its_path_came_from(tmp_path, capsys, source):
+    missing = tmp_path / "nothere.s38p"
+    cfg = write_config(tmp_path, lattice=HEX2, metrics={"snp": str(missing)} if source == "metrics.snp" else {})
+    flags = ["--snp", str(missing)] if source == "--snp" else []
+    assert cli.main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "o"), *flags]) == 2
+    assert f"error: {source}: file not found: {missing}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [5, ["a.s18p"], True])
 def test_metrics_snp_not_a_path_exit_2(tmp_path, capsys, value):
     cfg = write_config(tmp_path, metrics={"snp": value})
@@ -327,11 +336,18 @@ def test_metrics_theta_phi_sweep_keeps_full_precision(tmp_path):
 @pytest.mark.parametrize(
     "block,field",
     [
-        ({"sweep": {"freq_ghz": ["a", 4]}}, "sweep.freq_ghz"),
-        ({"sweep": {"freq_ghz": [4, float("nan")]}}, "sweep.freq_ghz"),
+        # the ids are those of the test's earlier form, whose fields named no index
+        pytest.param({"sweep": {"freq_ghz": ["a", 4]}}, "sweep.freq_ghz[0]", id="block0-sweep.freq_ghz"),
+        pytest.param({"sweep": {"freq_ghz": [4, float("nan")]}}, "sweep.freq_ghz[1]", id="block1-sweep.freq_ghz"),
         ({"sweep": {"freq_ghz": {"start": 3, "stop": float("nan"), "points": 4}}}, "sweep.freq_ghz.stop"),
-        ({"pattern": {"freq_ghz": ["x"]}}, "pattern.freq_ghz"),
-        ({"pattern": {"freq_ghz": [float("nan")]}}, "pattern.freq_ghz"),
+        pytest.param({"pattern": {"freq_ghz": ["x"]}}, "pattern.freq_ghz[0]", id="block3-pattern.freq_ghz"),
+        pytest.param({"pattern": {"freq_ghz": [float("nan")]}}, "pattern.freq_ghz[0]", id="block4-pattern.freq_ghz"),
+        # the first entry that is not positive or not above the one before it
+        ({"pattern": {"freq_ghz": [4, -1]}}, "pattern.freq_ghz[1]"),
+        ({"pattern": {"freq_ghz": [4, 4]}}, "pattern.freq_ghz[1]"),
+        ({"sweep": {"freq_ghz": [-3, 4]}}, "sweep.freq_ghz[0]"),
+        ({"sweep": {"freq_ghz": [4, 9, 18, 9, 3]}}, "sweep.freq_ghz[3]"),
+        ({"sweep": {"freq_ghz": [4, "x"]}}, "sweep.freq_ghz[1]"),
     ],
 )
 def test_bad_frequency_list_exit_2(tmp_path, capsys, block, field):
@@ -633,7 +649,7 @@ BAD_TRANSFORM_NUMBERS = [
     ({"sweep": {"freq_ghz": {"start": 3, "stop": 20, "points": 2.9}}}, "sweep.freq_ghz.points"),
     ({"sweep": {"freq_ghz": {"start": 3, "stop": 20, "points": True}}}, "sweep.freq_ghz.points"),
     ({"sweep": {"freq_ghz": {"start": True, "stop": 20, "points": 4}}}, "sweep.freq_ghz.start"),
-    ({"sweep": {"freq_ghz": [3, False]}}, "sweep.freq_ghz"),
+    ({"sweep": {"freq_ghz": [3, False]}}, "sweep.freq_ghz[1]"),
     ({"lattice": {**HEX2, "aperture": {"shape": "hexagon", "rings": 2.7}}}, "lattice.aperture.rings"),
     ({"lattice": {**HEX2, "aperture": {"shape": "hexagon", "rings": True}}}, "lattice.aperture.rings"),
     ({"lattice": {**HEX2, "aperture": {"shape": "rectangle", "n1": [0, 2.5], "n2": [0, 2]}}}, "lattice.aperture.n1"),
@@ -650,7 +666,7 @@ BAD_TRANSFORM_NUMBERS = [
 ]
 BAD_METRICS_NUMBERS = [
     ({"metrics": {"efficiency": True}}, "metrics.efficiency"),
-    ({"sweep": {"theta_deg": [True], "phi_deg": [0]}}, "sweep.theta_deg/phi_deg"),
+    ({"sweep": {"theta_deg": [True], "phi_deg": [0]}}, "sweep.theta_deg[0]"),
     ({"excitation": {"taper": {"kind": "gaussian", "w0_mm": True}}}, "excitation.taper.w0_mm"),
     ({"lattice": {**HEX2, "n_scan": 24.5}}, "lattice.n_scan"),
     ({"lattice": {**HEX2, "n_scan": True}}, "lattice.n_scan"),
@@ -924,13 +940,23 @@ def test_transform_chunks_write_the_files_of_the_whole_grid(tmp_path, capsys, mo
         sizes.append(len(frequencies))
         return sample_grid(model, recip, frequencies, pair)
 
+    smatrix_records, chunks = spectral.smatrix_records, []
+
+    def gathered(sets, aperture):
+        chunks.append({pair: len(c.frequencies) for pair, c in sets.items()})
+        return smatrix_records(sets, aperture)
+
     monkeypatch.setattr(synthmodel, "sample_grid", counted)
+    monkeypatch.setattr(spectral, "smatrix_records", gathered)
     out = tmp_path / "out"
     argv = ["transform", "--config", str(path), "--out", str(out), "--touchstone", "--gamma", "--oracle"]
     assert cli.main(argv) == 0
     assert f"oracle check: max |direct - fft| = {delta:.3e}" in capsys.readouterr().out
     # each pair's chunks are sampled once, for both CSVs
     assert max(sizes) <= cli._FREQ_CHUNK and sum(sizes) == 4 * points, sizes
+    # the S records are gathered once per chunk, from that chunk's windows only: 3 calls at 33 points
+    sizes = [min(cli._FREQ_CHUNK, points - lo) for lo in range(0, points, cli._FREQ_CHUNK)]
+    assert chunks == [dict.fromkeys(spectral.POL_PAIRS, size) for size in sizes], chunks
     assert sorted(p.name for p in out.iterdir()) == sorted(expected)
     for name, text in expected.items():
         assert (out / name).read_bytes() == text.encode(), name
@@ -1225,24 +1251,26 @@ def test_metrics_bad_scan_label_exit_2(tmp_path, capsys, label):
     "theta,phi,msg",
     # the ids of the first eight cases are those of the test's earlier form, which had no msg parameter
     [
-        pytest.param([0, 95], [0], "scan label 'T95P0': theta must lie in [0, 90] degrees", id="theta0-phi0"),
-        pytest.param([30], ["x"], "expected a finite number, got 'x'", id="theta1-phi1"),
-        pytest.param([30], [float("nan")], "expected a finite number, got nan", id="theta2-phi2"),
-        pytest.param([90.0000001], [0], "scan label 'T90.0000001P0': theta must lie", id="theta3-phi3"),
-        pytest.param("60", [0], "expected non-empty lists of numbers", id="60-phi4"),
-        pytest.param([30], "45", "expected non-empty lists of numbers", id="theta5-45"),
-        pytest.param([], [0], "expected non-empty lists of numbers", id="theta6-phi6"),
-        pytest.param([30], [], "expected non-empty lists of numbers", id="theta7-phi7"),
-        pytest.param([float("nan")], [0], "expected a finite number, got nan", id="theta-nan"),
-        pytest.param([1e400], [0], "expected a finite number, got inf", id="theta-1e400"),
-        pytest.param([True], [0], "expected a finite number, got True", id="theta-true"),
-        pytest.param(["abc"], [0], "expected a finite number, got 'abc'", id="theta-text"),
+        pytest.param([0, 95], [0], "theta_deg[1]: scan label 'T95P0': theta must lie in [0, 90] degrees", id="theta0-phi0"),
+        pytest.param([30], ["x"], "phi_deg[0]: expected a finite number, got 'x'", id="theta1-phi1"),
+        pytest.param([30], [float("nan")], "phi_deg[0]: expected a finite number, got nan", id="theta2-phi2"),
+        pytest.param([90.0000001], [0], "theta_deg[0]: scan label 'T90.0000001P0': theta must lie", id="theta3-phi3"),
+        pytest.param("60", [0], "theta_deg: expected a non-empty list of numbers", id="60-phi4"),
+        pytest.param([30], "45", "phi_deg: expected a non-empty list of numbers", id="theta5-45"),
+        pytest.param([], [0], "theta_deg: expected a non-empty list of numbers", id="theta6-phi6"),
+        pytest.param([30], [], "phi_deg: expected a non-empty list of numbers", id="theta7-phi7"),
+        pytest.param([float("nan")], [0], "theta_deg[0]: expected a finite number, got nan", id="theta-nan"),
+        pytest.param([1e400], [0], "theta_deg[0]: expected a finite number, got inf", id="theta-1e400"),
+        pytest.param([True], [0], "theta_deg[0]: expected a finite number, got True", id="theta-true"),
+        pytest.param(["abc"], [0], "theta_deg[0]: expected a finite number, got 'abc'", id="theta-text"),
+        pytest.param([30], [0, None], "phi_deg[1]: expected a finite number, got None", id="phi-none"),
+        pytest.param([0, 30, "a"], [0], "theta_deg[2]: expected a finite number, got 'a'", id="theta-text-later"),
     ],
 )
 def test_metrics_bad_theta_phi_sweep_exit_2(tmp_path, capsys, theta, phi, msg):
     cfg = write_config(tmp_path, sweep={"theta_deg": theta, "phi_deg": phi})
     assert cli.main(["metrics", "--config", str(cfg), "--out", str(tmp_path / "empty")]) == 2
-    assert f"error: sweep.theta_deg/phi_deg: {msg}" in capsys.readouterr().err
+    assert f"error: sweep.{msg}" in capsys.readouterr().err
 
 
 def test_metrics_parses_each_scan_label_once(tmp_path, monkeypatch):
@@ -1306,7 +1334,7 @@ CONFIG_ERRORS = [
     ("transform", {"sweep": {"freq_ghz": {"start": 3, "stop": 1e300, "points": 4}}}, "sweep.freq_ghz.stop"),
     ("transform", {"sweep": {"freq_ghz": {"start": 3, "stop": 20}}}, "sweep.freq_ghz"),
     ("transform", {"sweep": {"freq_ghz": {"start": 3, "stop": 20, "points": 0}}}, "sweep.freq_ghz"),
-    ("transform", {"sweep": {"freq_ghz": [5, 4]}}, "sweep.freq_ghz"),
+    pytest.param("transform", {"sweep": {"freq_ghz": [5, 4]}}, "sweep.freq_ghz[1]", id="transform-overrides5-sweep.freq_ghz"),
     ("transform", {"sweep": {"freq_ghz": 5}}, "sweep.freq_ghz"),
     ("metrics", {"excitation": {"pol": "z"}}, "excitation.pol"),
     ("metrics", {"excitation": {"taper": 17}}, "excitation.taper"),
@@ -1462,12 +1490,12 @@ def test_aperture_from_config_errors_name_fields(tmp_path, capsys, aperture, mes
         ("lattice", {"lattice": {**HEX2, "aperture": {"shape": "hexagon", "rings": "2"}}}, "lattice.aperture.rings: expected "),
         ("transform", {"sweep": {"freq_ghz": {"start": "3", "stop": 20, "points": 4}}}, "sweep.freq_ghz.start: expected "),
         ("transform", {"sweep": {"freq_ghz": {"start": 3, "stop": 20, "points": "4"}}}, "sweep.freq_ghz.points: expected "),
-        ("transform", {"sweep": {"freq_ghz": [3, "4.5"]}}, "sweep.freq_ghz: expected "),
+        ("transform", {"sweep": {"freq_ghz": [3, "4.5"]}}, "sweep.freq_ghz[1]: expected "),
         ("transform", {"model": {"kind": "constant", "gamma": ["0.2", 0]}}, "model.gamma: expected "),
         ("transform", {"model": {"kind": "seeded_random", "seed": "5"}}, "model.seed: expected "),
         ("transform", {"model": {"kind": "demo", "band_ghz": ["3", 20]}}, "model.band_ghz: expected "),
         ("metrics", {"metrics": {"efficiency": "0.9"}}, "metrics.efficiency: expected "),
-        ("metrics", {"sweep": {"theta_deg": ["30"], "phi_deg": [0]}}, "sweep.theta_deg/phi_deg: expected "),
+        ("metrics", {"sweep": {"theta_deg": ["30"], "phi_deg": [0]}}, "sweep.theta_deg[0]: expected "),
         ("metrics", {"excitation": {"taper": {"kind": "gaussian", "w0_mm": "17"}}}, "excitation.taper.w0_mm: expected "),
         ("pattern", {"pattern": {"freq_ghz": [9.0], "cuts": ["30"]}}, "pattern.cuts[0]: expected "),
         ("pattern", {"pattern": {"freq_ghz": [9.0], "theta_step_deg": "1"}}, "pattern.theta_step_deg: expected "),
