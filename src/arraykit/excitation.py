@@ -10,6 +10,7 @@ infinite-array sum, steering the beam toward +k_t.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,12 @@ class ExcitationError(ValueError):
     """Invalid taper, scan, or plan parameters."""
 
 
+def _check_w0(w0) -> None:
+    """Raise :class:`ExcitationError` unless ``w0`` is positive with a square (m^2) in the normal float range."""
+    if not (isinstance(w0, (int, float)) and w0 > 0 and sys.float_info.min < w0 * w0 < sys.float_info.max):
+        raise ExcitationError(f"gaussian taper requires a w0 > 0 whose square in m^2 is a normal float, got {w0!r}")
+
+
 @dataclass(frozen=True)
 class TaperSpec:
     """Amplitude taper: "uniform" or "gaussian" with beam waist w0 (m)."""
@@ -43,8 +50,8 @@ class TaperSpec:
     def __post_init__(self):
         if self.kind not in ("uniform", "gaussian"):
             raise ExcitationError(f"taper kind must be uniform|gaussian, got {self.kind!r}")
-        if self.kind == "gaussian" and not (self.w0 is not None and self.w0 > 0):
-            raise ExcitationError("gaussian taper requires w0 > 0")
+        if self.kind == "gaussian":
+            _check_w0(self.w0)
 
 
 @dataclass(frozen=True)
@@ -77,11 +84,14 @@ class ExcitationPlan:
 
 
 def gaussian_taper(positions: np.ndarray, w0: float) -> np.ndarray:
-    """exp(-|R|^2 / w0^2) per position; positions are relative to the taper center."""
-    if not w0 > 0:
-        raise ExcitationError(f"w0 must be positive, got {w0}")
+    """exp(-|R|^2 / w0^2) per position; positions are relative to the taper center.
+
+    A ratio |R|^2 / w0^2 that overflows gives the taper's limit, 0.
+    """
+    _check_w0(w0)
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
-    return np.exp(-(pos**2).sum(axis=1) / w0**2)
+    with np.errstate(over="ignore"):
+        return np.exp(-(pos**2).sum(axis=1) / w0**2)
 
 
 def taper_amplitudes(taper: TaperSpec, positions: np.ndarray) -> np.ndarray:

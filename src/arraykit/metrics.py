@@ -234,9 +234,12 @@ def parse_scan_label(label: str, pol: str) -> tuple[str, float, float]:
     "broadside" means theta 0; "E60"/"H30"/"D45" combine a principal plane
     letter with the scan angle in degrees; "T<theta>P<phi>" gives both
     angles explicitly. Raises :class:`MetricError` for a label that does not
-    parse, a theta outside [0, 90] or a non-finite phi.
+    parse, one that holds a line break or another unprintable character (it
+    would break a table row), a theta outside [0, 90] or a non-finite phi.
     """
     text = str(label).strip()
+    if not text.isprintable():
+        raise MetricError(f"scan label {label!r}: expected printable text, with no line break")
     low = text.lower()
     if low == "broadside":
         return "broadside", 0.0, 0.0
@@ -305,23 +308,23 @@ def sweep(
 # --- CSV tables -----------------------------------------------------------------
 
 
-def _table_blocks(header: str, template: str, blocks) -> Iterator[list[str]]:
-    """``[header]``, then one list of ``template % row`` lines per block, each formatted when it is reached.
+def _table_blocks(header: str, template: str, blocks) -> Iterator[str]:
+    """``header``, then the ``template % row`` lines of each block, each a newline-ended text formatted when reached.
 
     Each block is a tuple of equal-length columns (lists, or iterators such
     as ``itertools.repeat`` for a constant column) holding one frequency, one
     sweep or one pattern, so no more than a block's values are ever turned
-    into Python objects at once, and a consumer that writes each list before
+    into Python objects at once, and a consumer that writes each text before
     taking the next holds one block's rows.
     """
-    def lines(columns) -> list[str]:
-        return list(map(template.__mod__, zip(*columns)))
+    def text(columns) -> str:
+        return "".join(map((template + "\n").__mod__, zip(*columns)))
 
-    # map, unlike a generator, keeps no reference to the block or the list it last produced
-    return chain([[header]], map(lines, blocks))
+    # map, unlike a generator, keeps no reference to the block or the text it last produced
+    return chain([header + "\n"], map(text, blocks))
 
 
-def _sweep_blocks(value_header: str, value_template: str, sweeps: list[ScanSweep], values) -> Iterator[list[str]]:
+def _sweep_blocks(value_header: str, value_template: str, sweeps: list[ScanSweep], values) -> Iterator[str]:
     """Rows "freq_hz,plane,theta_deg,<value_header>" as :func:`_table_blocks` gives them, one block per sweep.
 
     ``values(sw)`` gives the value columns, computed when the sweep's block is reached.
@@ -333,21 +336,21 @@ def _sweep_blocks(value_header: str, value_template: str, sweeps: list[ScanSweep
     return _table_blocks("freq_hz,plane,theta_deg," + value_header, "%.9e,%s,%g," + value_template, blocks)
 
 
-def vswr_table_blocks(sweeps: list[ScanSweep]) -> Iterator[list[str]]:
-    """Rows "freq_hz,plane,theta_deg,vswr,gamma_re,gamma_im": the header's list, then one list per sweep."""
+def vswr_table_blocks(sweeps: list[ScanSweep]) -> Iterator[str]:
+    """Rows "freq_hz,plane,theta_deg,vswr,gamma_re,gamma_im": the header line, then one text per sweep."""
     return _sweep_blocks(
         "vswr,gamma_re,gamma_im", "%.9e,%.12e,%.12e", sweeps,
         lambda sw: (np.minimum(vswr(sw.gamma), VSWR_CAP), sw.gamma.real, sw.gamma.imag),
     )
 
 
-def gain_table_blocks(sweeps: list[ScanSweep], efficiency: float = 1.0) -> Iterator[list[str]]:
-    """Rows "freq_hz,plane,theta_deg,gain_db" of ``db10(normalized_gain)``: the header's list, then one list per sweep."""
+def gain_table_blocks(sweeps: list[ScanSweep], efficiency: float = 1.0) -> Iterator[str]:
+    """Rows "freq_hz,plane,theta_deg,gain_db" of ``db10(normalized_gain)``: the header line, then one text per sweep."""
     return _sweep_blocks("gain_db", "%.9e", sweeps, lambda sw: (db10(normalized_gain(sw.gamma, efficiency)),))
 
 
-def coupling_table_blocks(sweeps: list[ScanSweep]) -> Iterator[list[str]]:
-    """Rows "freq_hz,plane,theta_deg,coupling_db" of ``db20(coupling)``: the header's list, then one list per sweep.
+def coupling_table_blocks(sweeps: list[ScanSweep]) -> Iterator[str]:
+    """Rows "freq_hz,plane,theta_deg,coupling_db" of ``db20(coupling)``: the header line, then one text per sweep.
 
     Sweeps of a single-polarization network raise :class:`MetricError` here, before any row is formatted.
     """
@@ -358,24 +361,24 @@ def coupling_table_blocks(sweeps: list[ScanSweep]) -> Iterator[list[str]]:
 
 def vswr_table_rows(sweeps: list[ScanSweep]) -> list[str]:
     """Rows "freq_hz,plane,theta_deg,vswr,gamma_re,gamma_im" (header included): the lines of :func:`vswr_table_blocks`."""
-    return list(chain.from_iterable(vswr_table_blocks(sweeps)))
+    return [row for chunk in vswr_table_blocks(sweeps) for row in chunk.split("\n")[:-1]]
 
 
 def gain_table_rows(sweeps: list[ScanSweep], efficiency: float = 1.0) -> list[str]:
     """Rows "freq_hz,plane,theta_deg,gain_db" (header included): the lines of :func:`gain_table_blocks`."""
-    return list(chain.from_iterable(gain_table_blocks(sweeps, efficiency)))
+    return [row for chunk in gain_table_blocks(sweeps, efficiency) for row in chunk.split("\n")[:-1]]
 
 
 def coupling_table_rows(sweeps: list[ScanSweep]) -> list[str]:
     """Rows "freq_hz,plane,theta_deg,coupling_db" (header included): the lines of :func:`coupling_table_blocks`."""
-    return list(chain.from_iterable(coupling_table_blocks(sweeps)))
+    return [row for chunk in coupling_table_blocks(sweeps) for row in chunk.split("\n")[:-1]]
 
 
-def pattern_table_blocks(patterns: Iterable[Pattern]) -> Iterator[list[str]]:
-    """The rows of :func:`pattern_table_rows`: the header's list, then one list per pattern.
+def pattern_table_blocks(patterns: Iterable[Pattern]) -> Iterator[str]:
+    """The rows of :func:`pattern_table_rows`: the header line, then one text per pattern.
 
     ``patterns`` may be a generator: each pattern is taken and its rows are
-    formatted only when the previous list has been consumed, so a writer
+    formatted only when the previous text has been consumed, so a writer
     holds one pattern and its rows at a time.
     """
     blocks = map(lambda p: (repeat(p.frequency), repeat(p.label), p.theta_deg.tolist(), p.gain_dbi.tolist()), patterns)
@@ -384,4 +387,4 @@ def pattern_table_blocks(patterns: Iterable[Pattern]) -> Iterator[list[str]]:
 
 def pattern_table_rows(patterns: list[Pattern]) -> list[str]:
     """Rows "freq_hz,plane,theta_deg,gain_dbi" (header included): the lines of :func:`pattern_table_blocks`."""
-    return list(chain.from_iterable(pattern_table_blocks(patterns)))
+    return [row for chunk in pattern_table_blocks(patterns) for row in chunk.split("\n")[:-1]]

@@ -201,9 +201,19 @@ def eval_gamma(model: ModelSpec, pol_pair: str, k_t, f):
 
 
 def sample_grid(model: ModelSpec, recip: ReciprocalBasis, frequencies, pol_pair: str) -> ActiveGammaGrid:
-    """Fill every scan-grid point of ``recip`` (visible or not) at each frequency, in one model evaluation."""
+    """Fill every scan-grid point of ``recip`` (visible or not) at each frequency, in one model evaluation.
+
+    A sample that is not finite, such as one that overflows, raises
+    :class:`ModelError` naming the pol pair and the first such frequency.
+    """
     freqs = np.asarray(frequencies, dtype=float)
-    return ActiveGammaGrid(freqs, eval_gamma(model, pol_pair, recip.points, freqs))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        grid = eval_gamma(model, pol_pair, recip.points, freqs)
+    finite = np.isfinite(grid).all(axis=(-2, -1))
+    if not finite.all():
+        f = freqs.flat[np.argmin(finite)]
+        raise ModelError(f"model response for pol pair {pol_pair!r} is not finite at {f:.6g} Hz")
+    return ActiveGammaGrid(freqs, grid)
 
 
 def demo_model(band: tuple[float, float] = (3e9, 20e9), cross_pol_level: float = 0.5) -> ScanPolyModel:

@@ -680,6 +680,11 @@ NON_FINITE_OR_UNNAMED = [
     ("transform", {"model": {"kind": "seeded_random", "seed": 1, "k_ref": float("inf")}}, "model.k_ref"),
     ("transform", {"model": {"kind": "seeded_random", "seed": 1, "level": 0}}, "model"),
     ("metrics", {"excitation": {"taper": {"kind": "gaussian", "w0_mm": float("inf")}}}, "excitation.taper.w0_mm"),
+    # w0^2 in m^2 overflows (once exit 1, "Numerical result out of range"), is subnormal or underflows to 0 (once exit 4)
+    ("metrics", {"excitation": {"taper": {"kind": "gaussian", "w0_mm": 1e308}}}, "excitation.taper.w0_mm"),
+    ("metrics", {"excitation": {"taper": {"kind": "gaussian", "w0_mm": 1e-155}}}, "excitation.taper.w0_mm"),
+    ("metrics", {"excitation": {"taper": {"kind": "gaussian", "w0_mm": 1e-160}}}, "excitation.taper.w0_mm"),
+    ("pattern", {"excitation": {"taper": {"kind": "gaussian", "w0_mm": 1e308}}}, "excitation.taper.w0_mm"),
 ]
 
 
@@ -695,6 +700,18 @@ def test_non_integral_or_boolean_config_numbers_exit_2(tmp_path, capsys, command
     assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert f"error: {field}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_model_response_that_overflows_exit_2_naming_the_pol_pair(tmp_path):
+    # |k_t|^2 / k_ref^2 overflows: this once printed a RuntimeWarning and exited 3 naming no field
+    model = {"kind": "scan_poly", "alpha": [[3, 0.1, 0]], "beta": [[3, 0.1, 0]], "k_ref": 1e-200}
+    cfg = write_config(tmp_path, model=model)
+    out = tmp_path / "o"
+    # a fresh process, so that stderr holds whatever numpy would print
+    proc = run_fresh("-m", "arraykit.cli", "transform", "--config", str(cfg), "--out", str(out), "--gamma", "--touchstone")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: model response for pol pair 'xx' is not finite at 3e+09 Hz\n"
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("n_scan, ok", [(24.0, True), (3.0, False), (0, False)])
@@ -757,6 +774,31 @@ def test_pattern_csv(tmp_path):
     assert rows[0] == "freq_hz,plane,theta_deg,gain_dbi"
     assert len(rows) == 1 + 2 * 37
     assert {r.split(",")[1] for r in rows[1:]} == {"E", "D"}
+
+
+def test_table_blocks_yield_newline_ended_text_that_the_files_hold(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, pattern={"freq_ghz": [9.0], "cuts": ["E", "D"], "theta_step_deg": 5.0})
+    out = tmp_path / "out"
+    assert cli.main(["transform", "--config", str(cfg), "--out", str(out), "--touchstone"]) == 0
+    items = {}
+    for table in ("vswr", "gain", "coupling", "pattern"):
+
+        def kept(*args, table=table, blocks=getattr(metrics, f"{table}_table_blocks")):
+            for item in blocks(*args):
+                items.setdefault(table, []).append(item)
+                yield item
+
+        monkeypatch.setattr(metrics, f"{table}_table_blocks", kept)
+    assert cli.main(["metrics", "--config", str(cfg), "--out", str(out)]) == 0
+    assert cli.main(["pattern", "--config", str(cfg), "--out", str(out)]) == 0
+    assert sorted(items) == ["coupling", "gain", "pattern", "vswr"]
+    for table, chunks in items.items():
+        # the column names, then one text per scan (broadside, E60) or per pattern (E and D at 9 GHz)
+        assert len(chunks) == 3, table
+        assert all(isinstance(chunk, str) and chunk.endswith("\n") for chunk in chunks), table
+        version, config_hash, rest = (out / f"{table}.csv").read_bytes().decode().split("\n", 2)
+        assert version.startswith("# arraykit ") and config_hash.startswith("# config_sha256=")
+        assert rest == "".join(chunks), table
 
 
 def test_convert_round_trip(tmp_path):
@@ -826,10 +868,8 @@ def test_fault_part_way_through_a_table_keeps_the_earlier_table(tmp_path, capsys
 
     def faulty(*args):
         # the column names, then one block of 800 frequencies for each of 2 scans
-        for i, rows in enumerate(gain_table_blocks(*args)):
-            if i == 2:
-                rows[500] = None  # not a string, in the second scan's block
-            yield rows
+        for i, text in enumerate(gain_table_blocks(*args)):
+            yield None if i == 2 else text  # not a string: the second scan's block
 
     monkeypatch.setattr(metrics, "gain_table_blocks", faulty)
     assert cli.main(argv) == 1
@@ -1239,7 +1279,7 @@ def test_threads_accepted_by_every_command(tmp_path):
         assert cli.main([*argv, "--config", str(cfg), "--out", str(out), "--threads", "4"]) == 0
 
 
-@pytest.mark.parametrize("label", ["E95", "Q7", "T30P"])
+@pytest.mark.parametrize("label", ["E95", "Q7", "T30P", "T30\nP0", "T30\u000cP45"])
 def test_metrics_bad_scan_label_exit_2(tmp_path, capsys, label):
     cfg = write_config(tmp_path, sweep={"scans": ["broadside", label]})
     # rejected at config read, before the Touchstone file is looked for
@@ -1574,7 +1614,7 @@ def test_seeded_random_config_defaults_passive(seed):
     assert float(np.linalg.norm(blocks, ord=2, axis=(-2, -1)).max()) <= 0.8 * (1 + 1e-12)
 
 
-@pytest.mark.parametrize("label", ["E95", "Q7", "T30P"])
+@pytest.mark.parametrize("label", ["E95", "Q7", "T30P", "T30\nP0", "T30\u000cP45"])
 def test_pattern_bad_scan_label_exit_2(tmp_path, capsys, label):
     cfg = write_config(tmp_path, pattern={"freq_ghz": [9.0], "scan": label})
     assert cli.main(["pattern", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

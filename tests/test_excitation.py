@@ -34,6 +34,18 @@ def test_gaussian_taper_radial_symmetry():
 def test_gaussian_taper_rejects_bad_w0():
     with pytest.raises(exc.ExcitationError):
         exc.gaussian_taper(np.zeros((1, 2)), 0.0)
+    # w0^2 overflows, is subnormal, or underflows to 0
+    for w0 in (1e305, 1e-158, 1e-163):
+        with pytest.raises(exc.ExcitationError, match="normal float"):
+            exc.gaussian_taper(np.zeros((1, 2)), w0)
+        with pytest.raises(exc.ExcitationError, match="normal float"):
+            exc.TaperSpec("gaussian", w0)
+
+
+def test_gaussian_taper_ratio_that_overflows_is_zero():
+    # w0^2 is a normal float, but 3^2 / w0^2 overflows: the taper's limit, with no overflow warning
+    w0 = 1.5e-154
+    np.testing.assert_array_equal(exc.gaussian_taper(np.array([[0.0, 0.0], [3.0, 0.0]]), w0), [1.0, 0.0])
 
 
 def test_scan_wavevector_examples():

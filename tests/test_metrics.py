@@ -381,6 +381,8 @@ def test_parse_scan_label():
     assert metrics.parse_scan_label("E60", "y") == ("E60", 60.0, 90.0)
     assert metrics.parse_scan_label("D45", "y") == ("D45", 45.0, 45.0)
     assert metrics.parse_scan_label("T30P120", "x") == ("T30P120", 30.0, 120.0)
+    # a space is printable, so it may stay inside a label; a line break may not (see the rejects below)
+    assert metrics.parse_scan_label(" T30 P0\n", "x") == ("T30 P0", 30.0, 0.0)
     with pytest.raises(metrics.MetricError):
         metrics.parse_scan_label("Q60", "x")
 
@@ -558,7 +560,8 @@ def test_single_pol_sweep_has_no_coupling_table():
         metrics.coupling_table_rows(sweeps)
 
 
-@pytest.mark.parametrize("label", ["E95", "Q7", "T30P", "T-5P0", "Tp0", "H", "T30Pinf", "E60x"])
+# float() strips the line break and the form feed of the last two, which would then split a table row
+@pytest.mark.parametrize("label", ["E95", "Q7", "T30P", "T-5P0", "Tp0", "H", "T30Pinf", "E60x", "T30\nP0", "T30\u000cP45"])
 def test_parse_scan_label_rejects_bad_labels(label):
     with pytest.raises(metrics.MetricError, match="scan label"):
         metrics.parse_scan_label(label, "x")
